@@ -3,7 +3,7 @@
 The library builds extractor matrices (Reed-Muller or user supplied),
 computes weight distributions of the codes they generate, evaluates every
 total-variation / entropy bound that follows from those distributions, and
-lets an exact brute-force oracle or Monte-Carlo simulation check the bounds
+lets an exact Walsh-Hadamard oracle or Monte-Carlo simulation check the bounds
 against the real output distribution.
 """
 

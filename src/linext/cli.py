@@ -180,16 +180,17 @@ def _verify_rows(profile, w, k, d, eps, tol):
 def cmd_verify(args) -> int:
     code = _load_code(args)
     G = code.generator
-    w, _ = codes.weight_distribution(code, args.cap)
-    k, d = code.k, codes.min_distance(w)
+    grid = _eps_grid(args)
     try:
         profile = pipeline.output_weight_profile(G)
     except InfeasibleError as exc:
         raise InfeasibleError(f"{exc}; try `linext simulate`") from None
+    w, _ = codes.weight_distribution(code, args.cap)
+    k, d = code.k, codes.min_distance(w)
     failures = 0
     print(f"verify {code.label or 'matrix'} [{code.n},{k},{d}] tol={_fmt(args.tol)}")
     print(f"{'eps':<10}  {'check':<11}  {'exact':<15}  {'bound':<15}  status")
-    for eps in _eps_grid(args):
+    for eps in grid:
         for name, stat, bound, ok in _verify_rows(profile, w, k, d, eps, args.tol):
             status = "PASS" if ok else "FAIL"
             if not ok:
@@ -327,13 +328,26 @@ def _svg_chart(rows, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_code_flags(p, include_weights=True):
     p.add_argument("--code", help="code selector, e.g. rm:2,4")
     p.add_argument("--matrix", help="generator matrix file")
     if include_weights:
         p.add_argument("--weights", help="external weight distribution file")
     p.add_argument(
-        "--cap", type=int, default=codes.ENUMERATION_CAP,
+        "--cap", type=_int_at_least(0), default=codes.ENUMERATION_CAP,
         help="weight enumeration cap on the code dimension (default %(default)s)",
     )
 
@@ -380,7 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo source + extraction vs bounds")
     _add_code_flags(p)
     p.add_argument("--eps", type=float, required=True, help="input bias")
-    p.add_argument("--blocks", type=int, default=100000, help="number of n-bit blocks (default %(default)s)")
+    p.add_argument(
+        "--blocks", type=_int_at_least(1), default=100000,
+        help="number of n-bit blocks (default %(default)s)",
+    )
     p.add_argument("--seed", type=int, default=0, help="source seed (default %(default)s)")
     p.add_argument(
         "--marginal-only", action="store_true",

@@ -113,13 +113,33 @@ def _trailing_zeros(t: int) -> int:
     return (t & -t).bit_length() - 1
 
 
+def codeword_weights(G: BitMatrix):
+    """Yield (h, weights) for every codeword uG, 2^lo messages at a time.
+
+    weights[j] is the Hamming weight of uG for message u = h·2^lo + j, where
+    bit i of u selects generator row i and lo = min(k, 16). The low rows
+    are expanded once into a table of partial codewords; the high rows are
+    walked in Gray-code order (so h is not monotone), each step XORing a
+    single row across the whole table before the packed-word popcount.
+    Memory stays at one table, whatever n and k are.
+    """
+    k = G.rows
+    lo = min(k, _TABLE_BITS)
+    table = np.zeros((1 << lo, G.words.shape[1]), dtype=G.words.dtype)
+    for j in range(lo):
+        h = 1 << j
+        table[h : 2 * h] = table[:h] ^ G.words[j]
+    cur = np.zeros(G.words.shape[1], dtype=G.words.dtype)
+    for t in range(1 << (k - lo)):
+        if t:
+            cur = cur ^ G.words[lo + _trailing_zeros(t)]
+        yield t ^ (t >> 1), np.bitwise_count(table ^ cur).sum(axis=1, dtype=np.int64)
+
+
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
     """Exact weight distribution by visiting all 2^k codewords.
 
-    The low generator rows are expanded once into a table of partial
-    codewords; the remaining rows are walked in Gray-code order, so each
-    step XORs a single row across the whole table before the packed-word
-    popcount histogram.
+    Histograms the weights of the codeword_weights walk.
     """
     G = code.generator
     k, n = G.rows, G.cols
@@ -129,17 +149,8 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
             f"MacWilliams route via the dual or supply an external "
             f"weight distribution"
         )
-    lo = min(k, _TABLE_BITS)
-    table = np.zeros((1 << lo, G.words.shape[1]), dtype=G.words.dtype)
-    for j in range(lo):
-        h = 1 << j
-        table[h : 2 * h] = table[:h] ^ G.words[j]
     counts = np.zeros(n + 1, np.int64)
-    cur = np.zeros(G.words.shape[1], dtype=G.words.dtype)
-    for t in range(1 << (k - lo)):
-        if t:
-            cur = cur ^ G.words[lo + _trailing_zeros(t)]
-        w = np.bitwise_count(table ^ cur).sum(axis=1, dtype=np.int64)
+    for _, w in codeword_weights(G):
         counts += np.bincount(w, minlength=n + 1)
     return WeightDistribution(n, k, tuple(int(c) for c in counts))
 

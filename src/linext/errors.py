@@ -3,5 +3,5 @@
 
 class InfeasibleError(ValueError):
     """A computation whose cost would blow past a hard cap (2^k enumeration,
-    2^n oracle input space, 2^k histogram bins). The message names the cap
+    2^k oracle or histogram buckets). The message names the cap
     and the cheaper route, if one exists."""

@@ -17,13 +17,13 @@ from typing import Optional
 
 import numpy as np
 
+from .codes import codeword_weights
 from .errors import InfeasibleError
 from .gf2 import BitMatrix, pack_bits, rank
 
-ORACLE_INPUT_CAP = 26
+# Cap on k for anything holding 2^k buckets: the empirical histogram and
+# the exact oracle.
 EMPIRICAL_K_CAP = 24
-_PROFILE_ENTRY_CAP = 1 << 25
-_SPLIT_BITS = 13
 
 
 class BitStream:
@@ -176,7 +176,9 @@ class ExactStats:
     samples: Optional[int] = None
 
 
-def _stats_from_pmf(pmf: np.ndarray, k: int, samples=None) -> ExactStats:
+def _stats_from_pmf(
+    pmf: np.ndarray, k: int, biases: np.ndarray, samples=None
+) -> ExactStats:
     pmf = np.asarray(pmf, np.float64)
     uniform = 2.0**-k
     delta = float(np.abs(pmf - uniform).sum())
@@ -184,11 +186,6 @@ def _stats_from_pmf(pmf: np.ndarray, k: int, samples=None) -> ExactStats:
     shannon = float(-(nz * np.log2(nz)).sum() / k) + 0.0  # +0.0 normalizes -0.0
     max_prob = float(pmf.max())
     min_entropy = float(-math.log2(max_prob) / k) + 0.0
-    idx = np.arange(pmf.size, dtype=np.int64)
-    biases = np.empty(k)
-    for i in range(k):
-        p1 = float(pmf[(idx >> i) & 1 == 1].sum())
-        biases[i] = abs(2.0 * p1 - 1.0)
     pmf.setflags(write=False)
     biases.setflags(write=False)
     return ExactStats(
@@ -203,119 +200,77 @@ def _stats_from_pmf(pmf: np.ndarray, k: int, samples=None) -> ExactStats:
     )
 
 
-def _weight_probs(n: int, eps: float) -> np.ndarray:
-    """P(one specific n-bit input of weight w), for w = 0..n."""
-    rho0 = 0.5 + eps / 2.0
-    rho1 = 0.5 - eps / 2.0
-    w = np.arange(n + 1)
-    return rho0 ** (n - w) * rho1**w
-
-
-def _split_tables(G: BitMatrix):
-    """Subset-XOR tables over a low/high split of the input coordinates.
-
-    Output word of input x is t_hi[x >> lo] ^ t_lo[x & (2^lo - 1)]; input
-    weight splits the same way.
-    """
-    n, k = G.cols, G.rows
-    dense = G.to_dense()
-    colvals = dense.T.astype(np.int64) @ (np.int64(1) << np.arange(k, dtype=np.int64))
-    lo = min(n, _SPLIT_BITS)
-
-    def subset_xor(vals):
-        t = np.zeros(1 << len(vals), np.int64)
-        for j, v in enumerate(vals):
-            h = 1 << j
-            t[h : 2 * h] = t[:h] ^ v
-        return t
-
-    t_lo = subset_xor(colvals[:lo])
-    t_hi = subset_xor(colvals[lo:])
-    w_lo = np.bitwise_count(np.arange(1 << lo, dtype=np.uint64)).astype(np.int64)
-    w_hi = np.bitwise_count(np.arange(t_hi.size, dtype=np.uint64)).astype(np.int64)
-    return t_lo, t_hi, w_lo, w_hi
-
-
-def _check_oracle_pre(G: BitMatrix, cap: int) -> None:
-    if G.cols > cap:
-        raise InfeasibleError(
-            f"exact oracle enumerates 2^n inputs; n={G.cols} is over the cap "
-            f"{cap} - use Monte-Carlo simulation instead"
-        )
-    if rank(G) != G.rows:
-        raise ValueError(
-            f"exact oracle requires a full-rank matrix "
-            f"(rank {rank(G)} < {G.rows} rows)"
-        )
-
-
-def output_weight_profile(G: BitMatrix, cap: int = ORACLE_INPUT_CAP) -> np.ndarray:
-    """counts[bucket, w] = number of weight-w inputs mapped to that output.
+def output_weight_profile(G: BitMatrix, cap: int = EMPIRICAL_K_CAP) -> np.ndarray:
+    """w[u] = wt(uG) for every message u in 0 .. 2^k - 1 (bit i selects row i).
 
     The profile separates the geometry of G from the bias, so one pass over
-    the 2^n inputs serves every eps. Raises when the table itself would be
-    too large; exact_output_pmf then falls back to per-eps accumulation.
+    the 2^k codewords serves every eps. Needs k <= cap and full rank; both
+    are checked before any work.
     """
-    _check_oracle_pre(G, cap)
-    n, k = G.cols, G.rows
-    if (n + 1) << k > _PROFILE_ENTRY_CAP:
+    k = G.rows
+    if k > cap:
         raise InfeasibleError(
-            f"output weight profile needs {(n + 1) << k} cells, over the cap "
-            f"{_PROFILE_ENTRY_CAP}"
+            f"exact oracle holds 2^k buckets; k={k} is over the cap {cap} - "
+            f"use Monte-Carlo simulation instead"
         )
-    t_lo, t_hi, w_lo, w_hi = _split_tables(G)
-    prof = np.zeros((1 << k) * (n + 1), np.int64)
-    group = max(1, (1 << 20) // t_lo.size)
-    for h0 in range(0, t_hi.size, group):
-        h1 = min(h0 + group, t_hi.size)
-        out = (t_hi[h0:h1, None] ^ t_lo[None, :]).reshape(-1)
-        wt = (w_hi[h0:h1, None] + w_lo[None, :]).reshape(-1)
-        prof += np.bincount(out * (n + 1) + wt, minlength=prof.size)
-    return prof.reshape(1 << k, n + 1)
+    if rank(G) != k:
+        raise ValueError(
+            f"exact oracle requires a full-rank matrix (rank {rank(G)} < {k} rows)"
+        )
+    w = np.empty(1 << k, np.int32)
+    for h, chunk in codeword_weights(G):
+        w[h * chunk.size : (h + 1) * chunk.size] = chunk
+    return w
+
+
+def _fwht(a: np.ndarray) -> None:
+    """In-place unnormalized Walsh-Hadamard transform of a length-2^k array."""
+    h = 1
+    while h < a.size:
+        v = a.reshape(-1, 2, h)
+        x, y = v[:, 0], v[:, 1]
+        s = x + y
+        np.subtract(x, y, out=y)
+        x[...] = s
+        h *= 2
 
 
 def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
-    """Exact output statistics from a precomputed weight profile."""
-    nbuckets, ncols = profile.shape
-    k = nbuckets.bit_length() - 1
-    pmf = profile @ _weight_probs(ncols - 1, eps)
-    return _stats_from_pmf(pmf, k)
+    """Exact output statistics from the codeword-weight profile.
 
+    Under the biased IID source the output character at u is exactly
+    E[(-1)^(u·y)] = eps^wt(uG) (the XOR lemma), so the pmf is
+    2^-k · FWHT(chi) with chi[u] = eps^w[u], and coordinate i's bias is
+    chi[e_i] = eps^wt(row i), read off before the transform.
 
-def _pmf_direct(G: BitMatrix, eps: float) -> np.ndarray:
-    # Fallback when the integer profile would not fit: accumulate float
-    # probabilities per chunk and merge chunks with Kahan compensation.
-    n, k = G.cols, G.rows
-    t_lo, t_hi, w_lo, w_hi = _split_tables(G)
-    probs = _weight_probs(n, eps)
-    pmf = np.zeros(1 << k)
-    comp = np.zeros(1 << k)
-    group = max(1, (1 << 20) // t_lo.size)
-    for h0 in range(0, t_hi.size, group):
-        h1 = min(h0 + group, t_hi.size)
-        out = (t_hi[h0:h1, None] ^ t_lo[None, :]).reshape(-1)
-        wt = (w_hi[h0:h1, None] + w_lo[None, :]).reshape(-1)
-        part = np.bincount(out, weights=probs[wt], minlength=pmf.size)
-        y = part - comp
-        t = pmf + y
-        comp = (t - pmf) - y
-        pmf = t
-    return pmf
+    Rounding, with r = 2^-53: the power lookup rounds each chi entry once,
+    and each butterfly level rounds each partial sum once, by at most r
+    times the sum of the chi entries beneath it. A cell is a ±1 combination
+    of one level's partial sums, whose supports partition all 2^k entries,
+    so every pmf cell is within (k+1)·r·2^-k·S of exact, where
+    S = sum(chi) = sum_l A_l eps^l is one plus the weight-distribution
+    bound. Hence delta is within (k+1)·r·S plus the rounding of its own sum
+    (about k·r·delta), and max_prob >= 2^-k within a relative (k+1)·r·S.
+    Where the weight bound is tight (S near 1) that is under 3e-15 for
+    k <= 24. Cells are clipped at 0, which only moves them toward exact.
+    """
+    k = profile.size.bit_length() - 1
+    chi = (eps ** np.arange(int(profile.max()) + 1))[profile]
+    biases = np.abs(chi[1 << np.arange(k)])
+    _fwht(chi)
+    chi *= 2.0**-k
+    np.maximum(chi, 0.0, out=chi)
+    return _stats_from_pmf(chi, k, biases)
 
 
 def exact_output_pmf(
-    G: BitMatrix, eps: float, cap: int = ORACLE_INPUT_CAP
+    G: BitMatrix, eps: float, cap: int = EMPIRICAL_K_CAP
 ) -> ExactStats:
     """Exact output distribution of y = G·x under the biased IID source.
 
-    Sums the probability of all 2^n inputs into 2^k buckets by total
-    probability; feasible for n <= cap only.
+    Costs O(k·2^k) whatever n is; feasible for k <= cap only.
     """
-    _check_oracle_pre(G, cap)
-    n, k = G.cols, G.rows
-    if (n + 1) << k <= _PROFILE_ENTRY_CAP:
-        return stats_from_profile(output_weight_profile(G, cap), eps)
-    return _stats_from_pmf(_pmf_direct(G, eps), k)
+    return stats_from_profile(output_weight_profile(G, cap), eps)
 
 
 def empirical_stats(stream: BitStream, k: int) -> ExactStats:
@@ -340,7 +295,11 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     for i in range(k):
         words |= blocks[:, i].astype(np.int64) << i
     pmf = np.bincount(words, minlength=1 << k).astype(np.float64) / m
-    return _stats_from_pmf(pmf, k, samples=m)
+    idx = np.arange(1 << k, dtype=np.int64)
+    biases = np.array(
+        [abs(2.0 * float(pmf[(idx >> i) & 1 == 1].sum()) - 1.0) for i in range(k)]
+    )
+    return _stats_from_pmf(pmf, k, biases, samples=m)
 
 
 def marginal_biases(stream: BitStream, k: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 PASS/WARN line (run with -s to see them on success).
 
 These checks pin the tool's core guarantees: every bound is sound against
-the exact brute-force oracle, the weight/worst bound ordering and its
+the exact Walsh-Hadamard oracle, the weight/worst bound ordering and its
 equality gap, MacWilliams round-trips, Reed-Muller structure, the
 reproducible [16,11] sweep, von Neumann exactness, Monte-Carlo/oracle
 agreement, extraction throughput, and the h-variant ordering.

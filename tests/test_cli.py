@@ -242,9 +242,27 @@ class TestVerify:
         assert "0.25" in line  # bias bound met with equality
 
     def test_oversized_suggests_simulate(self, capsys):
-        code, _, err = run(capsys, "verify", "--code", "rm:2,5", "--eps", "0.1")
+        # k = 26 is over the oracle's 2^k-bucket cap; rejected before output
+        code, out, err = run(capsys, "verify", "--code", "rm:3,5", "--eps", "0.1")
         assert code == 3
         assert "simulate" in err
+        assert out == ""
+
+    def test_n32_feasible_when_k_fits(self, capsys):
+        # n = 32, k = 16: the oracle's cost depends on k only
+        code, out, _ = run(capsys, "verify", "--code", "rm:2,5", "--eps", "0.1")
+        assert code == 0
+        assert "[32,16,8]" in out and "all bounds hold" in out
+
+    @pytest.mark.parametrize(
+        "grid",
+        [("--steps", "1"), ("--eps-min", "0.5", "--eps-max", "0.1"), ("--eps", "1.5")],
+    )
+    def test_bad_grid_rejected_before_output(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--code", "rm:1,3", *grid)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
 
 class TestSimulate:
@@ -284,6 +302,15 @@ class TestSimulate:
         assert code == 0
         assert "coord_bias_max" in out and "PASS" in out
 
+    @pytest.mark.parametrize("blocks", ["0", "-3"])
+    def test_nonpositive_blocks_is_usage_error(self, capsys, blocks):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--code", "rm:1,3", "--eps", "0.2", "--blocks", blocks])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--blocks" in captured.err
+
     def test_binning_infeasible_suggests_marginal_flag(self, capsys):
         # k = 26 cannot be histogrammed; the error names the fallback flag
         code, _, err = run(
@@ -299,6 +326,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["bounds-sweep", "--h-variant", "bogus", "--code", "rm:1,3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["code-info", "--code", "rm:1,3"],
+            ["bounds-sweep", "--code", "rm:1,3", "--eps", "0.1"],
+            ["extract", "--code", "rm:1,3", "--in", "x.bits", "--out", "y.bits"],
+            ["verify", "--code", "rm:1,3", "--eps", "0.1"],
+            ["simulate", "--code", "rm:1,3", "--eps", "0.1"],
+        ],
+    )
+    def test_negative_cap_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cap", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cap" in captured.err
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linext.codes import rm_generator
 from linext.errors import InfeasibleError
-from linext.gf2 import BitMatrix
+from linext.gf2 import BitMatrix, rank
 from linext.pipeline import (
     BiasedSourceSpec,
     BitStream,
@@ -21,6 +23,17 @@ from linext.pipeline import (
 )
 
 from _naive import exact_pmf_fractions, random_full_rank, von_neumann_reference
+
+
+@st.composite
+def full_rank_matrices(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 10))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+    dense = ((np.array(rows)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    G = BitMatrix.from_dense(dense)
+    assume(rank(G) == k)
+    return G
 
 
 def bm(*rows):
@@ -201,6 +214,24 @@ class TestExactOracle:
             delta_exact = sum(abs(p - Fraction(1, 1 << k)) for p in expect)
             assert stats.delta == pytest.approx(float(delta_exact), abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        G=full_rank_matrices(),
+        eps=st.one_of(
+            st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+            st.integers(0, 1000).map(lambda i: i / 1000),
+        ),
+    )
+    def test_property_matches_rational_oracle(self, G, eps):
+        k = G.rows
+        expect = exact_pmf_fractions(G.to_dense(), Fraction(eps))
+        stats = exact_output_pmf(G, eps)
+        np.testing.assert_allclose(
+            stats.pmf, [float(p) for p in expect], rtol=0, atol=1e-14
+        )
+        delta_exact = sum(abs(p - Fraction(1, 1 << k)) for p in expect)
+        assert stats.delta == pytest.approx(float(delta_exact), abs=1e-12)
+
     def test_coordinate_bias_equals_eps_to_row_weight(self):
         rng = np.random.default_rng(909)
         for _ in range(10):
@@ -224,7 +255,8 @@ class TestExactOracle:
         assert stats.samples is None
 
     def test_input_cap(self):
-        G = BitMatrix.identity(27)
+        # k = 26 is over the 2^k-bucket cap, whatever n is
+        G = rm_generator(3, 5).generator
         with pytest.raises(InfeasibleError, match="Monte-Carlo"):
             exact_output_pmf(G, 0.1)
 
@@ -240,26 +272,9 @@ class TestExactOracle:
             b = exact_output_pmf(G, eps)
             assert np.array_equal(a.pmf, b.pmf)
 
-    def test_direct_float_path_matches_profile_path(self):
-        # force the compensated-float fallback and compare against profile
-        from linext.pipeline import _pmf_direct, _weight_probs
-
-        rng = np.random.default_rng(42)
-        G = random_full_rank(rng, 5, 11)
-        prof_pmf = output_weight_profile(G) @ _weight_probs(11, 0.3)
-        direct = _pmf_direct(G, 0.3)
-        assert np.allclose(prof_pmf, direct, atol=1e-15)
-
-    def test_profile_table_cap(self):
-        # (n+1) * 2^k cells past the cap: the profile refuses, before any work
-        dense = np.eye(21, 22, dtype=np.uint8)
-        dense[:, 21] = 1
-        with pytest.raises(InfeasibleError, match="profile"):
-            output_weight_profile(BitMatrix.from_dense(dense))
-
     def test_chunked_accumulation_disjoint_rows(self):
-        # n = 22 forces multiple accumulation chunks; disjoint row supports
-        # make the output coordinates independent, so the pmf is analytic
+        # disjoint row supports make the output coordinates independent, so
+        # the pmf is analytic
         dense = np.zeros((3, 22), np.uint8)
         dense[0, 0:7] = 1
         dense[1, 7:15] = 1
@@ -273,6 +288,26 @@ class TestExactOracle:
                 sign = -1.0 if (gamma >> i) & 1 else 1.0
                 expect *= (1.0 + sign * eps**w) / 2.0
             assert stats.pmf[gamma] == pytest.approx(expect, abs=1e-13)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.6, 0.9, 0.99])
+    def test_disjoint_rows_k20_n40_product_form(self, eps):
+        # disjoint row supports make the 20 output bits independent, so the
+        # pmf is the product form prod_i (1 ± eps^w_i)/2, built here by
+        # Kronecker products (bit i of the bucket is row i)
+        rng = np.random.default_rng(2020)
+        cuts = np.sort(rng.choice(np.arange(1, 40), 19, replace=False))
+        dense = np.zeros((20, 40), np.uint8)
+        for i, (a, b) in enumerate(zip([0, *cuts], [*cuts, 40])):
+            dense[i, a:b] = 1
+        row_biases = eps ** dense.sum(axis=1).astype(float)
+        expect = np.ones(1)
+        for b in row_biases:
+            expect = np.kron([(1.0 + b) / 2.0, (1.0 - b) / 2.0], expect)
+        stats = exact_output_pmf(BitMatrix.from_dense(dense), eps)
+        assert stats.delta == pytest.approx(
+            float(np.abs(expect - 2.0**-20).sum()), abs=1e-12
+        )
+        np.testing.assert_allclose(stats.coord_biases, row_biases, rtol=0, atol=1e-12)
 
 
 class TestEmpirical:
