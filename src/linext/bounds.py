@@ -84,6 +84,29 @@ def entropy_lower_bound(delta: float, k: int, variant: str = "standard") -> floa
     return 1.0 - first - h
 
 
+def checks(w: WeightDistribution, eps: float, stats) -> List[tuple]:
+    """Every bound check at one eps, as (name, kind, statistic, bound) rows.
+
+    stats is an ExactStats from the exact oracle or from a histogram. Kind
+    "upper" holds when statistic <= bound, "lower" when statistic >= bound.
+    Both TVD statistics are on the delta scale (twice the TVD).
+    """
+    k, d = w.k, min_distance(w)
+    return [
+        ("tvd-weight", "upper", stats.delta, tvd_weight_bound(w, eps)),
+        ("tvd-worst", "upper", stats.delta, tvd_worst_bound(k, d, eps)),
+        ("pointwise", "upper", stats.max_prob, pointwise_bound(eps, d, k)),
+        ("coord-bias", "upper", float(stats.coord_biases.max()), bias_bound(eps, d)),
+        ("entropy", "lower", stats.shannon, entropy_lower_bound(stats.delta, k)),
+        ("min-entropy", "lower", stats.min_entropy, hmin_bound(k, d, eps)),
+    ]
+
+
+def holds(kind: str, stat: float, bound: float, tol: float) -> bool:
+    """Verdict of one check with absolute slack tol; equality holds."""
+    return stat <= bound + tol if kind == "upper" else stat >= bound - tol
+
+
 @dataclass(frozen=True)
 class BoundRow:
     """All bound values at one input bias; one CSV row of a sweep."""

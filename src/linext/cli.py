@@ -66,22 +66,25 @@ def _eps_grid(args):
     return bounds.linear_grid(args.eps_min, args.eps_max, args.steps)
 
 
-def cmd_code_info(args) -> int:
+def _load_weights(args):
+    """Resolve --code/--matrix (plus --weights) or --weights alone into
+    (label, weight distribution, route)."""
     if args.code or args.matrix:
         code = _load_code(args)
-        print(f"label: {code.label}")
-        print(f"n: {code.n}")
-        print(f"k: {code.k}")
         w, route = codes.weight_distribution(code, args.cap)
-    elif args.weights:
-        w = codes.parse_weights(_read_text(args.weights))
-        route = "external"
-        print(f"label: {args.weights}")
-        print(f"n: {w.n}")
-        print(f"k: {w.k}")
-    else:
-        raise ValueError("specify a code via --code, --matrix or --weights")
-    print(f"d: {codes.min_distance(w)}")
+        return code.label, w, route
+    if args.weights:
+        return args.weights, codes.parse_weights(_read_text(args.weights)), "external"
+    raise ValueError("specify a code via --code, --matrix or --weights")
+
+
+def cmd_code_info(args) -> int:
+    label, w, route = _load_weights(args)
+    d = codes.min_distance(w)
+    print(f"label: {label}")
+    print(f"n: {w.n}")
+    print(f"k: {w.k}")
+    print(f"d: {d}")
     print(f"weights-via: {route}")
     print("weight distribution (weight count):")
     for l, c in w.nonzero():
@@ -89,39 +92,33 @@ def cmd_code_info(args) -> int:
     return EXIT_OK
 
 
-def _provenance(args, route: str) -> str:
-    src = args.code or args.matrix or args.weights
-    return f"source: {src} (weights via {route})"
-
-
 def cmd_bounds_sweep(args) -> int:
-    if args.code or args.matrix:
-        code = _load_code(args)
-        w, route = codes.weight_distribution(code, args.cap)
-    elif args.weights:
-        w = codes.parse_weights(_read_text(args.weights))
-        route = "external"
-    else:
-        raise ValueError("specify a code via --code, --matrix or --weights")
-    rows = bounds.sweep(w, _eps_grid(args), args.h_variant)
+    grid = _eps_grid(args)
+    _, w, route = _load_weights(args)
+    rows = bounds.sweep(w, grid, args.h_variant)
     comments = [
-        _provenance(args, route),
+        f"source: {args.code or args.matrix or args.weights} (weights via {route})",
         f"code: [{w.n},{w.k},{codes.min_distance(w)}]",
     ]
+    # both files are written before any stdout, so a bad path prints nothing
     if args.out:
         with open(args.out, "w", newline="") as fp:
             bounds.write_csv(rows, fp, comments)
+    if args.svg:
+        with open(args.svg, "w") as fp:
+            fp.write(_svg_chart(rows, f"[{w.n},{w.k}] entropy bounds"))
+    if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         bounds.write_csv(rows, sys.stdout, comments)
     if args.svg:
-        with open(args.svg, "w") as fp:
-            fp.write(_svg_chart(rows, f"[{w.n},{w.k}] entropy bounds"))
         print(f"wrote chart to {args.svg}")
     return EXIT_OK
 
 
 def cmd_extract(args) -> int:
+    if args.baseline is None:
+        code = _load_code(args)  # construction rejects rank-deficient G
     stream = pipeline.BitStream.read(args.infile)
     if args.baseline == "von-neumann":
         t0 = time.perf_counter()
@@ -130,7 +127,6 @@ def cmd_extract(args) -> int:
         blocks = len(stream) // 2
         label = "von-neumann"
     else:
-        code = _load_code(args)  # construction rejects rank-deficient G
         G = code.generator
         t0 = time.perf_counter()
         out = pipeline.linear_extract(G, stream)
@@ -147,57 +143,28 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-_CHECKS = (
-    # name, kind ("upper": stat <= bound, "lower": stat >= bound)
-    ("tvd-weight", "upper"),
-    ("tvd-worst", "upper"),
-    ("pointwise", "upper"),
-    ("coord-bias", "upper"),
-    ("entropy", "lower"),
-    ("min-entropy", "lower"),
-)
-
-
-def _verify_rows(profile, w, k, d, eps, tol):
-    """One (name, stat, bound, ok) tuple per applicable bound at one eps."""
-    stats = pipeline.stats_from_profile(profile, eps)
-    values = {
-        "tvd-weight": (stats.delta, bounds.tvd_weight_bound(w, eps)),
-        "tvd-worst": (stats.delta, bounds.tvd_worst_bound(k, d, eps)),
-        "pointwise": (stats.max_prob, bounds.pointwise_bound(eps, d, k)),
-        "coord-bias": (float(stats.coord_biases.max()), bounds.bias_bound(eps, d)),
-        "entropy": (stats.shannon, bounds.entropy_lower_bound(stats.delta, k, "standard")),
-        "min-entropy": (stats.min_entropy, bounds.hmin_bound(k, d, eps)),
-    }
-    out = []
-    for name, kind in _CHECKS:
-        stat, bound = values[name]
-        ok = stat <= bound + tol if kind == "upper" else stat >= bound - tol
-        out.append((name, stat, bound, ok))
-    return out
-
-
 def cmd_verify(args) -> int:
-    code = _load_code(args)
-    G = code.generator
     grid = _eps_grid(args)
+    code = _load_code(args)
     try:
-        profile = pipeline.output_weight_profile(G)
+        profile = pipeline.output_weight_profile(code.generator)
     except InfeasibleError as exc:
         raise InfeasibleError(f"{exc}; try `linext simulate`") from None
     w, _ = codes.weight_distribution(code, args.cap)
-    k, d = code.k, codes.min_distance(w)
     failures = 0
-    print(f"verify {code.label or 'matrix'} [{code.n},{k},{d}] tol={_fmt(args.tol)}")
+    print(f"verify {code.label or 'matrix'} [{code.n},{code.k},{codes.min_distance(w)}] "
+          f"tol={_fmt(args.tol)}")
     print(f"{'eps':<10}  {'check':<11}  {'exact':<15}  {'bound':<15}  status")
     for eps in grid:
-        for name, stat, bound, ok in _verify_rows(profile, w, k, d, eps, args.tol):
-            status = "PASS" if ok else "FAIL"
-            if not ok:
-                failures += 1
+        # stats (a 2^k pmf) is not bound to a name, so it is freed before the next eps
+        for name, kind, stat, bound in bounds.checks(
+            w, eps, pipeline.stats_from_profile(profile, eps)
+        ):
+            ok = bounds.holds(kind, stat, bound, args.tol)
+            failures += not ok
             print(
                 f"{_fmt(eps):<10}  {name:<11}  {_fmt(stat):<15}  "
-                f"{_fmt(bound):<15}  {status}"
+                f"{_fmt(bound):<15}  {'PASS' if ok else 'FAIL'}"
             )
     if failures:
         print(f"{failures} bound violation(s)")
@@ -207,64 +174,68 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    code = _load_code(args)
-    G = code.generator
-    n, k = code.n, code.k
-    nbits = args.blocks * n
     spec = pipeline.BiasedSourceSpec(args.eps, args.seed)
-    raw = pipeline.generate(spec, nbits)
-    out = pipeline.linear_extract(G, raw)
-    print(f"simulate {code.label or 'matrix'} [{n},{k}] eps={_fmt(args.eps)} seed={args.seed}")
-    print(f"blocks={args.blocks}")
-    failures = 0
+    code = _load_code(args)
+    n, k = code.n, code.k
+    w = None
+    if args.marginal_only:
+        try:  # without a weight distribution the bias is reported unchecked
+            w, _ = codes.weight_distribution(code, args.cap)
+        except InfeasibleError:
+            pass
+    else:
+        try:
+            pipeline.check_histogram(k)
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"{exc} (pass --marginal-only)") from None
+        w, _ = codes.weight_distribution(code, args.cap)
+    out = pipeline.linear_extract(code.generator, pipeline.generate(spec, args.blocks * n))
+    header = [
+        f"simulate {code.label or 'matrix'} [{n},{k}] eps={_fmt(args.eps)} seed={args.seed}",
+        f"blocks={args.blocks}",
+    ]
     coord_tol = 3.0 / (args.blocks**0.5)
     if args.marginal_only:
-        biases = pipeline.marginal_biases(out, k)
-        bound = None
-        try:
-            w, _ = codes.weight_distribution(code, args.cap)
-            bound = bounds.bias_bound(args.eps, codes.min_distance(w))
-        except InfeasibleError:
+        bias = float(pipeline.marginal_biases(out, k).max())
+        print("\n".join(header))
+        if w is None:
             print("coord-bias bound unavailable (weight distribution infeasible)")
-        print(f"coord_bias_max={_fmt(float(biases.max()))}")
+        print(f"coord_bias_max={_fmt(bias)}")
         print(f"coord_tol={_fmt(coord_tol)}")
-        if bound is not None:
-            ok = float(biases.max()) <= bound + coord_tol
-            print(f"coord-bias <= eps^d + tol: {'PASS' if ok else 'FAIL'}")
-            failures += 0 if ok else 1
-        return EXIT_VERIFY_FAIL if failures else EXIT_OK
-    try:
-        stats = pipeline.empirical_stats(out, k)
-    except InfeasibleError as exc:
-        raise InfeasibleError(f"{exc} (pass --marginal-only)") from None
-    w, _ = codes.weight_distribution(code, args.cap)
-    d = codes.min_distance(w)
+        if w is None:
+            return EXIT_OK
+        ok = bounds.holds("upper", bias, bounds.bias_bound(args.eps, codes.min_distance(w)),
+                          coord_tol)
+        print(f"coord-bias <= eps^d + tol: {'PASS' if ok else 'FAIL'}")
+        return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    stats = pipeline.empirical_stats(out, k)
     nf = pipeline.multinomial_noise_floor(k, stats.samples)
     # per-bucket frequency noise, inflated for the max over 2^k buckets
     point_tol = 3.0 * math.sqrt(2.0 * k * 2.0**-k / stats.samples)
     # first-order propagation of max_prob noise through -log2(max)/k
     hmin_tol = point_tol / (stats.max_prob * k * math.log(2.0))
-    for line in pipeline.stats_lines(stats):
-        print(line)
+    # name -> (label, scale, tolerance); the tvd rows print delta/2 against
+    # bound/2 (exact in binary floating point); entropy has no statistical
+    # tolerance yet and stays unchecked
+    policy = {
+        "tvd-weight": ("tvd <= weight-bound/2 + 3nf", 0.5, 3 * nf),
+        "tvd-worst": ("tvd <= worst-bound/2 + 3nf", 0.5, 3 * nf),
+        "pointwise": ("max_prob <= pointwise + tol", 1.0, point_tol),
+        "coord-bias": ("coord_bias <= eps^d + tol", 1.0, coord_tol),
+        "min-entropy": ("min_entropy >= lacharme - tol", 1.0, hmin_tol),
+    }
+    print("\n".join(header + pipeline.stats_lines(stats)))
     print(f"noise_floor={_fmt(nf)}")
-    checks = [
-        ("tvd <= weight-bound/2 + 3nf", "upper", stats.tvd,
-         bounds.tvd_weight_bound(w, args.eps) / 2, 3 * nf),
-        ("tvd <= worst-bound/2 + 3nf", "upper", stats.tvd,
-         bounds.tvd_worst_bound(k, d, args.eps) / 2, 3 * nf),
-        ("max_prob <= pointwise + tol", "upper", stats.max_prob,
-         bounds.pointwise_bound(args.eps, d, k), point_tol),
-        ("coord_bias <= eps^d + tol", "upper", float(stats.coord_biases.max()),
-         bounds.bias_bound(args.eps, d), coord_tol),
-        ("min_entropy >= lacharme - tol", "lower", stats.min_entropy,
-         bounds.hmin_bound(k, d, args.eps), hmin_tol),
-    ]
-    for label, kind, stat, bound, tol in checks:
-        ok = stat <= bound + tol if kind == "upper" else stat >= bound - tol
+    failures = 0
+    for name, kind, stat, bound in bounds.checks(w, args.eps, stats):
+        if name not in policy:
+            continue
+        label, scale, tol = policy[name]
+        stat, bound = stat * scale, bound * scale
+        ok = bounds.holds(kind, stat, bound, tol)
+        failures += not ok
         print(f"{label}: stat={_fmt(stat)} bound={_fmt(bound)} tol={_fmt(tol)} "
               f"{'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures += 1
     return EXIT_VERIFY_FAIL if failures else EXIT_OK
 
 
@@ -328,14 +299,16 @@ def _svg_chart(rows, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _int_at_least(lo: int):
-    def parse(text: str) -> int:
+def _at_least(lo, kind=int):
+    """argparse type: a finite `kind` value >= lo."""
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        if not lo <= value < math.inf:  # also rejects nan and inf
+            raise argparse.ArgumentTypeError(f"must be finite and at least {lo}, got {text!r}")
         return value
 
     return parse
@@ -347,7 +320,7 @@ def _add_code_flags(p, include_weights=True):
     if include_weights:
         p.add_argument("--weights", help="external weight distribution file")
     p.add_argument(
-        "--cap", type=_int_at_least(0), default=codes.ENUMERATION_CAP,
+        "--cap", type=_at_least(0), default=codes.ENUMERATION_CAP,
         help="weight enumeration cap on the code dimension (default %(default)s)",
     )
 
@@ -388,14 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact oracle vs every bound; exit 1 on violation")
     _add_code_flags(p)
     _add_eps_flags(p)
-    p.add_argument("--tol", type=float, default=1e-12, help="absolute slack (default %(default)s)")
+    p.add_argument(
+        "--tol", type=_at_least(0.0, float), default=1e-12,
+        help="absolute slack (default %(default)s)",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte-Carlo source + extraction vs bounds")
     _add_code_flags(p)
     p.add_argument("--eps", type=float, required=True, help="input bias")
     p.add_argument(
-        "--blocks", type=_int_at_least(1), default=100000,
+        "--blocks", type=_at_least(1), default=100000,
         help="number of n-bit blocks (default %(default)s)",
     )
     p.add_argument("--seed", type=int, default=0, help="source seed (default %(default)s)")

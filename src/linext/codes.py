@@ -169,8 +169,6 @@ def dual_generator(code: LinearCode) -> LinearCode:
     """Generator H of the dual code: (n-k) x n, full rank, G·Hᵀ = 0."""
     G = code.generator
     k, n = G.rows, G.cols
-    if k == 0:
-        return LinearCode(BitMatrix.identity(n), label=_dual_label(code))
     rref, pivots = row_reduce(G.to_dense())
     if len(pivots) < k:
         raise ValueError(
@@ -179,12 +177,9 @@ def dual_generator(code: LinearCode) -> LinearCode:
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     h = np.zeros((len(free), n), np.uint8)
-    for i, f in enumerate(free):
-        h[i, f] = 1
-        for row_idx, p in enumerate(pivots):
-            h[i, p] = rref[row_idx, f]
-    matrix = BitMatrix.from_dense(h) if free else BitMatrix(0, n, np.zeros((0, G.words.shape[1]), G.words.dtype))
-    return LinearCode(matrix, label=_dual_label(code))
+    h[:, free] = np.eye(len(free), dtype=np.uint8)
+    h[:, pivots] = rref[:, free].T
+    return LinearCode(BitMatrix.from_dense(h), label=_dual_label(code))
 
 
 def _dual_label(code: LinearCode) -> str:

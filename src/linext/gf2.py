@@ -236,34 +236,19 @@ def rank(G: BitMatrix) -> int:
 def systematize(G: BitMatrix) -> SystematicForm:
     """Reduce a full-row-rank G to [I_k | A].
 
-    Row operations are preferred; a column is swapped in from the right only
-    when the pivot column is zero at and below the pivot row, which keeps
-    the recorded permutation close to identity.
+    The column permutation lists the pivot columns of G's reduced row
+    echelon form in increasing order, then the remaining columns in
+    increasing order. Pivot columns are chosen greedily from the left, so
+    the permutation is the identity whenever the leading k columns of G
+    are independent.
     """
     if G.rows == 0:
         raise ValueError("cannot systematize an empty matrix")
-    a = G.to_dense()
-    k, n = G.rows, G.cols
-    perm = list(range(n))
-    for p in range(k):
-        if not a[p:, p].any():
-            candidates = np.nonzero(a[p:, p + 1 :].any(axis=0))[0]
-            if candidates.size == 0:
-                # rows p.. are zero everywhere: columns < p are already
-                # reduced to identity and columns >= p just came up empty
-                raise ValueError(
-                    f"matrix is rank-deficient: rank {p} < {k} rows"
-                )
-            c = p + 1 + int(candidates[0])
-            a[:, [p, c]] = a[:, [c, p]]
-            perm[p], perm[c] = perm[c], perm[p]
-        r = p + int(np.nonzero(a[p:, p])[0][0])
-        if r != p:
-            a[[p, r]] = a[[r, p]]
-        sel = a[:, p].astype(bool)
-        sel[p] = False
-        a[sel] ^= a[p]
-    return SystematicForm(BitMatrix.from_dense(a), tuple(perm))
+    rref, pivots = row_reduce(G.to_dense())
+    if len(pivots) < G.rows:
+        raise ValueError(f"matrix is rank-deficient: rank {len(pivots)} < {G.rows} rows")
+    perm = pivots + sorted(set(range(G.cols)) - set(pivots))
+    return SystematicForm(BitMatrix.from_dense(rref[:, perm]), tuple(perm))
 
 
 def parse_matrix(text: str) -> BitMatrix:

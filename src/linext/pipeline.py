@@ -273,6 +273,15 @@ def exact_output_pmf(
     return stats_from_profile(output_weight_profile(G, cap), eps)
 
 
+def check_histogram(k: int) -> None:
+    """Raise InfeasibleError when 2^k histogram bins are over the cap."""
+    if k > EMPIRICAL_K_CAP:
+        raise InfeasibleError(
+            f"k={k} needs 2^{k} histogram bins, over the cap {EMPIRICAL_K_CAP}; "
+            f"use per-coordinate marginal biases instead"
+        )
+
+
 def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     """Histogram estimate of the output distribution over k-bit words.
 
@@ -282,11 +291,7 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if k > EMPIRICAL_K_CAP:
-        raise InfeasibleError(
-            f"k={k} needs 2^{k} histogram bins, over the cap {EMPIRICAL_K_CAP}; "
-            f"use per-coordinate marginal biases instead"
-        )
+    check_histogram(k)
     if len(stream) == 0 or len(stream) % k:
         raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
     m = len(stream) // k

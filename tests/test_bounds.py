@@ -8,10 +8,12 @@ import pytest
 from linext.bounds import (
     CSV_HEADER,
     bias_bound,
+    checks,
     clamp01,
     entropy_lower_bound,
     format_real,
     hmin_bound,
+    holds,
     linear_grid,
     pointwise_bound,
     sweep,
@@ -20,6 +22,7 @@ from linext.bounds import (
     write_csv,
 )
 from linext.codes import LinearCode, WeightDistribution, enumerate_weights, rm_generator
+from linext.pipeline import exact_output_pmf
 
 from _naive import random_full_rank
 
@@ -144,6 +147,36 @@ class TestOrderingInvariants:
         grid = np.linspace(0.0, 1.0, 60)
         vals = [tvd_weight_bound(rm24, float(e)) for e in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+class TestChecks:
+    def test_names_kinds_order(self, rm24):
+        stats = exact_output_pmf(rm_generator(2, 4).generator, 0.2)
+        rows = checks(rm24, 0.2, stats)
+        assert [(name, kind) for name, kind, _, _ in rows] == [
+            ("tvd-weight", "upper"),
+            ("tvd-worst", "upper"),
+            ("pointwise", "upper"),
+            ("coord-bias", "upper"),
+            ("entropy", "lower"),
+            ("min-entropy", "lower"),
+        ]
+        stat = {name: s for name, _, s, _ in rows}
+        bound = {name: b for name, _, _, b in rows}
+        assert stat["tvd-weight"] == stat["tvd-worst"] == stats.delta
+        assert bound["tvd-weight"] == tvd_weight_bound(rm24, 0.2)
+        assert bound["min-entropy"] == hmin_bound(11, 4, 0.2)
+        assert all(holds(kind, s, b, 0.0) for _, kind, s, b in rows)
+
+    @pytest.mark.parametrize("kind", ["upper", "lower"])
+    def test_equality_holds(self, kind):
+        assert holds(kind, 0.25, 0.25, 0.0)
+
+    def test_tolerance_is_absolute_slack(self):
+        assert not holds("upper", 0.3, 0.25, 0.01)
+        assert holds("upper", 0.3, 0.25, 0.05)
+        assert not holds("lower", 0.2, 0.25, 0.01)
+        assert holds("lower", 0.2, 0.25, 0.05)
 
 
 class TestSweep:

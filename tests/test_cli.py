@@ -148,6 +148,14 @@ class TestBoundsSweep:
         )
         assert code == 2
 
+    def test_bad_svg_path_prints_nothing(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "bounds-sweep", "--code", "rm:1,3", "--eps", "0.2",
+            "--out", str(tmp_path / "a.csv"), "--svg", str(tmp_path / "no" / "a.svg"),
+        )
+        assert code == 2
+        assert out == ""
+
     def test_weights_only_source(self, capsys, tmp_path):
         wfile = tmp_path / "w.txt"
         wfile.write_text(serialize_weights(enumerate_weights(rm_generator(1, 3))))
@@ -345,7 +353,165 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--cap" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["code-info", "--code", "rm:3,6", "--cap", "20"],
+            ["simulate", "--code", "rm:3,5", "--eps", "0.1", "--blocks", "100"],
+            ["simulate", "--code", "rm:2,4", "--eps", "0.2", "--cap", "2"],
+            ["bounds-sweep", "--code", "rm:3,6", "--cap", "20", "--eps", "0.1"],
+            ["verify", "--code", "rm:2,4", "--cap", "2", "--eps", "0.1"],
+        ],
+    )
+    def test_infeasible_prints_nothing(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "error:" in err
+
+    def test_eps_checked_before_weights(self, capsys):
+        # the bad eps is a usage error even though the weights are infeasible
+        code, out, err = run(
+            capsys, "simulate", "--code", "rm:2,4", "--eps", "1.5", "--cap", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "eps" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
+    def test_bad_tol_is_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--code", "rm:1,3", "--eps", "0.2", "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# Stdout pinned byte for byte; any change to these reports is a contract change.
+GOLDEN_VERIFY_RM13 = """\
+verify RM(1,3) [8,4,4] tol=1e-12
+eps         check        exact            bound            status
+0.05        tvd-weight   1.09375048828e-05  8.75000390625e-05  PASS
+0.05        tvd-worst    1.09375048828e-05  0.0001           PASS
+0.05        pointwise    0.0625054687524  0.06250625       PASS
+0.05        coord-bias   6.25e-06         6.25e-06         PASS
+0.05        entropy      0.999999999901   0.99996878718    PASS
+0.05        min-entropy  0.999968442413   0.999963934427   PASS
+0.1         tvd-weight   0.00017500125    0.00140001       PASS
+0.1         tvd-worst    0.00017500125    0.0016           PASS
+0.1         pointwise    0.062587500625   0.0626           PASS
+0.1         coord-bias   0.0001           0.0001           PASS
+0.1         entropy      0.999999974763   0.999588093659   PASS
+0.1         min-entropy  0.999495406265   0.999423383154   PASS
+0.15        tvd-weight   0.000885969536133  0.00708775628906  PASS
+0.15        tvd-worst    0.000885969536133  0.0081           PASS
+0.15        pointwise    0.0629429847681  0.06300625       PASS
+0.15        coord-bias   0.00050625       0.00050625       PASS
+0.15        entropy      0.999999354249   0.998173826155   PASS
+0.15        min-entropy  0.997452649162   0.997090310938   PASS
+0.2         tvd-weight   0.00280032       0.02240256       PASS
+0.2         tvd-worst    0.00280032       0.0256           PASS
+0.2         pointwise    0.06390016       0.0641           PASS
+0.2         coord-bias   0.0016           0.0016           PASS
+0.2         entropy      0.999993577638   0.994809338137   PASS
+0.2         min-entropy  0.992009161556   0.990882958233   PASS
+0.25        tvd-weight   0.00683784484863  0.0547027587891  PASS
+0.25        tvd-worst    0.00683784484863  0.0625           PASS
+0.25        pointwise    0.0659189224243  0.06640625       PASS
+0.25        coord-bias   0.00390625       0.00390625       PASS
+0.25        entropy      0.999962062034   0.988427495317   PASS
+0.25        min-entropy  0.980790882694   0.978134289687   PASS
+0.3         tvd-weight   0.01418320125    0.11346561       PASS
+0.3         tvd-worst    0.01418320125    0.1296           PASS
+0.3         pointwise    0.069591600625   0.0706           PASS
+0.3         coord-bias   0.0081           0.0081           PASS
+0.3         entropy      0.999839437854   0.977866882224   PASS
+0.3         min-entropy  0.961235749905   0.95604700157    PASS
+0.35        tvd-weight   0.0262890859424  0.210312687539   PASS
+0.35        tvd-worst    0.0262890859424  0.2401           PASS
+0.35        pointwise    0.0756445429712  0.07750625       PASS
+0.35        coord-bias   0.01500625       0.01500625       PASS
+0.35        entropy      0.999462432006   0.961915480176   PASS
+0.35        min-entropy  0.93115504505    0.922385884426   PASS
+0.4         tvd-weight   0.04488192       0.35905536       PASS
+0.4         tvd-worst    0.04488192       0.4096           PASS
+0.4         pointwise    0.08494096       0.0881           PASS
+0.4         coord-bias   0.0256           0.0256           PASS
+0.4         entropy      0.998489971319   0.939347710875   PASS
+0.4         min-entropy  0.889348943926   0.876178542657   PASS
+0.45        tvd-weight   0.0719711265674  0.575769012539   PASS
+0.45        tvd-worst    0.0719711265674  0.6561           PASS
+0.45        pointwise    0.0984855632837  0.10350625       PASS
+0.45        coord-bias   0.04100625       0.04100625       PASS
+0.45        entropy      0.996302441838   0.908958788477   PASS
+0.45        min-entropy  0.835985982559   0.818052552632   PASS
+all bounds hold
+"""
+
+GOLDEN_SIMULATE_RM24 = """\
+simulate RM(2,4) [16,11] eps=0.2 seed=7
+blocks=20000
+delta=0.2619109375
+tvd=0.13095546875
+shannon=0.992973705393
+min_entropy=0.893480069174
+max_prob=0.0011
+coord_biases=0.0067,0.0111,0.0019,0.0053,0.007,0.0023,0.007,0.0025,0.0082,0.0097,0.0064
+samples=20000
+noise_floor=0.32
+tvd <= weight-bound/2 + 3nf: stat=0.13095546875 bound=0.127472824323 tol=0.96 PASS
+tvd <= worst-bound/2 + 3nf: stat=0.13095546875 bound=1.6384 tol=0.96 PASS
+max_prob <= pointwise + tol: stat=0.0011 bound=0.00208828125 tol=0.00219863238742 PASS
+coord_bias <= eps^d + tol: stat=0.0111 bound=0.0016 tol=0.0212132034356 PASS
+min_entropy >= lacharme - tol: stat=0.893480069174 bound=0.80940620521 tol=0.262145127443 PASS
+"""
+
+GOLDEN_SIMULATE_RM24_MARGINAL = """\
+simulate RM(2,4) [16,11] eps=0.2 seed=7
+blocks=20000
+coord_bias_max=0.0111
+coord_tol=0.0212132034356
+coord-bias <= eps^d + tol: PASS
+"""
+
+GOLDEN_CODE_INFO_RM24 = """\
+label: RM(2,4)
+n: 16
+k: 11
+d: 4
+weights-via: enumerate
+weight distribution (weight count):
+  0 1
+  4 140
+  6 448
+  8 870
+  10 448
+  12 140
+  16 1
+"""
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["verify", "--code", "rm:1,3", "--eps-min", "0.05", "--eps-max", "0.45",
+              "--steps", "9"], GOLDEN_VERIFY_RM13),
+            (["simulate", "--code", "rm:2,4", "--eps", "0.2", "--blocks", "20000",
+              "--seed", "7"], GOLDEN_SIMULATE_RM24),
+            (["simulate", "--code", "rm:2,4", "--eps", "0.2", "--blocks", "20000",
+              "--seed", "7", "--marginal-only"], GOLDEN_SIMULATE_RM24_MARGINAL),
+            (["code-info", "--code", "rm:2,4"], GOLDEN_CODE_INFO_RM24),
+        ],
+        ids=["verify", "simulate", "simulate-marginal", "code-info"],
+    )
+    def test_stdout(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == expected
