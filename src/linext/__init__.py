@@ -35,9 +35,7 @@ from .codes import (
 from .errors import InfeasibleError
 from .gf2 import (
     BitMatrix,
-    BitVector,
     SystematicForm,
-    matvec,
     parse_matrix,
     rank,
     serialize_matrix,

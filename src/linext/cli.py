@@ -177,18 +177,12 @@ def cmd_simulate(args) -> int:
     spec = pipeline.BiasedSourceSpec(args.eps, args.seed)
     code = _load_code(args)
     n, k = code.n, code.k
-    w = None
-    if args.marginal_only:
-        try:  # without a weight distribution the bias is reported unchecked
-            w, _ = codes.weight_distribution(code, args.cap)
-        except InfeasibleError:
-            pass
-    else:
+    if not args.marginal_only:
         try:
             pipeline.check_histogram(k)
         except InfeasibleError as exc:
             raise InfeasibleError(f"{exc} (pass --marginal-only)") from None
-        w, _ = codes.weight_distribution(code, args.cap)
+    w, _ = codes.weight_distribution(code, args.cap)
     out = pipeline.linear_extract(code.generator, pipeline.generate(spec, args.blocks * n))
     header = [
         f"simulate {code.label or 'matrix'} [{n},{k}] eps={_fmt(args.eps)} seed={args.seed}",
@@ -198,12 +192,8 @@ def cmd_simulate(args) -> int:
     if args.marginal_only:
         bias = float(pipeline.marginal_biases(out, k).max())
         print("\n".join(header))
-        if w is None:
-            print("coord-bias bound unavailable (weight distribution infeasible)")
         print(f"coord_bias_max={_fmt(bias)}")
         print(f"coord_tol={_fmt(coord_tol)}")
-        if w is None:
-            return EXIT_OK
         ok = bounds.holds("upper", bias, bounds.bias_bound(args.eps, codes.min_distance(w)),
                           coord_tol)
         print(f"coord-bias <= eps^d + tol: {'PASS' if ok else 'FAIL'}")

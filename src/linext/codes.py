@@ -236,7 +236,7 @@ def weight_distribution(
         return macwilliams_transform(enumerate_weights(dual, cap)), "macwilliams"
     raise InfeasibleError(
         f"[{n},{k}] code: neither k={k} nor n-k={n - k} is within the "
-        f"enumeration cap {cap}; supply an external weight distribution"
+        f"enumeration cap {cap}; supply an external weight distribution (--weights FILE)"
     )
 
 

@@ -1,8 +1,8 @@
 """Bit-packed linear algebra over GF(2).
 
-Matrices and vectors keep their bits in little-endian 64-bit words: bit j
-lives in word j // 64 at position j % 64 (LSB first). Padding bits past the
-logical width are always zero. Everything here is immutable after
+Matrix rows keep their bits in little-endian 64-bit words: bit j lives in
+word j // 64 at position j % 64 (LSB first). Padding bits past the logical
+width are always zero. Everything here is immutable after
 construction and safe to share across threads; all operations are pure.
 """
 
@@ -116,67 +116,6 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-class BitVector:
-    """An immutable bit vector packed like a single BitMatrix row."""
-
-    __slots__ = ("length", "words")
-
-    def __init__(self, length: int, words: np.ndarray):
-        if length < 0:
-            raise ValueError("negative length")
-        words = np.array(words, dtype=_U64, copy=True)
-        if words.shape != (_word_count(length),):
-            raise ValueError(f"word array shape {words.shape} wrong for length {length}")
-        tail = length % WORD_BITS
-        if tail:
-            words[-1] &= np.uint64((1 << tail) - 1)
-        words.setflags(write=False)
-        self.length = length
-        self.words = words
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-        return cls(bits.shape[0], pack_bits(bits))
-
-    @classmethod
-    def from01(cls, text: str) -> "BitVector":
-        return cls.from_bits([int(c) for c in text])
-
-    def to_bits(self) -> np.ndarray:
-        return unpack_bits(self.words, self.length)
-
-    def to01(self) -> str:
-        return "".join("01"[b] for b in self.to_bits())
-
-    def get(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError(f"bit {j} outside length {self.length}")
-        return int(self.words[j // WORD_BITS] >> np.uint64(j % WORD_BITS)) & 1
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
-        return BitVector(self.length, self.words ^ other.words)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.length == other.length
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __hash__(self):
-        return hash((self.length, self.words.tobytes()))
-
-    def __repr__(self) -> str:
-        body = self.to01() if self.length <= 64 else f"<{self.length} bits>"
-        return f"BitVector({body})"
-
-
 @dataclass(frozen=True)
 class SystematicForm:
     """Result of systematize: matrix is [I_k | A]; column j of matrix is
@@ -185,18 +124,6 @@ class SystematicForm:
 
     matrix: BitMatrix
     column_permutation: tuple
-
-
-def matvec(G: BitMatrix, x: BitVector) -> BitVector:
-    """G·x over GF(2): output bit i is the parity of row i AND x."""
-    if x.length != G.cols:
-        raise ValueError(
-            f"dimension mismatch: matrix has {G.cols} columns, "
-            f"vector has length {x.length}"
-        )
-    acc = np.bitwise_xor.reduce(G.words & x.words, axis=1)
-    bits = (np.bitwise_count(acc) & 1).astype(np.uint8)
-    return BitVector.from_bits(bits)
 
 
 def row_reduce(dense: np.ndarray):

@@ -24,53 +24,69 @@ from .gf2 import BitMatrix, pack_bits, rank
 # Cap on k for anything holding 2^k buckets: the empirical histogram and
 # the exact oracle.
 EMPIRICAL_K_CAP = 24
+# Uniform doubles per draw in generate; a multiple of 8, so every draw but
+# the last packs to whole bytes.
+DRAW_BITS = 1 << 20
 
 
 class BitStream:
-    """An immutable ordered bit sequence with an exact bit length."""
+    """An immutable ordered bit sequence: the packed bytes of its stream file
+    (MSB-first, padding bits zero) plus the exact bit length."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("data", "nbits")
 
     def __init__(self, bits):
-        arr = np.array(bits, dtype=np.uint8, copy=True).reshape(-1)
+        arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
         if arr.size and arr.max() > 1:
             raise ValueError("stream bits must be 0 or 1")
-        arr.setflags(write=False)
-        self.bits = arr
+        self.data = np.packbits(arr)
+        self.data.setflags(write=False)
+        self.nbits = int(arr.size)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """A fresh uint8 array holding one 0/1 value per bit."""
+        return np.unpackbits(self.data, count=self.nbits)
 
     def __len__(self) -> int:
-        return int(self.bits.size)
+        return self.nbits
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BitStream) and bool(
-            np.array_equal(self.bits, other.bits)
+        return (
+            isinstance(other, BitStream)
+            and self.nbits == other.nbits
+            and bool(np.array_equal(self.data, other.data))
         )
 
     def __hash__(self):
-        return hash(self.bits.tobytes())
+        return hash((self.nbits, self.data.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitStream({len(self)} bits)"
 
     @classmethod
-    def from_bytes(cls, data: bytes, nbits: Optional[int] = None) -> "BitStream":
-        raw = np.frombuffer(data, np.uint8)
-        bits = np.unpackbits(raw)  # MSB-first
-        if nbits is not None:
-            if not len(bits) - 8 < nbits <= len(bits):
-                raise ValueError(
-                    f"bit length {nbits} inconsistent with {len(data)} bytes"
-                )
-            bits = bits[:nbits]
-        return cls(bits)
+    def from_bytes(cls, data, nbits: Optional[int] = None) -> "BitStream":
+        """The stream whose packed MSB-first bytes are a copy of data, with
+        the padding bits past nbits cleared."""
+        raw = np.frombuffer(data, np.uint8).copy()
+        if nbits is None:
+            nbits = raw.size * 8
+        elif not raw.size * 8 - 8 < nbits <= raw.size * 8:
+            raise ValueError(f"bit length {nbits} inconsistent with {raw.size} bytes")
+        if nbits % 8:
+            raw[-1] &= 0xFF << (8 - nbits % 8) & 0xFF
+        stream = cls.__new__(cls)
+        raw.setflags(write=False)
+        stream.data, stream.nbits = raw, nbits
+        return stream
 
     def to_bytes(self) -> bytes:
-        return np.packbits(self.bits).tobytes()
+        return self.data.tobytes()
 
     def write(self, path) -> None:
         """Write packed bytes; a sidecar <path>.len records ragged lengths."""
         with open(path, "wb") as fp:
-            fp.write(self.to_bytes())
+            fp.write(self.data)
         sidecar = str(path) + ".len"
         if len(self) % 8:
             with open(sidecar, "w") as fp:
@@ -119,13 +135,17 @@ def generate(spec: BiasedSourceSpec, nbits: int) -> BitStream:
 
     The seed-to-stream mapping is part of the interface: PCG64 seeded with
     spec.seed, one uniform double per bit, bit = 1 iff the double is below
-    P(1). Stable within a release.
+    P(1). Stable within a release. The doubles are drawn DRAW_BITS at a
+    time and packed as they come, which yields the same stream as one draw.
     """
     if nbits < 0:
         raise ValueError(f"nbits must be nonnegative, got {nbits}")
     rng = np.random.default_rng(spec.seed)
-    u = rng.random(nbits)
-    return BitStream((u < spec.rho1).view(np.uint8))
+    data = b"".join(
+        np.packbits(rng.random(min(DRAW_BITS, nbits - start)) < spec.rho1).tobytes()
+        for start in range(0, nbits, DRAW_BITS)
+    )
+    return BitStream.from_bytes(data, nbits)
 
 
 def linear_extract(G: BitMatrix, stream: BitStream) -> BitStream:
@@ -140,7 +160,7 @@ def linear_extract(G: BitMatrix, stream: BitStream) -> BitStream:
     nblocks = len(stream) // n
     if nblocks == 0 or k == 0:
         return BitStream(np.zeros(0, np.uint8))
-    blocks = pack_bits(stream.bits[: nblocks * n].reshape(nblocks, n))
+    blocks = pack_bits(np.unpackbits(stream.data, count=nblocks * n).reshape(nblocks, n))
     out = np.empty((nblocks, k), np.uint8)
     for i in range(k):
         acc = np.bitwise_xor.reduce(blocks & G.words[i], axis=1)
@@ -150,10 +170,9 @@ def linear_extract(G: BitMatrix, stream: BitStream) -> BitStream:
 
 def von_neumann(stream: BitStream) -> BitStream:
     """Pairwise debiasing: 01 -> 0, 10 -> 1, 00/11 -> nothing."""
-    m = len(stream) // 2
-    pairs = stream.bits[: 2 * m].reshape(m, 2)
-    keep = pairs[:, 0] != pairs[:, 1]
-    return BitStream(pairs[keep, 0])
+    pairs = np.unpackbits(stream.data, count=len(stream) // 2 * 2)
+    first, second = pairs[0::2], pairs[1::2]
+    return BitStream(first[first != second])
 
 
 @dataclass(frozen=True)
@@ -295,26 +314,26 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     if len(stream) == 0 or len(stream) % k:
         raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
     m = len(stream) // k
-    blocks = stream.bits.reshape(m, k)
-    words = np.zeros(m, np.int64)
-    for i in range(k):
-        words |= blocks[:, i].astype(np.int64) << i
-    pmf = np.bincount(words, minlength=1 << k).astype(np.float64) / m
-    idx = np.arange(1 << k, dtype=np.int64)
-    biases = np.array(
-        [abs(2.0 * float(pmf[(idx >> i) & 1 == 1].sum()) - 1.0) for i in range(k)]
-    )
-    return _stats_from_pmf(pmf, k, biases, samples=m)
+    words = pack_bits(stream.bits.reshape(m, k))[:, 0].view(np.int64)
+    counts = np.bincount(words, minlength=1 << k)
+    # bucket u counts toward coordinate i's ones when bit i of u is set
+    ones = np.array([counts.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(k)])
+    return _stats_from_pmf(counts / m, k, _biases(ones, m), samples=m)
 
 
 def marginal_biases(stream: BitStream, k: int) -> np.ndarray:
-    """Per-coordinate empirical biases |2·mean(bit_i) - 1| without binning."""
+    """Per-coordinate empirical biases |2·ones_i - m| / m without binning."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if len(stream) == 0 or len(stream) % k:
         raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
     blocks = stream.bits.reshape(-1, k)
-    return np.abs(2.0 * blocks.mean(axis=0) - 1.0)
+    return _biases(blocks.sum(axis=0, dtype=np.int64), len(blocks))
+
+
+def _biases(ones: np.ndarray, m: int) -> np.ndarray:
+    """|2·ones_i - m| / m from integer one-counts: exact but for one rounding."""
+    return np.abs(2 * ones - m) / m
 
 
 def multinomial_noise_floor(k: int, samples: int) -> float:

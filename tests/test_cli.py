@@ -319,6 +319,20 @@ class TestSimulate:
         assert captured.out == ""
         assert "--blocks" in captured.err
 
+    def test_marginal_only_infeasible_weights_is_checked_or_exits_3(self, capsys, tmp_path):
+        # an infeasible weight distribution means no bound to check: exit 3
+        argv = ["simulate", "--code", "rm:2,4", "--eps", "0.2", "--blocks", "20000",
+                "--seed", "3", "--cap", "2", "--marginal-only"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "--weights FILE" in err
+        path = tmp_path / "rm24.txt"
+        path.write_text(serialize_weights(enumerate_weights(rm_generator(2, 4))))
+        code, out, _ = run(capsys, *argv, "--weights", str(path))
+        assert code == 0
+        assert "coord-bias <= eps^d + tol: PASS" in out
+
     def test_binning_infeasible_suggests_marginal_flag(self, capsys):
         # k = 26 cannot be histogrammed; the error names the fallback flag
         code, _, err = run(

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from linext.codes import rm_generator
 from linext.errors import InfeasibleError
 from linext.gf2 import BitMatrix, rank
 from linext.pipeline import (
+    DRAW_BITS,
     BiasedSourceSpec,
     BitStream,
     empirical_stats,
@@ -38,6 +40,13 @@ def full_rank_matrices(draw):
 
 def bm(*rows):
     return BitMatrix.from_rows(rows)
+
+
+def bit_arrays(tail):
+    """0/1 arrays of 8·j + tail bits."""
+    return st.integers(0, 12).flatmap(
+        lambda j: arrays(np.uint8, 8 * j + tail, elements=st.integers(0, 1))
+    )
 
 
 class TestBitStream:
@@ -71,6 +80,40 @@ class TestBitStream:
         assert not (tmp_path / "x.bits.len").exists()
         assert BitStream.read(path) == whole
 
+    @pytest.mark.parametrize("tail", range(8))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_roundtrips_at_every_length_mod_8(self, tmp_path, tail, data):
+        bits = data.draw(bit_arrays(tail))
+        s = BitStream(bits)
+        assert len(s) == bits.size and s.bits.tolist() == bits.tolist()
+        assert s.to_bytes() == np.packbits(bits).tobytes()
+        assert BitStream.from_bytes(s.to_bytes(), bits.size) == s
+        path = tmp_path / "x.bits"
+        s.write(path)
+        assert path.read_bytes() == s.to_bytes()
+        assert (tmp_path / "x.bits.len").exists() == bool(tail)
+        assert BitStream.read(path) == s
+
+    @pytest.mark.parametrize("tail", range(1, 8))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_dirty_padding_reads_clean(self, tmp_path, tail, data):
+        bits = data.draw(bit_arrays(tail))
+        clean = BitStream(bits)
+        dirty = bytearray(clean.to_bytes())
+        dirty[-1] |= data.draw(st.integers(1, 0xFF >> tail))
+        path = tmp_path / "x.bits"
+        path.write_bytes(dirty)
+        (tmp_path / "x.bits.len").write_text(f"{bits.size}\n")
+        s = BitStream.read(path)
+        assert s == clean and hash(s) == hash(clean)
+        assert BitStream.from_bytes(bytes(dirty), bits.size) == clean
+        s.write(path)
+        assert path.read_bytes() == clean.to_bytes()
+
 
 class TestGenerate:
     def test_eps_one_is_all_zero(self):
@@ -91,6 +134,17 @@ class TestGenerate:
         # zeros are the likelier symbol
         s = generate(BiasedSourceSpec(0.5, seed=7), 100_000)
         assert s.bits.mean() == pytest.approx(0.25, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "nbits", [DRAW_BITS, DRAW_BITS - 1, DRAW_BITS + 1, 3 * DRAW_BITS // 2 + 5]
+    )
+    def test_seed_contract(self, nbits):
+        # chunked draws give the stream of one draw of nbits doubles
+        spec = BiasedSourceSpec(0.3, seed=5)
+        expect = np.packbits(np.random.default_rng(5).random(nbits) < spec.rho1)
+        s = generate(spec, nbits)
+        assert len(s) == nbits
+        assert s.to_bytes() == expect.tobytes()
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
@@ -344,6 +398,17 @@ class TestEmpirical:
         biases = marginal_biases(s, 4)
         assert biases.shape == (4,)
         assert np.all(np.abs(biases - 0.4) < 0.01)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_coord_biases_are_exact(self, seed):
+        # |2·ones_i - m| / m from integer column counts, one rounding only
+        G = rm_generator(2, 4).generator
+        m = 20_000
+        out = linear_extract(G, generate(BiasedSourceSpec(0.3, seed), 16 * m))
+        ones = out.bits.reshape(m, 11).sum(axis=0, dtype=np.int64)
+        expect = [abs(2 * int(c) - m) / m for c in ones]
+        assert empirical_stats(out, 11).coord_biases.tolist() == expect
+        assert marginal_biases(out, 11).tolist() == expect
 
     def test_stats_lines_format(self):
         from linext.pipeline import stats_lines
