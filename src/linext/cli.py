@@ -188,12 +188,13 @@ def cmd_simulate(args) -> int:
         f"simulate {code.label or 'matrix'} [{n},{k}] eps={_fmt(args.eps)} seed={args.seed}",
         f"blocks={args.blocks}",
     ]
-    coord_tol = 3.0 / (args.blocks**0.5)
+    coord_tol = pipeline.coord_bias_tolerance(k, args.blocks)
+    alpha = _fmt(pipeline.COORD_BIAS_ALPHA)
     if args.marginal_only:
         bias = float(pipeline.marginal_biases(out, k).max())
         print("\n".join(header))
         print(f"coord_bias_max={_fmt(bias)}")
-        print(f"coord_tol={_fmt(coord_tol)}")
+        print(f"coord_tol={_fmt(coord_tol)} alpha={alpha}")
         ok = bounds.holds("upper", bias, bounds.bias_bound(args.eps, codes.min_distance(w)),
                           coord_tol)
         print(f"coord-bias <= eps^d + tol: {'PASS' if ok else 'FAIL'}")
@@ -204,15 +205,15 @@ def cmd_simulate(args) -> int:
     point_tol = 3.0 * math.sqrt(2.0 * k * 2.0**-k / stats.samples)
     # first-order propagation of max_prob noise through -log2(max)/k
     hmin_tol = point_tol / (stats.max_prob * k * math.log(2.0))
-    # name -> (label, scale, tolerance); the tvd rows print delta/2 against
-    # bound/2 (exact in binary floating point); entropy has no statistical
-    # tolerance yet and stays unchecked
+    # name -> (label, scale, tolerance, note on the tolerance); the tvd rows
+    # print delta/2 against bound/2 (exact in binary floating point);
+    # entropy has no statistical tolerance yet and stays unchecked
     policy = {
-        "tvd-weight": ("tvd <= weight-bound/2 + 3nf", 0.5, 3 * nf),
-        "tvd-worst": ("tvd <= worst-bound/2 + 3nf", 0.5, 3 * nf),
-        "pointwise": ("max_prob <= pointwise + tol", 1.0, point_tol),
-        "coord-bias": ("coord_bias <= eps^d + tol", 1.0, coord_tol),
-        "min-entropy": ("min_entropy >= lacharme - tol", 1.0, hmin_tol),
+        "tvd-weight": ("tvd <= weight-bound/2 + 3nf", 0.5, 3 * nf, ""),
+        "tvd-worst": ("tvd <= worst-bound/2 + 3nf", 0.5, 3 * nf, ""),
+        "pointwise": ("max_prob <= pointwise + tol", 1.0, point_tol, ""),
+        "coord-bias": ("coord_bias <= eps^d + tol", 1.0, coord_tol, f" alpha={alpha}"),
+        "min-entropy": ("min_entropy >= lacharme - tol", 1.0, hmin_tol, ""),
     }
     print("\n".join(header + pipeline.stats_lines(stats)))
     print(f"noise_floor={_fmt(nf)}")
@@ -220,11 +221,11 @@ def cmd_simulate(args) -> int:
     for name, kind, stat, bound in bounds.checks(w, args.eps, stats):
         if name not in policy:
             continue
-        label, scale, tol = policy[name]
+        label, scale, tol, note = policy[name]
         stat, bound = stat * scale, bound * scale
         ok = bounds.holds(kind, stat, bound, tol)
         failures += not ok
-        print(f"{label}: stat={_fmt(stat)} bound={_fmt(bound)} tol={_fmt(tol)} "
+        print(f"{label}: stat={_fmt(stat)} bound={_fmt(bound)} tol={_fmt(tol)}{note} "
               f"{'PASS' if ok else 'FAIL'}")
     return EXIT_VERIFY_FAIL if failures else EXIT_OK
 

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .gf2 import BitMatrix, rank, row_reduce
+from .gf2 import BitMatrix, rank, row_reduce, subset_xor_table
 
 ENUMERATION_CAP = 28
 _TABLE_BITS = 16
@@ -125,10 +125,7 @@ def codeword_weights(G: BitMatrix):
     """
     k = G.rows
     lo = min(k, _TABLE_BITS)
-    table = np.zeros((1 << lo, G.words.shape[1]), dtype=G.words.dtype)
-    for j in range(lo):
-        h = 1 << j
-        table[h : 2 * h] = table[:h] ^ G.words[j]
+    table = subset_xor_table(G.words[:lo])
     cur = np.zeros(G.words.shape[1], dtype=G.words.dtype)
     for t in range(1 << (k - lo)):
         if t:

@@ -39,6 +39,17 @@ def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.unpackbits(raw, axis=-1, bitorder="little")[..., :nbits]
 
 
+def subset_xor_table(vectors: np.ndarray) -> np.ndarray:
+    """table[..., u, :] is the XOR of vectors[..., j, :] over the set bits j
+    of u, for every u in 0 .. 2^m - 1; vectors has shape (..., m, words)."""
+    *lead, m, width = vectors.shape
+    table = np.zeros((*lead, 1 << m, width), vectors.dtype)
+    for j in range(m):
+        h = 1 << j
+        table[..., h : 2 * h, :] = table[..., :h, :] ^ vectors[..., j, None, :]
+    return table
+
+
 class BitMatrix:
     """A rows x cols binary matrix, one bit per entry, rows packed in words.
 

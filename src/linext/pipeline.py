@@ -19,11 +19,13 @@ import numpy as np
 
 from .codes import codeword_weights
 from .errors import InfeasibleError
-from .gf2 import BitMatrix, pack_bits, rank
+from .gf2 import BitMatrix, pack_bits, rank, subset_xor_table
 
 # Cap on k for anything holding 2^k buckets: the empirical histogram and
 # the exact oracle.
 EMPIRICAL_K_CAP = 24
+# False-alarm rate of the coordinate-bias check at each simulate run.
+COORD_BIAS_ALPHA = 1e-3
 # Uniform doubles per draw in generate; a multiple of 8, so every draw but
 # the last packs to whole bytes.
 DRAW_BITS = 1 << 20
@@ -148,24 +150,44 @@ def generate(spec: BiasedSourceSpec, nbits: int) -> BitStream:
     return BitStream.from_bytes(data, nbits)
 
 
+def _words(G: BitMatrix, stream: BitStream) -> np.ndarray:
+    """G·x for every whole n-bit block x of the stream, as a (blocks, W)
+    array of little-endian uint64 words, W = ceil(k/64): bit i is row i."""
+    n = G.cols
+    nblocks = len(stream) // n
+    p = 8 // math.gcd(n, 8)  # blocks p apart start at the same bit of a byte
+    cols = pack_bits(G.to_dense().T)  # column j of G as a k-bit word
+    y = np.empty((nblocks, cols.shape[1]), cols.dtype)
+    for r in range(min(p, nblocks)):
+        s, nb = r * n % 8, (r * n % 8 + n + 7) // 8
+        # MSB-first position t of byte c (value bit 7 - t) is column 8c + t - s
+        window = np.pad(cols, ((s, 8 * nb - s - n), (0, 0)))
+        table = subset_xor_table(window.reshape(nb, 8, -1)[:, ::-1])
+        acc = y[r::p]  # the class's blocks start p·n/8 bytes apart
+        x = np.lib.stride_tricks.as_strided(
+            stream.data[r * n // 8 :], (len(acc), nb), (p * n // 8, 1), writeable=False)
+        np.take(table[0], x[:, 0], axis=0, out=acc)
+        for c in range(1, nb):
+            acc ^= np.take(table[c], x[:, c], axis=0)
+    return y
+
+
 def linear_extract(G: BitMatrix, stream: BitStream) -> BitStream:
     """Apply y = G·x per n-bit block; emits k bits per block in row order.
 
     A trailing partial block is discarded (padding would inject
-    deterministic bits). The hot loop runs on packed 64-bit words: per
-    output row one AND, one XOR fold and one popcount across every block
-    at once, no per-bit branching.
+    deterministic bits). The product is a byte-table gather ("Four
+    Russians"): blocks whose index has the same residue r mod
+    p = 8/gcd(n, 8) all start s = r·n mod 8 bits into a byte. Per residue a
+    ceil((s+n)/8) x 256 table holds the XOR of G's columns that each value
+    of each byte selects (bits outside the block select none), and a block's
+    output is the XOR of one entry per byte, read through a strided view.
+    The input is never unpacked; byte-aligned n is just p = 1. Only the
+    ceil(k/8) low bytes of each output word are unpacked, to emit its bits.
     """
-    n, k = G.cols, G.rows
-    nblocks = len(stream) // n
-    if nblocks == 0 or k == 0:
-        return BitStream(np.zeros(0, np.uint8))
-    blocks = pack_bits(np.unpackbits(stream.data, count=nblocks * n).reshape(nblocks, n))
-    out = np.empty((nblocks, k), np.uint8)
-    for i in range(k):
-        acc = np.bitwise_xor.reduce(blocks & G.words[i], axis=1)
-        out[:, i] = (np.bitwise_count(acc) & np.uint64(1)).astype(np.uint8)
-    return BitStream(out.reshape(-1))
+    words = _words(G, stream).view(np.uint8)
+    bits = np.unpackbits(words, axis=1, count=G.rows, bitorder="little")
+    return BitStream.from_bytes(np.packbits(bits), bits.size)
 
 
 def von_neumann(stream: BitStream) -> BitStream:
@@ -314,7 +336,7 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     if len(stream) == 0 or len(stream) % k:
         raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
     m = len(stream) // k
-    words = pack_bits(stream.bits.reshape(m, k))[:, 0].view(np.int64)
+    words = _words(BitMatrix.identity(k), stream)[:, 0].view(np.int64)
     counts = np.bincount(words, minlength=1 << k)
     # bucket u counts toward coordinate i's ones when bit i of u is set
     ones = np.array([counts.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(k)])
@@ -339,6 +361,14 @@ def _biases(ones: np.ndarray, m: int) -> np.ndarray:
 def multinomial_noise_floor(k: int, samples: int) -> float:
     """sqrt(2^k / N): the scale of empirical-TVD noise near uniform."""
     return math.sqrt((1 << k) / samples)
+
+
+def coord_bias_tolerance(k: int, samples: int) -> float:
+    """sqrt(2·ln(2k/alpha)/N), alpha = COORD_BIAS_ALPHA: a coordinate's bias
+    moves 2t when its ones-frequency over N samples moves t, which Hoeffding
+    bounds by 2·exp(-2N·t^2), so by a union bound over the k coordinates the
+    largest deviation passes this tolerance with probability at most alpha."""
+    return math.sqrt(2.0 * math.log(2 * k / COORD_BIAS_ALPHA) / samples)
 
 
 def stats_lines(stats: ExactStats) -> list:

@@ -333,6 +333,17 @@ class TestSimulate:
         assert code == 0
         assert "coord-bias <= eps^d + tol: PASS" in out
 
+    @pytest.mark.parametrize("seed, eps", [("5", "0.1"), ("3", "0.6"), ("4", "0.3")])
+    def test_coord_bias_max_over_k_is_not_a_false_alarm(self, capsys, seed, eps):
+        # these runs exceeded the per-coordinate 3/sqrt(N) tolerance by chance
+        # (seed 5: stat 0.00888 > 0.0067); the union-bounded tolerance holds
+        code, out, _ = run(
+            capsys, "simulate", "--code", "rm:2,5", "--eps", eps,
+            "--blocks", "200000", "--seed", seed,
+        )
+        assert code == 0
+        assert "tol=0.0101850337171 alpha=0.001 PASS" in out
+
     def test_binning_infeasible_suggests_marginal_flag(self, capsys):
         # k = 26 cannot be histogrammed; the error names the fallback flag
         code, _, err = run(
@@ -482,7 +493,7 @@ noise_floor=0.32
 tvd <= weight-bound/2 + 3nf: stat=0.13095546875 bound=0.127472824323 tol=0.96 PASS
 tvd <= worst-bound/2 + 3nf: stat=0.13095546875 bound=1.6384 tol=0.96 PASS
 max_prob <= pointwise + tol: stat=0.0011 bound=0.00208828125 tol=0.00219863238742 PASS
-coord_bias <= eps^d + tol: stat=0.0111 bound=0.0016 tol=0.0212132034356 PASS
+coord_bias <= eps^d + tol: stat=0.0111 bound=0.0016 tol=0.0316208755925 alpha=0.001 PASS
 min_entropy >= lacharme - tol: stat=0.893480069174 bound=0.80940620521 tol=0.262145127443 PASS
 """
 
@@ -490,7 +501,7 @@ GOLDEN_SIMULATE_RM24_MARGINAL = """\
 simulate RM(2,4) [16,11] eps=0.2 seed=7
 blocks=20000
 coord_bias_max=0.0111
-coord_tol=0.0212132034356
+coord_tol=0.0316208755925 alpha=0.001
 coord-bias <= eps^d + tol: PASS
 """
 

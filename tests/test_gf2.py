@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from linext.gf2 import BitMatrix, parse_matrix, rank, serialize_matrix, systematize
+from linext.gf2 import (
+    BitMatrix,
+    parse_matrix,
+    rank,
+    serialize_matrix,
+    subset_xor_table,
+    systematize,
+)
 from linext.pipeline import BitStream, linear_extract
 
 from _naive import naive_matvec, naive_weight_counts, random_full_rank
@@ -20,15 +27,27 @@ def matvec(G, x):
 
 
 @st.composite
-def extraction_cases(draw):
-    """A k x n matrix (n past 64 spans several words) and a stream of whole
-    n-bit blocks plus a ragged tail shorter than n."""
-    k = draw(st.integers(1, 8))
-    n = draw(st.integers(k, 150))
+def extraction_cases(draw, n_mod_8=None):
+    """A k x n matrix (n past 64 spans several input words, k past 64
+    several output words) and a stream of 0-9 whole n-bit blocks (short
+    runs leave some of the 8/gcd(n, 8) byte-offset classes empty) plus a
+    ragged tail shorter than n. n_mod_8 fixes n's residue mod 8."""
+    if n_mod_8 is None:
+        n = draw(st.integers(1, 160))
+    else:
+        n = 8 * draw(st.integers(1 if n_mod_8 == 0 else 0, 19)) + n_mod_8
+    k = draw(st.integers(1, min(n, 80)))
     dense = draw(arrays(np.uint8, (k, n), elements=st.integers(0, 1)))
-    nbits = n * draw(st.integers(0, 6)) + draw(st.integers(0, n - 1))
+    nbits = n * draw(st.integers(0, 9)) + draw(st.integers(0, n - 1))
     bits = draw(arrays(np.uint8, nbits, elements=st.integers(0, 1)))
     return dense, bits
+
+
+def naive_extract(dense, bits):
+    """Per block, the dense product mod 2; the ragged tail yields nothing."""
+    n = dense.shape[1]
+    blocks = bits[: len(bits) // n * n].reshape(-1, n)
+    return np.concatenate([np.zeros(0, int)] + [naive_matvec(dense, x) for x in blocks])
 
 
 class TestBitContainers:
@@ -74,14 +93,17 @@ class TestMatvec:
     @settings(max_examples=300, deadline=None)
     @given(case=extraction_cases())
     def test_agrees_with_naive_reference(self, case):
-        # per block, the packed kernel equals the dense product mod 2;
-        # the ragged tail yields nothing
         dense, bits = case
-        n = dense.shape[1]
         got = linear_extract(BitMatrix.from_dense(dense), BitStream(bits)).bits
-        blocks = bits[: len(bits) // n * n].reshape(-1, n)
-        expect = [naive_matvec(dense, x) for x in blocks]
-        assert got.tolist() == np.concatenate([np.zeros(0, int)] + expect).tolist()
+        assert got.tolist() == naive_extract(dense, bits).tolist()
+
+    @pytest.mark.parametrize("n_mod_8", range(8))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_naive_reference_for_every_n_mod_8(self, n_mod_8, data):
+        dense, bits = data.draw(extraction_cases(n_mod_8))
+        got = linear_extract(BitMatrix.from_dense(dense), BitStream(bits)).bits
+        assert got.tolist() == naive_extract(dense, bits).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(case=extraction_cases(), seed=st.integers(0, 2**32 - 1))
@@ -91,6 +113,18 @@ class TestMatvec:
         G = BitMatrix.from_dense(dense)
         xor = linear_extract(G, BitStream(x)).bits ^ linear_extract(G, BitStream(y)).bits
         assert linear_extract(G, BitStream(x ^ y)).bits.tolist() == xor.tolist()
+
+
+def test_subset_xor_table():
+    vectors = np.random.default_rng(3).integers(0, 2**63, (2, 5, 3), dtype=np.uint64)
+    table = subset_xor_table(vectors)
+    assert table.shape == (2, 32, 3)
+    for u in range(32):
+        expect = np.zeros((2, 3), np.uint64)
+        for j in range(5):
+            if u >> j & 1:
+                expect ^= vectors[:, j]
+        assert np.array_equal(table[:, u], expect)
 
 
 class TestRank:

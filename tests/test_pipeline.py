@@ -1,3 +1,5 @@
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,9 @@ from linext.gf2 import BitMatrix, rank
 from linext.pipeline import (
     DRAW_BITS,
     BiasedSourceSpec,
+    COORD_BIAS_ALPHA,
     BitStream,
+    coord_bias_tolerance,
     empirical_stats,
     exact_output_pmf,
     generate,
@@ -196,6 +200,39 @@ class TestLinearExtract:
         first = linear_extract(G, BitStream(s.bits[:half]))
         second = linear_extract(G, BitStream(s.bits[half:]))
         assert np.concatenate([first.bits, second.bits]).tolist() == whole.bits.tolist()
+
+
+def _seeded_matrix(k, n, seed):
+    return BitMatrix.from_dense(
+        np.random.default_rng(seed).integers(0, 2, (k, n), dtype=np.uint8)
+    )
+
+
+# (matrix, source seed, whole blocks, tail bits, sha256 of the output bytes);
+# the digests were taken from the row-by-row kernel this one replaced
+EXTRACT_PINS = [
+    (lambda: rm_generator(1, 7).generator, 1, 3001, 77,
+     "b8801617b1300ddaf6c5408482727749482ea5c64c83af4128321e174df3e6e5"),
+    (lambda: rm_generator(2, 4).generator, 2, 20011, 9,
+     "8ffaa1fb5b54acb74738bac95a69dc0ce169d14dec535e2968d6d2f12275f541"),
+    (lambda: _seeded_matrix(18, 25, 3), 3, 10007, 24,
+     "421dfb07e170eab3a87de84ab78fc6578bc881bdac7191d643307c7b821443a0"),
+    (lambda: _seeded_matrix(7, 67, 4), 4, 5003, 66,
+     "fedaaf082154f2cb05064a4697ac021caf0b982a13f547a7bceee1ff013db063"),
+    (lambda: _seeded_matrix(70, 100, 5), 5, 2003, 13,
+     "5f56892d8cfc8d1607a0af59b4106fd39affded7df62aa31c5a181df543f89c5"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, seed, blocks, tail, digest", EXTRACT_PINS,
+    ids=["rm17", "rm24", "g18x25", "g7x67", "g70x100"],
+)
+def test_extract_output_bytes_pinned(make, seed, blocks, tail, digest):
+    G = make()
+    out = linear_extract(G, generate(BiasedSourceSpec(0.3, seed), blocks * G.cols + tail))
+    assert len(out) == blocks * G.rows
+    assert hashlib.sha256(out.to_bytes()).hexdigest() == digest
 
 
 class TestVonNeumann:
@@ -393,6 +430,15 @@ class TestEmpirical:
         with pytest.raises(InfeasibleError, match="marginal"):
             empirical_stats(BitStream([0] * 50), 25)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_pmf_is_histogram_of_words(self, k):
+        # word j of the stream is bits j·k .. j·k + k - 1, bit i weighing 2^i
+        m = 997
+        bits = np.random.default_rng(k).integers(0, 2, (m, k), dtype=np.uint8)
+        words = (bits.astype(np.int64) << np.arange(k)).sum(axis=1)
+        stats = empirical_stats(BitStream(bits.reshape(-1)), k)
+        assert np.array_equal(stats.pmf, np.bincount(words, minlength=1 << k) / m)
+
     def test_marginal_biases(self):
         s = generate(BiasedSourceSpec(0.4, seed=4), 400_000)
         biases = marginal_biases(s, 4)
@@ -409,6 +455,15 @@ class TestEmpirical:
         expect = [abs(2 * int(c) - m) / m for c in ones]
         assert empirical_stats(out, 11).coord_biases.tolist() == expect
         assert marginal_biases(out, 11).tolist() == expect
+
+    def test_coord_bias_tolerance_is_union_bounded_hoeffding(self):
+        tol = coord_bias_tolerance(16, 200_000)
+        assert tol == pytest.approx(math.sqrt(2 * math.log(32 / COORD_BIAS_ALPHA) / 200_000))
+        assert round(tol, 4) == 0.0102
+        # k coordinates, each two-sided 2·exp(-N·tol^2/2), sum to alpha
+        for k, n in [(1, 10), (11, 20_000), (24, 10**8)]:
+            tol = coord_bias_tolerance(k, n)
+            assert 2 * k * math.exp(-n * tol**2 / 2) == pytest.approx(COORD_BIAS_ALPHA)
 
     def test_stats_lines_format(self):
         from linext.pipeline import stats_lines
