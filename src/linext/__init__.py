@@ -52,6 +52,8 @@ from .pipeline import (
     marginal_biases,
     multinomial_noise_floor,
     output_weight_profile,
+    simulated_biases,
+    simulated_stats,
     stats_from_profile,
     von_neumann,
 )

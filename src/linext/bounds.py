@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .codes import WeightDistribution, min_distance
+from .errors import InfeasibleError
 
 CSV_HEADER = (
     "eps,bias_bound,pointwise_bound,tvd_weight,tvd_worst,hmin_bound,"
@@ -19,6 +20,8 @@ CSV_HEADER = (
 )
 
 H_VARIANTS = ("standard", "as-printed")
+# Cap on the points of an eps grid, checked before the grid is built.
+GRID_CAP = 100_000
 
 
 def bias_bound(eps: float, d: int) -> float:
@@ -192,6 +195,8 @@ def linear_grid(lo: float, hi: float, steps: int) -> List[float]:
     """Inclusive, evenly spaced eps grid with the sweep preconditions."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
+    if steps > GRID_CAP:
+        raise InfeasibleError(f"{steps} grid points are over the cap {GRID_CAP}")
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"need 0 <= min < max <= 1, got [{lo}, {hi}]")
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]

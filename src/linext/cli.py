@@ -183,7 +183,6 @@ def cmd_simulate(args) -> int:
         except InfeasibleError as exc:
             raise InfeasibleError(f"{exc} (pass --marginal-only)") from None
     w, _ = codes.weight_distribution(code, args.cap)
-    out = pipeline.linear_extract(code.generator, pipeline.generate(spec, args.blocks * n))
     header = [
         f"simulate {code.label or 'matrix'} [{n},{k}] eps={_fmt(args.eps)} seed={args.seed}",
         f"blocks={args.blocks}",
@@ -191,7 +190,7 @@ def cmd_simulate(args) -> int:
     coord_tol = pipeline.coord_bias_tolerance(k, args.blocks)
     alpha = _fmt(pipeline.COORD_BIAS_ALPHA)
     if args.marginal_only:
-        bias = float(pipeline.marginal_biases(out, k).max())
+        bias = float(pipeline.simulated_biases(code.generator, spec, args.blocks).max())
         print("\n".join(header))
         print(f"coord_bias_max={_fmt(bias)}")
         print(f"coord_tol={_fmt(coord_tol)} alpha={alpha}")
@@ -199,7 +198,7 @@ def cmd_simulate(args) -> int:
                           coord_tol)
         print(f"coord-bias <= eps^d + tol: {'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
-    stats = pipeline.empirical_stats(out, k)
+    stats = pipeline.simulated_stats(code.generator, spec, args.blocks)
     nf = pipeline.multinomial_noise_floor(k, stats.samples)
     # per-bucket frequency noise, inflated for the max over 2^k buckets
     point_tol = 3.0 * math.sqrt(2.0 * k * 2.0**-k / stats.samples)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .gf2 import BitMatrix, rank, row_reduce, subset_xor_table
+from .gf2 import BLOCK_LENGTH_CAP, BitMatrix, check_size, rank, row_reduce, subset_xor_table
 
 ENUMERATION_CAP = 28
 _TABLE_BITS = 16
@@ -93,7 +93,12 @@ def rm_generator(r: int, m: int) -> LinearCode:
         raise ValueError(f"need m >= 1, got m={m}")
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
+    if m >= BLOCK_LENGTH_CAP.bit_length():  # checked before 2^m is formed
+        raise InfeasibleError(
+            f"RM({r},{m}) has block length 2^{m}, over the cap {BLOCK_LENGTH_CAP}"
+        )
     n = 1 << m
+    check_size(n, sum(math.comb(m, deg) for deg in range(r + 1)))
     points = np.arange(n, dtype=np.uint32)
     var = ((points[None, :] >> np.arange(m, dtype=np.uint32)[:, None]) & 1).astype(
         np.uint8
@@ -251,8 +256,9 @@ def parse_weights(text: str) -> WeightDistribution:
         n, k = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError(f"line 1: expected header 'n k', got {lines[0]!r}") from None
-    if n < 1 or k < 0:
+    if n < 1 or not 0 <= k <= n:
         raise ValueError(f"line 1: invalid parameters n={n}, k={k}")
+    check_size(n)
     counts = [0] * (n + 1)
     for idx, line in enumerate(lines[1:], start=2):
         parts = line.split()

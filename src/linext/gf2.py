@@ -12,8 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InfeasibleError
+
 WORD_BITS = 64
 _U64 = np.dtype("<u8")
+# Caps on input sizes, checked before anything of that size is allocated:
+# the block length n of a code and the k·n entries of a generator matrix.
+BLOCK_LENGTH_CAP = 1 << 16
+MATRIX_BITS_CAP = 1 << 24
 
 
 def _word_count(nbits: int) -> int:
@@ -48,6 +54,17 @@ def subset_xor_table(vectors: np.ndarray) -> np.ndarray:
         h = 1 << j
         table[..., h : 2 * h, :] = table[..., :h, :] ^ vectors[..., j, None, :]
     return table
+
+
+def check_size(n: int, k: int = 0) -> None:
+    """Raise InfeasibleError when block length n, or a k x n generator
+    matrix, is over its cap."""
+    if n > BLOCK_LENGTH_CAP:
+        raise InfeasibleError(f"block length n={n} is over the cap {BLOCK_LENGTH_CAP}")
+    if k * n > MATRIX_BITS_CAP:
+        raise InfeasibleError(
+            f"a {k}x{n} generator matrix has {k * n} entries, over the cap {MATRIX_BITS_CAP}"
+        )
 
 
 class BitMatrix:
@@ -207,19 +224,19 @@ def parse_matrix(text: str) -> BitMatrix:
         ) from None
     if k < 0 or n < 1 or k > n:
         raise ValueError(f"line 1: invalid dimensions {k}x{n}")
-    if len(lines) - 1 != k:
-        raise ValueError(f"expected {k} rows after the header, got {len(lines) - 1}")
-    dense = np.zeros((k, n), np.uint8)
-    for i, line in enumerate(lines[1:]):
+    check_size(n, k)
+    rows = lines[1:]
+    if len(rows) != k:
+        raise ValueError(f"expected {k} rows after the header, got {len(rows)}")
+    for i, line in enumerate(rows):
         if len(line) != n:
             raise ValueError(f"row {i + 1}: expected {n} columns, got {len(line)}")
-        raw = np.frombuffer(line.encode("ascii", "replace"), np.uint8)
-        bad = np.nonzero((raw != ord("0")) & (raw != ord("1")))[0]
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"row {i + 1}: invalid character {line[j]!r} at column {j + 1}")
-        dense[i] = raw - ord("0")
-    return BitMatrix.from_dense(dense)
+    raw = np.frombuffer("".join(rows).encode("ascii", "replace"), np.uint8).reshape(k, n)
+    bad = np.argwhere((raw != ord("0")) & (raw != ord("1")))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"row {i + 1}: invalid character {rows[i][j]!r} at column {j + 1}")
+    return BitMatrix.from_dense(raw - ord("0"))
 
 
 def serialize_matrix(G: BitMatrix) -> str:

@@ -26,8 +26,8 @@ from .gf2 import BitMatrix, pack_bits, rank, subset_xor_table
 EMPIRICAL_K_CAP = 24
 # False-alarm rate of the coordinate-bias check at each simulate run.
 COORD_BIAS_ALPHA = 1e-3
-# Uniform doubles per draw in generate; a multiple of 8, so every draw but
-# the last packs to whole bytes.
+# Source bits per draw, about: the source is drawn a multiple of 8 blocks
+# at a time, so every draw but the last holds whole bytes and whole blocks.
 DRAW_BITS = 1 << 20
 
 
@@ -137,17 +137,24 @@ def generate(spec: BiasedSourceSpec, nbits: int) -> BitStream:
 
     The seed-to-stream mapping is part of the interface: PCG64 seeded with
     spec.seed, one uniform double per bit, bit = 1 iff the double is below
-    P(1). Stable within a release. The doubles are drawn DRAW_BITS at a
-    time and packed as they come, which yields the same stream as one draw.
+    P(1). Stable within a release.
     """
     if nbits < 0:
         raise ValueError(f"nbits must be nonnegative, got {nbits}")
-    rng = np.random.default_rng(spec.seed)
-    data = b"".join(
-        np.packbits(rng.random(min(DRAW_BITS, nbits - start)) < spec.rho1).tobytes()
-        for start in range(0, nbits, DRAW_BITS)
-    )
+    data = b"".join(chunk.to_bytes() for chunk in _source_chunks(spec, nbits))
     return BitStream.from_bytes(data, nbits)
+
+
+def _source_chunks(spec: BiasedSourceSpec, blocks: int, n: int = 1):
+    """generate(spec, blocks·n) as consecutive streams of whole n-bit blocks:
+    a multiple of 8 blocks (at least 8) of about DRAW_BITS bits each, and
+    the rest. PCG64 doubles concatenate across draws, so the chunks join to
+    the stream of one draw."""
+    step = max(8, DRAW_BITS // (8 * n) * 8)
+    rng = np.random.default_rng(spec.seed)
+    for start in range(0, blocks, step):
+        bits = rng.random(min(step, blocks - start) * n) < spec.rho1
+        yield BitStream.from_bytes(np.packbits(bits), bits.size)
 
 
 def _words(G: BitMatrix, stream: BitStream) -> np.ndarray:
@@ -191,10 +198,24 @@ def linear_extract(G: BitMatrix, stream: BitStream) -> BitStream:
 
 
 def von_neumann(stream: BitStream) -> BitStream:
-    """Pairwise debiasing: 01 -> 0, 10 -> 1, 00/11 -> nothing."""
-    pairs = np.unpackbits(stream.data, count=len(stream) // 2 * 2)
-    first, second = pairs[0::2], pairs[1::2]
-    return BitStream(first[first != second])
+    """Pairwise debiasing: 01 -> 0, 10 -> 1, 00/11 -> nothing.
+
+    The input is unpacked DRAW_BITS bits at a time and the output packed as
+    it comes, each chunk carrying its last (fewer than 8) bits to the next.
+    """
+    end, step = len(stream) // 2 * 2, DRAW_BITS // 8
+    parts, carry = [], np.zeros(0, np.uint8)
+    for start in range(0, stream.data.size, step):
+        chunk = stream.data[start : start + step]
+        pairs = np.unpackbits(chunk, count=min(8 * chunk.size, end - 8 * start))
+        first, second = pairs[0::2], pairs[1::2]
+        out = np.concatenate([carry, first[first != second]])
+        whole = out.size // 8 * 8
+        parts.append(np.packbits(out[:whole]).tobytes())
+        carry = out[whole:]
+    nbytes = sum(map(len, parts))
+    parts.append(np.packbits(carry).tobytes())
+    return BitStream.from_bytes(b"".join(parts), 8 * nbytes + carry.size)
 
 
 @dataclass(frozen=True)
@@ -330,32 +351,56 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     word is coordinate i, matching the exact oracle's buckets). The sample
     count is reported so callers can form confidence radii.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    check_histogram(k)
-    if len(stream) == 0 or len(stream) % k:
-        raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
-    m = len(stream) // k
-    words = _words(BitMatrix.identity(k), stream)[:, 0].view(np.int64)
-    counts = np.bincount(words, minlength=1 << k)
-    # bucket u counts toward coordinate i's ones when bit i of u is set
-    ones = np.array([counts.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(k)])
-    return _stats_from_pmf(counts / m, k, _biases(ones, m), samples=m)
+    return _tally_words(stream, k, True)
 
 
 def marginal_biases(stream: BitStream, k: int) -> np.ndarray:
     """Per-coordinate empirical biases |2·ones_i - m| / m without binning."""
+    return _tally_words(stream, k, False)
+
+
+def simulated_stats(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> ExactStats:
+    """empirical_stats(linear_extract(G, generate(spec, blocks·n)), k), bit
+    for bit, in one pass over the source: memory holds one draw and the
+    2^k buckets, whatever blocks is."""
+    return _tally(G, _source_chunks(spec, blocks, G.cols), True)
+
+
+def simulated_biases(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> np.ndarray:
+    """marginal_biases(linear_extract(G, generate(spec, blocks·n)), k), bit
+    for bit, in one pass over the source."""
+    return _tally(G, _source_chunks(spec, blocks, G.cols), False)
+
+
+def _tally_words(stream: BitStream, k: int, histogram: bool):
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if len(stream) == 0 or len(stream) % k:
         raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
-    blocks = stream.bits.reshape(-1, k)
-    return _biases(blocks.sum(axis=0, dtype=np.int64), len(blocks))
+    return _tally(BitMatrix.identity(k), [stream], histogram)
 
 
-def _biases(ones: np.ndarray, m: int) -> np.ndarray:
-    """|2·ones_i - m| / m from integer one-counts: exact but for one rounding."""
-    return np.abs(2 * ones - m) / m
+def _tally(G: BitMatrix, streams, histogram: bool):
+    """The stats of the 2^k-bucket histogram of the words G·x over the whole
+    blocks of each stream in turn, or without one the coordinate biases
+    |2·ones_i - m| / m, exact but for one rounding. One-counts come from how
+    often each value of each word byte occurs; byte c holds coordinates
+    8c .. 8c + 7."""
+    k, m = G.rows, 0
+    if histogram:
+        check_histogram(k)
+        counts = np.zeros(1 << k, np.int64)
+    byte_counts = np.zeros(((k + 7) // 8, 256), np.int64)
+    for stream in streams:
+        words = _words(G, stream)
+        m += len(words)
+        for c, column in enumerate(words.view(np.uint8).T[: len(byte_counts)]):
+            byte_counts[c] += np.bincount(column, minlength=256)
+        if histogram:
+            np.add.at(counts, words[:, 0].view(np.int64), 1)
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    biases = np.abs(2 * (byte_counts @ byte_bits).reshape(-1)[:k] - m) / m
+    return _stats_from_pmf(counts / m, k, biases, samples=m) if histogram else biases
 
 
 def multinomial_noise_floor(k: int, samples: int) -> float:

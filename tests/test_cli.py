@@ -1,6 +1,14 @@
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import linext
 from linext.bounds import CSV_HEADER
 from linext.cli import main
 from linext.codes import enumerate_weights, rm_generator, serialize_weights
@@ -416,6 +424,63 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestSizeGates:
+    """Inputs that name sizes far past any cap. Each one used to reach an
+    allocation of that size, so the CLI runs in a child process under a
+    2 GiB address-space limit: a missing gate fails the test with a
+    MemoryError traceback instead of exhausting the host."""
+
+    @pytest.mark.parametrize(
+        "argv, files, code",
+        [
+            (["code-info", "--code", "rm:1,34"], {}, 3),
+            (["code-info", "--code", "rm:20,20"], {}, 3),
+            (["code-info", "--code", "rm:8,16"], {}, 3),  # n at the cap, k·n over it
+            (["code-info", "--weights", "w.txt"], {"w.txt": "2000000000 3\n0 1\n"}, 3),
+            (["code-info", "--weights", "w.txt"], {"w.txt": "4 100000000000\n0 1\n"}, 2),
+            (["code-info", "--matrix", "g.txt"], {"g.txt": "1 10000000000\n0101\n"}, 3),
+            (["bounds-sweep", "--code", "rm:1,3", "--steps", "1000000000"], {}, 3),
+            (["verify", "--code", "rm:1,3", "--steps", "1000000000"], {}, 3),
+        ],
+        ids=["rm1-34", "rm20-20", "rm8-16", "weights-n", "weights-k-over-n",
+             "matrix-n", "sweep-steps", "verify-steps"],
+    )
+    def test_rejected_before_allocation(self, tmp_path, argv, files, code):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        src = str(pathlib.Path(linext.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        res = subprocess.run(
+            [sys.executable, "-m", "linext.cli", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=120,
+        )
+        assert (res.returncode, res.stdout) == (code, "")
+        assert "Traceback" not in res.stderr and "error:" in res.stderr
+
+
+@pytest.mark.parametrize("mode", [[], ["--marginal-only"]], ids=["full", "marginal"])
+def test_simulate_memory_does_not_grow_with_blocks(capsys, mode):
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--code", "rm:2,4", "--eps", "0.2",
+                         "--blocks", str(blocks), *mode])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    (code_small, small), (code_large, large) = peak(10**5), peak(4 * 10**6)
+    assert code_small == code_large == 0
+    # a second full chunk drawn while the first one's words are alive adds
+    # about 1 MB; a materialized 4·10^6-block stream would add about 100 MB
+    assert large - small < 4 << 20
 
 
 # Stdout pinned byte for byte; any change to these reports is a contract change.

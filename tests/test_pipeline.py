@@ -24,6 +24,8 @@ from linext.pipeline import (
     marginal_biases,
     multinomial_noise_floor,
     output_weight_profile,
+    simulated_biases,
+    simulated_stats,
     stats_from_profile,
     von_neumann,
 )
@@ -246,6 +248,16 @@ class TestVonNeumann:
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, 10_001, np.uint8)
         assert von_neumann(BitStream(bits)).bits.tolist() == von_neumann_reference(bits)
+
+    @pytest.mark.parametrize(
+        "nbits", [2 * DRAW_BITS + 2, 3 * DRAW_BITS - 5, DRAW_BITS + 8 * 1001 + 3]
+    )
+    def test_chunked_matches_whole_stream(self, nbits):
+        # the input spans several DRAW_BITS chunks; the reference pairs it all at once
+        s = generate(BiasedSourceSpec(0.3, nbits), nbits)
+        pairs = s.bits[: nbits // 2 * 2]
+        first, second = pairs[0::2], pairs[1::2]
+        assert von_neumann(s) == BitStream(first[first != second])
 
     def test_exactly_unbiased_for_any_p(self):
         # exhaustive 2-bit block analysis in exact rationals
@@ -475,3 +487,50 @@ class TestEmpirical:
         assert any(l.startswith("tvd=0.875") for l in lines)
         exact = exact_output_pmf(rm_generator(1, 3).generator, 0.2)
         assert not any(l.startswith("samples=") for l in stats_lines(exact))
+
+
+class TestSimulatedTally:
+    """simulate's chunked tally against the materialized output stream.
+
+    A source chunk holds max(8, DRAW_BITS // (8n) · 8) blocks: 65536 at
+    n = 16, 5240 at n = 25, 1952 at n = 67 and 10480 at n = 100, so every
+    case below spans several chunks and ends in a ragged one.
+    """
+
+    @pytest.mark.parametrize(
+        "k, n, blocks", [(11, 16, 3 * 65536 + 5), (11, 25, 2 * 5240 + 777), (7, 67, 3 * 1952 + 1)]
+    )
+    def test_stats_match_materialized_stream(self, k, n, blocks):
+        G = random_full_rank(np.random.default_rng(n), k, n)
+        spec = BiasedSourceSpec(0.2, seed=n)
+        out = linear_extract(G, generate(spec, blocks * n))
+        want = empirical_stats(out, k)
+        got = simulated_stats(G, spec, blocks)
+        assert np.array_equal(got.pmf, want.pmf)
+        assert got.coord_biases.tolist() == want.coord_biases.tolist()
+        assert (got.delta, got.shannon, got.min_entropy, got.max_prob, got.samples) == (
+            want.delta, want.shannon, want.min_entropy, want.max_prob, want.samples)
+        # and both against a plain bincount of the output words
+        bits = out.bits.reshape(blocks, k).astype(np.int64)
+        words = (bits << np.arange(k)).sum(axis=1)
+        assert np.array_equal(got.pmf, np.bincount(words, minlength=1 << k) / blocks)
+        ones = bits.sum(axis=0)
+        assert got.coord_biases.tolist() == [abs(2 * int(c) - blocks) / blocks for c in ones]
+        assert simulated_biases(G, spec, blocks).tolist() == got.coord_biases.tolist()
+
+    @pytest.mark.parametrize(
+        "k, n, blocks", [(11, 25, 2 * 5240 + 3), (64, 67, 2 * 1952 + 9), (80, 100, 10480 + 77)]
+    )
+    def test_biases_match_materialized_stream(self, k, n, blocks):
+        # k = 64 and k = 80 give words of one and two 64-bit words
+        G = random_full_rank(np.random.default_rng(n), k, n)
+        spec = BiasedSourceSpec(0.1, seed=k)
+        out = linear_extract(G, generate(spec, blocks * n))
+        got = simulated_biases(G, spec, blocks)
+        assert got.tolist() == marginal_biases(out, k).tolist()
+        ones = out.bits.reshape(blocks, k).sum(axis=0, dtype=np.int64)
+        assert got.tolist() == [abs(2 * int(c) - blocks) / blocks for c in ones]
+
+    def test_histogram_cap(self):
+        with pytest.raises(InfeasibleError, match="marginal"):
+            simulated_stats(rm_generator(3, 5).generator, BiasedSourceSpec(0.1), 10)
