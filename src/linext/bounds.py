@@ -8,16 +8,11 @@ entropies are base-2^k so everything lives in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import List, Sequence
 
 from .codes import WeightDistribution, min_distance
 from .errors import InfeasibleError
-
-CSV_HEADER = (
-    "eps,bias_bound,pointwise_bound,tvd_weight,tvd_worst,hmin_bound,"
-    "entropy_weight_raw,entropy_weight,entropy_worst_raw,entropy_worst,h_variant"
-)
 
 H_VARIANTS = ("standard", "as-printed")
 # Cap on the points of an eps grid, checked before the grid is built.
@@ -127,6 +122,10 @@ class BoundRow:
     h_variant: str
 
 
+# the CSV columns are BoundRow's fields, in declaration order
+CSV_HEADER = ",".join(f.name for f in fields(BoundRow))
+
+
 def sweep(
     w: WeightDistribution, eps_grid: Sequence[float], variant: str = "standard"
 ) -> List[BoundRow]:
@@ -175,20 +174,8 @@ def write_csv(rows: Sequence[BoundRow], fp, comments: Sequence[str] = ()) -> Non
         fp.write(f"# {c}\n")
     fp.write(CSV_HEADER + "\n")
     for r in rows:
-        fields = [
-            format_real(r.eps),
-            format_real(r.bias_bound),
-            format_real(r.pointwise_bound),
-            format_real(r.tvd_weight),
-            format_real(r.tvd_worst),
-            format_real(r.hmin_bound),
-            format_real(r.entropy_weight_raw),
-            format_real(r.entropy_weight),
-            format_real(r.entropy_worst_raw),
-            format_real(r.entropy_worst),
-            r.h_variant,
-        ]
-        fp.write(",".join(fields) + "\n")
+        cells = (v if isinstance(v, str) else format_real(v) for v in astuple(r))
+        fp.write(",".join(cells) + "\n")
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> List[float]:

@@ -7,9 +7,12 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
+
+import numpy as np
 
 from . import bounds, codes, pipeline
 from .errors import InfeasibleError
@@ -41,21 +44,12 @@ def _read_text(path: str) -> str:
 
 
 def _load_code(args) -> codes.LinearCode:
-    """Resolve --code / --matrix into a LinearCode, attaching --weights."""
-    selected = [s for s in (getattr(args, "code", None), getattr(args, "matrix", None)) if s]
-    if len(selected) != 1:
+    """Resolve --code / --matrix into a LinearCode."""
+    if bool(args.code) == bool(args.matrix):
         raise ValueError("specify exactly one code source: --code rm:<r>,<m> or --matrix FILE")
-    weights = None
-    if getattr(args, "weights", None):
-        weights = codes.parse_weights(_read_text(args.weights))
     if args.code:
-        r, m = _parse_code_selector(args.code)
-        code = codes.rm_generator(r, m)
-        if weights is not None:
-            code = codes.LinearCode(code.generator, code.label, weights)
-        return code
-    G = parse_matrix(_read_text(args.matrix))
-    return codes.LinearCode(G, label=args.matrix, weights=weights)
+        return codes.rm_generator(*_parse_code_selector(args.code))
+    return codes.LinearCode(parse_matrix(_read_text(args.matrix)), label=args.matrix)
 
 
 def _eps_grid(args):
@@ -66,22 +60,33 @@ def _eps_grid(args):
     return bounds.linear_grid(args.eps_min, args.eps_max, args.steps)
 
 
-def _load_weights(args):
-    """Resolve --code/--matrix (plus --weights) or --weights alone into
-    (label, weight distribution, route)."""
-    if args.code or args.matrix:
-        code = _load_code(args)
-        w, route = codes.weight_distribution(code, args.cap)
-        return code.label, w, route
-    if args.weights:
-        return args.weights, codes.parse_weights(_read_text(args.weights)), "external"
-    raise ValueError("specify a code via --code, --matrix or --weights")
+def _load_weights(args, check=None):
+    """(code, weights, route) for code-info, bounds-sweep and simulate.
+
+    --weights wins over enumeration and must match the generator's [n,k].
+    It is parsed before the code is built; check(code) runs after the match
+    and before any enumeration. Without check, --weights alone gives code None.
+    """
+    w = codes.parse_weights(_read_text(args.weights)) if args.weights else None
+    if check is None and not (args.code or args.matrix):
+        if w is None:
+            raise ValueError("specify a code via --code, --matrix or --weights")
+        return None, w, "external"
+    code = _load_code(args)
+    if w is not None and (w.n, w.k) != (code.n, code.k):
+        raise ValueError(f"{args.weights} holds the weights of an [{w.n},{w.k}] code, "
+                         f"not of the [{code.n},{code.k}] generator")
+    if check:
+        check(code)
+    if w is None:
+        return (code, *codes.weight_distribution(code, args.cap))
+    return code, w, "external"
 
 
 def cmd_code_info(args) -> int:
-    label, w, route = _load_weights(args)
+    code, w, route = _load_weights(args)
     d = codes.min_distance(w)
-    print(f"label: {label}")
+    print(f"label: {code.label if code else args.weights}")
     print(f"n: {w.n}")
     print(f"k: {w.k}")
     print(f"d: {d}")
@@ -117,22 +122,17 @@ def cmd_bounds_sweep(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if args.baseline is None:
-        code = _load_code(args)  # construction rejects rank-deficient G
-    stream = pipeline.BitStream.read(args.infile)
     if args.baseline == "von-neumann":
-        t0 = time.perf_counter()
-        out = pipeline.von_neumann(stream)
-        elapsed = time.perf_counter() - t0
-        blocks = len(stream) // 2
-        label = "von-neumann"
+        label, block, extract = "von-neumann", 2, pipeline.von_neumann
     else:
-        G = code.generator
-        t0 = time.perf_counter()
-        out = pipeline.linear_extract(G, stream)
-        elapsed = time.perf_counter() - t0
-        blocks = len(stream) // G.cols
-        label = code.label
+        code = _load_code(args)  # construction rejects rank-deficient G
+        label, block = code.label, code.n
+        extract = functools.partial(pipeline.linear_extract, code.generator)
+    stream = pipeline.BitStream.read(args.infile)
+    t0 = time.perf_counter()
+    out = extract(stream)
+    elapsed = time.perf_counter() - t0
+    blocks = len(stream) // block
     out.write(args.out)
     print(f"extractor: {label}")
     print(f"blocks: {blocks}")
@@ -150,7 +150,9 @@ def cmd_verify(args) -> int:
         profile = pipeline.output_weight_profile(code.generator)
     except InfeasibleError as exc:
         raise InfeasibleError(f"{exc}; try `linext simulate`") from None
-    w, _ = codes.weight_distribution(code, args.cap)
+    # A_l = #{u : wt(uG) = l}: G's own weights, counted from the oracle's walk
+    counts = np.bincount(profile, minlength=code.n + 1).tolist()
+    w = codes.WeightDistribution(code.n, code.k, tuple(counts))
     failures = 0
     print(f"verify {code.label or 'matrix'} [{code.n},{code.k},{codes.min_distance(w)}] "
           f"tol={_fmt(args.tol)}")
@@ -175,14 +177,16 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = pipeline.BiasedSourceSpec(args.eps, args.seed)
-    code = _load_code(args)
+
+    def binnable(code):
+        if not args.marginal_only:
+            try:
+                pipeline.check_histogram(code.k)
+            except InfeasibleError as exc:
+                raise InfeasibleError(f"{exc} (pass --marginal-only)") from None
+
+    code, w, _ = _load_weights(args, check=binnable)
     n, k = code.n, code.k
-    if not args.marginal_only:
-        try:
-            pipeline.check_histogram(k)
-        except InfeasibleError as exc:
-            raise InfeasibleError(f"{exc} (pass --marginal-only)") from None
-    w, _ = codes.weight_distribution(code, args.cap)
     header = [
         f"simulate {code.label or 'matrix'} [{n},{k}] eps={_fmt(args.eps)} seed={args.seed}",
         f"blocks={args.blocks}",
@@ -304,15 +308,15 @@ def _at_least(lo, kind=int):
     return parse
 
 
-def _add_code_flags(p, include_weights=True):
+def _add_code_flags(p, weights=True):
     p.add_argument("--code", help="code selector, e.g. rm:2,4")
     p.add_argument("--matrix", help="generator matrix file")
-    if include_weights:
+    if weights:
         p.add_argument("--weights", help="external weight distribution file")
-    p.add_argument(
-        "--cap", type=_at_least(0), default=codes.ENUMERATION_CAP,
-        help="weight enumeration cap on the code dimension (default %(default)s)",
-    )
+        p.add_argument(
+            "--cap", type=_at_least(0), default=codes.ENUMERATION_CAP,
+            help="weight enumeration cap on the code dimension (default %(default)s)",
+        )
 
 
 def _add_eps_flags(p):
@@ -342,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds_sweep)
 
     p = sub.add_parser("extract", help="run a stream file through an extractor")
-    _add_code_flags(p, include_weights=False)
+    _add_code_flags(p, weights=False)
     p.add_argument("--in", dest="infile", required=True, help="input stream file")
     p.add_argument("--out", required=True, help="output stream file")
     p.add_argument("--baseline", choices=["von-neumann"], help="use a baseline instead of G")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="exact oracle vs every bound; exit 1 on violation")
-    _add_code_flags(p)
+    _add_code_flags(p, weights=False)
     _add_eps_flags(p)
     p.add_argument(
         "--tol", type=_at_least(0.0, float), default=1e-12,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class LinearCode:
 
     generator: BitMatrix
     label: str = ""
-    weights: Optional[WeightDistribution] = None
 
     def __post_init__(self):
         if rank(self.generator) != self.generator.rows:
@@ -63,13 +62,6 @@ class LinearCode:
                 f"generator matrix is rank-deficient: rank "
                 f"{rank(self.generator)} < {self.generator.rows} rows"
             )
-        if self.weights is not None:
-            if (self.weights.n, self.weights.k) != (self.n, self.k):
-                raise ValueError(
-                    f"attached weight distribution is for an "
-                    f"[{self.weights.n},{self.weights.k}] code, "
-                    f"generator is [{self.n},{self.k}]"
-                )
 
     @property
     def n(self) -> int:
@@ -122,16 +114,17 @@ def codeword_weights(G: BitMatrix):
     """Yield (h, weights) for every codeword uG, 2^lo messages at a time.
 
     weights[j] is the Hamming weight of uG for message u = h·2^lo + j, where
-    bit i of u selects generator row i and lo = min(k, 16). The low rows
-    are expanded once into a table of partial codewords; the high rows are
-    walked in Gray-code order (so h is not monotone), each step XORing a
-    single row across the whole table before the packed-word popcount.
-    Memory stays at one table, whatever n and k are.
+    bit i of u selects generator row i. The low rows are expanded once into
+    a table of partial codewords; the high rows are walked in Gray-code
+    order (so h is not monotone), each step XORing a single row across the
+    whole table before the packed-word popcount. lo = min(k, 16) up to two
+    words per codeword (n <= 128) and shrinks as the word count W grows, so
+    the one table holds at most 2^17 words whatever n and k are.
     """
-    k = G.rows
-    lo = min(k, _TABLE_BITS)
+    k, W = G.words.shape
+    lo = min(k, _TABLE_BITS - max(0, (W - 1).bit_length() - 1))
     table = subset_xor_table(G.words[:lo])
-    cur = np.zeros(G.words.shape[1], dtype=G.words.dtype)
+    cur = np.zeros(W, dtype=G.words.dtype)
     for t in range(1 << (k - lo)):
         if t:
             cur = cur ^ G.words[lo + _trailing_zeros(t)]
@@ -223,13 +216,11 @@ def macwilliams_transform(dual_weights: WeightDistribution) -> WeightDistributio
 def weight_distribution(
     code: LinearCode, cap: int = ENUMERATION_CAP
 ) -> Tuple[WeightDistribution, str]:
-    """Weight distribution plus the route taken: external | enumerate | macwilliams.
+    """Weight distribution plus the route taken: enumerate | macwilliams.
 
     Enumerates directly when k fits the cap, goes through the dual when
     only n-k does, and otherwise demands an externally supplied file.
     """
-    if code.weights is not None:
-        return code.weights, "external"
     k, n = code.k, code.n
     if k <= cap:
         return enumerate_weights(code, cap), "enumerate"

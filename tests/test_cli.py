@@ -1,6 +1,8 @@
+import argparse
 import os
 import pathlib
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -10,10 +12,12 @@ import pytest
 
 import linext
 from linext.bounds import CSV_HEADER
-from linext.cli import main
+from linext.cli import build_parser, main
 from linext.codes import enumerate_weights, rm_generator, serialize_weights
 from linext.gf2 import BitMatrix, serialize_matrix
 from linext.pipeline import BiasedSourceSpec, BitStream, generate
+
+from _naive import random_full_rank
 
 
 def run(capsys, *argv):
@@ -270,6 +274,21 @@ class TestVerify:
         assert code == 0
         assert "[32,16,8]" in out and "all bounds hold" in out
 
+    def test_weights_are_those_of_the_matrix(self, capsys, tmp_path):
+        # verify counts A_l from its own oracle walk; its tvd-weight bound and
+        # d must be the ones bounds-sweep gets by enumerating the same matrix
+        rng = np.random.default_rng(61)
+        mfile = tmp_path / "g.txt"
+        mfile.write_text(serialize_matrix(random_full_rank(rng, 12, 20)))
+        _, sweep, _ = run(capsys, "bounds-sweep", "--matrix", str(mfile), "--eps", "0.3")
+        code, out, _ = run(capsys, "verify", "--matrix", str(mfile), "--eps", "0.3")
+        assert code == 0
+        d = sweep.splitlines()[1].split(",")[-1].rstrip("]")
+        assert out.startswith(f"verify {mfile} [20,12,{d}] ")
+        tvd_weight = sweep.splitlines()[-1].split(",")[3]
+        row = next(l for l in out.splitlines() if "tvd-weight" in l)
+        assert row.split()[3] == tvd_weight
+
     @pytest.mark.parametrize(
         "grid",
         [("--steps", "1"), ("--eps-min", "0.5", "--eps-max", "0.1"), ("--eps", "1.5")],
@@ -393,7 +412,7 @@ class TestExitCodes:
             ["simulate", "--code", "rm:3,5", "--eps", "0.1", "--blocks", "100"],
             ["simulate", "--code", "rm:2,4", "--eps", "0.2", "--cap", "2"],
             ["bounds-sweep", "--code", "rm:3,6", "--cap", "20", "--eps", "0.1"],
-            ["verify", "--code", "rm:2,4", "--cap", "2", "--eps", "0.1"],
+            ["verify", "--code", "rm:3,5", "--eps", "0.1"],
         ],
     )
     def test_infeasible_prints_nothing(self, capsys, argv):
@@ -424,6 +443,72 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "code-info", "bounds-sweep"])
+    def test_weights_for_another_code_is_usage_error(self, capsys, tmp_path, command):
+        # RM(2,4)'s [16,11] distribution offered for the [8,4] RM(1,3)
+        wfile = tmp_path / "w.txt"
+        wfile.write_text(serialize_weights(enumerate_weights(rm_generator(2, 4))))
+        argv = [command, "--code", "rm:1,3", "--weights", str(wfile)]
+        if command != "code-info":
+            argv += ["--eps", "0.2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "[16,11]" in err and "[8,4]" in err
+
+
+class TestCliSurface:
+    """verify takes its weights from its own oracle walk and extract needs
+    none, so only the weight-resolving subcommands take --weights and --cap."""
+
+    OPTIONS = {
+        "code-info": ["--code", "--matrix", "--weights", "--cap"],
+        "bounds-sweep": ["--code", "--matrix", "--weights", "--cap", "--eps", "--eps-min",
+                         "--eps-max", "--steps", "--h-variant", "--out", "--svg"],
+        "extract": ["--code", "--matrix", "--in", "--out", "--baseline"],
+        "verify": ["--code", "--matrix", "--eps", "--eps-min", "--eps-max", "--steps",
+                   "--tol"],
+        "simulate": ["--code", "--matrix", "--weights", "--cap", "--eps", "--blocks",
+                     "--seed", "--marginal-only"],
+    }
+
+    def test_option_strings(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, p in sub.choices.items()
+        }
+        assert got == self.OPTIONS
+
+    def test_readme_commands_parse(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().replace("\\\n", " ").splitlines()
+        commands = [shlex.split(l)[1:] for l in lines if l.startswith("linext ")]
+        assert len(commands) >= 7
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--code", "rm:2,4", "--weights", "fake.txt", "--eps", "0.3"],
+            ["verify", "--code", "rm:2,4", "--cap", "2", "--eps", "0.3"],
+            ["extract", "--code", "rm:2,4", "--in", "x.bits", "--out", "y.bits", "--cap", "2"],
+        ],
+        ids=["verify-weights", "verify-cap", "extract-cap"],
+    )
+    def test_unread_flag_is_usage_error(self, capsys, tmp_path, argv):
+        # a valid [16,11] distribution that is not RM(2,4)'s (A_8 = 2047)
+        (tmp_path / "fake.txt").write_text("16 11\n0 1\n8 2047\n")
+        argv = [str(tmp_path / a) if a == "fake.txt" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 def _limit_address_space():
@@ -586,6 +671,17 @@ weight distribution (weight count):
   16 1
 """
 
+GOLDEN_BOUNDS_SWEEP_RM24 = """\
+# source: rm:2,4 (weights via enumerate)
+# code: [16,11,4]
+eps,bias_bound,pointwise_bound,tvd_weight,tvd_worst,hmin_bound,entropy_weight_raw,entropy_weight,entropy_worst_raw,entropy_worst,h_variant
+0.05,6.25e-06,0.00049453125,0.000882034028159,0.0128,0.99833188092,0.999054277088,0.999054277088,0.988523591969,0.988523591969,standard
+0.15,0.00050625,0.00099453125,0.0762035730427,1.0368,0.906699606877,0.940671543793,0.940671543793,0.390812942695,0.390812942695,standard
+0.25,0.00390625,0.00439453125,0.669960737461,8,0.711824999869,0.581410718589,0.581410718589,6.40557251446e-05,6.40557251446e-05,standard
+0.35,0.01500625,0.01549453125,3.13316259271,30.7328,0.546554279953,6.40557251446e-05,6.40557251446e-05,6.40557251446e-05,6.40557251446e-05,standard
+0.45,0.04100625,0.04149453125,11.0860809073,83.9808,0.417357725457,6.40557251446e-05,6.40557251446e-05,6.40557251446e-05,6.40557251446e-05,standard
+"""
+
 
 class TestGoldenStdout:
     @pytest.mark.parametrize(
@@ -598,8 +694,10 @@ class TestGoldenStdout:
             (["simulate", "--code", "rm:2,4", "--eps", "0.2", "--blocks", "20000",
               "--seed", "7", "--marginal-only"], GOLDEN_SIMULATE_RM24_MARGINAL),
             (["code-info", "--code", "rm:2,4"], GOLDEN_CODE_INFO_RM24),
+            (["bounds-sweep", "--code", "rm:2,4", "--eps-min", "0.05", "--eps-max", "0.45",
+              "--steps", "5"], GOLDEN_BOUNDS_SWEEP_RM24),
         ],
-        ids=["verify", "simulate", "simulate-marginal", "code-info"],
+        ids=["verify", "simulate", "simulate-marginal", "code-info", "bounds-sweep"],
     )
     def test_stdout(self, capsys, argv, expected):
         code, out, _ = run(capsys, *argv)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from linext.codes import (
 )
 from linext.errors import InfeasibleError
 from linext.gf2 import BitMatrix, serialize_matrix
+from linext.pipeline import output_weight_profile
 
 from _naive import naive_weight_counts, random_full_rank
 
@@ -126,6 +128,44 @@ class TestEnumerateWeights:
             assert list(got.counts) == naive_weight_counts(G.to_dense())
 
 
+class TestWideWalk:
+    """Block lengths of many words: the walk's table shrinks to 2^17 words
+    (RM(1,14): 256 words, so 2^9 of the 2^15 messages) and the Gray walk
+    covers the rest."""
+
+    def test_profile_is_exact(self):
+        code = rm_generator(1, 14)
+        w = output_weight_profile(code.generator)
+        # row 0 is all ones; every other nonzero codeword is affine, weight n/2
+        assert (int(w[0]), int(w[1])) == (0, code.n)
+        assert w.size == 1 << 15 and bool((w[2:] == code.n // 2).all())
+
+    def test_random_profile_matches_per_message_xor(self):
+        # n = 9000 is 141 words, so 2^9 messages per table and a 4-step walk
+        G = random_full_rank(np.random.default_rng(67), 11, 9000)
+        rows = [int("".join(map(str, r)), 2) for r in G.to_dense().tolist()]
+        expected = []
+        for u in range(1 << 11):
+            word = 0
+            for i, r in enumerate(rows):
+                if u >> i & 1:
+                    word ^= r
+            expected.append(bin(word).count("1"))
+        assert output_weight_profile(G).tolist() == expected
+
+    def test_table_memory_is_bounded(self):
+        code = rm_generator(1, 14)
+        tracemalloc.start()
+        try:
+            w = enumerate_weights(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.nonzero() == [(0, 1), (code.n // 2, (1 << 15) - 2), (code.n, 1)]
+        # a 2^16-message table of 256 words would be 128 MB; 2^17 words are 1 MB
+        assert peak < 8 << 20
+
+
 class TestMinDistance:
     def test_examples(self):
         assert min_distance(enumerate_weights(code_from_rows("111"))) == 3
@@ -209,23 +249,11 @@ class TestWeightDistributionRoute:
         assert route == "macwilliams"
         assert via == direct
 
-    def test_external_route(self):
-        w = WeightDistribution(8, 4, enumerate_weights(rm_generator(1, 3)).counts)
-        code = LinearCode(rm_generator(1, 3).generator, "rm13", weights=w)
-        got, route = weight_distribution(code, cap=1)
-        assert route == "external"
-        assert got == w
-
     def test_both_directions_too_large(self):
         rng = np.random.default_rng(59)
         code = LinearCode(random_full_rank(rng, 6, 12))
         with pytest.raises(InfeasibleError, match="external"):
             weight_distribution(code, cap=5)
-
-    def test_mismatched_external_weights_rejected(self):
-        w = WeightDistribution(3, 1, (1, 0, 0, 1))
-        with pytest.raises(ValueError, match="distribution"):
-            LinearCode(rm_generator(1, 3).generator, weights=w)
 
 
 class TestWeightFiles:
