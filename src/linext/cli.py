@@ -43,10 +43,14 @@ def _read_text(path: str) -> str:
         return fp.read()
 
 
-def _load_code(args) -> codes.LinearCode:
-    """Resolve --code / --matrix into a LinearCode."""
+def _check_code_source(args) -> None:
     if bool(args.code) == bool(args.matrix):
         raise ValueError("specify exactly one code source: --code rm:<r>,<m> or --matrix FILE")
+
+
+def _load_code(args) -> codes.LinearCode:
+    """Resolve --code / --matrix into a LinearCode."""
+    _check_code_source(args)
     if args.code:
         return codes.rm_generator(*_parse_code_selector(args.code))
     return codes.LinearCode(parse_matrix(_read_text(args.matrix)), label=args.matrix)
@@ -64,11 +68,15 @@ def _load_weights(args, check=None):
     """(code, weights, route) for code-info, bounds-sweep and simulate.
 
     --weights wins over enumeration and must match the generator's [n,k].
-    It is parsed before the code is built; check(code) runs after the match
-    and before any enumeration. Without check, --weights alone gives code None.
+    It is parsed after the code source is checked and before the code is
+    built; check(code) runs after the match and before any enumeration.
+    Without check, --weights alone gives code None.
     """
+    external = check is None and not (args.code or args.matrix)
+    if not external:
+        _check_code_source(args)
     w = codes.parse_weights(_read_text(args.weights)) if args.weights else None
-    if check is None and not (args.code or args.matrix):
+    if external:
         if w is None:
             raise ValueError("specify a code via --code, --matrix or --weights")
         return None, w, "external"

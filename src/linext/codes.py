@@ -119,16 +119,20 @@ def codeword_weights(G: BitMatrix):
     order (so h is not monotone), each step XORing a single row across the
     whole table before the packed-word popcount. lo = min(k, 16) up to two
     words per codeword (n <= 128) and shrinks as the word count W grows, so
-    the one table holds at most 2^17 words whatever n and k are.
+    the one table holds at most 2^17 words whatever n and k are. The table
+    is word-major, (W, 2^lo), so that word i of every partial codeword is one
+    contiguous row: a step XORs each row with one scalar and adds W popcount
+    rows element-wise, where a (2^lo, W) table broadcasts over and reduces a
+    trailing axis of length W, several times slower per step from W = 2.
     """
     k, W = G.words.shape
     lo = min(k, _TABLE_BITS - max(0, (W - 1).bit_length() - 1))
-    table = subset_xor_table(G.words[:lo])
+    table = subset_xor_table(G.words[:lo].T[:, :, None])[:, :, 0]
     cur = np.zeros(W, dtype=G.words.dtype)
     for t in range(1 << (k - lo)):
         if t:
             cur = cur ^ G.words[lo + _trailing_zeros(t)]
-        yield t ^ (t >> 1), np.bitwise_count(table ^ cur).sum(axis=1, dtype=np.int64)
+        yield t ^ (t >> 1), np.bitwise_count(table ^ cur[:, None]).sum(axis=0, dtype=np.intp)
 
 
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:

@@ -242,10 +242,14 @@ def _stats_from_pmf(
     pmf: np.ndarray, k: int, biases: np.ndarray, samples=None
 ) -> ExactStats:
     pmf = np.asarray(pmf, np.float64)
-    uniform = 2.0**-k
-    delta = float(np.abs(pmf - uniform).sum())
+    d = pmf - 2.0**-k  # one full-size temporary at a time
+    delta = float(np.abs(d, out=d).sum())
+    del d
     nz = pmf[pmf > 0]
-    shannon = float(-(nz * np.log2(nz)).sum() / k) + 0.0  # +0.0 normalizes -0.0
+    plogp = np.log2(nz)
+    plogp *= nz
+    del nz
+    shannon = float(-plogp.sum() / k) + 0.0  # +0.0 normalizes -0.0
     max_prob = float(pmf.max())
     min_entropy = float(-math.log2(max_prob) / k) + 0.0
     pmf.setflags(write=False)
@@ -400,7 +404,11 @@ def _tally(G: BitMatrix, streams, histogram: bool):
             np.add.at(counts, words[:, 0].view(np.int64), 1)
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     biases = np.abs(2 * (byte_counts @ byte_bits).reshape(-1)[:k] - m) / m
-    return _stats_from_pmf(counts / m, k, biases, samples=m) if histogram else biases
+    if not histogram:
+        return biases
+    pmf = counts / m
+    del counts
+    return _stats_from_pmf(pmf, k, biases, samples=m)
 
 
 def multinomial_noise_floor(k: int, samples: int) -> float:

@@ -23,15 +23,20 @@ def all_messages(k: int) -> np.ndarray:
     return ((m[:, None] >> np.arange(k, dtype=np.int64)) & 1).astype(np.uint8)
 
 
+def naive_codeword_weights(dense: np.ndarray) -> np.ndarray:
+    """wt(uG) for every message u in 0 .. 2^k - 1, each codeword recomputed
+    from scratch as a dense product, 2^12 messages at a time. The float
+    product sums at most k ones per entry, so it is exact."""
+    messages, rows = all_messages(dense.shape[0]).astype(np.float64), dense.astype(np.float64)
+    return np.concatenate([
+        ((messages[i : i + 4096] @ rows).astype(np.int64) & 1).sum(axis=1)
+        for i in range(0, len(messages), 4096)
+    ])
+
+
 def naive_weight_counts(dense: np.ndarray) -> list:
     """Weight counts by recomputing every codeword from scratch."""
-    k, n = dense.shape
-    words = (all_messages(k).astype(np.int64) @ dense.astype(np.int64)) % 2
-    weights = words.sum(axis=1)
-    counts = [0] * (n + 1)
-    for w in weights:
-        counts[int(w)] += 1
-    return counts
+    return np.bincount(naive_codeword_weights(dense), minlength=dense.shape[1] + 1).tolist()
 
 
 def random_full_rank(rng: np.random.Generator, k: int, n: int) -> BitMatrix:

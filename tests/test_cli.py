@@ -93,6 +93,15 @@ class TestCodeInfo:
         assert code == 2
         assert "exactly one" in err
 
+    def test_two_sources_checked_before_weights(self, capsys, tmp_path):
+        # a weights header past the block-length cap would exit 3 if parsed
+        (tmp_path / "g.txt").write_text("1 2\n11\n")
+        (tmp_path / "w.txt").write_text("2000000000 3\n0 1\n")
+        code, out, err = run(capsys, "code-info", "--code", "rm:1,3", "--matrix",
+                             str(tmp_path / "g.txt"), "--weights", str(tmp_path / "w.txt"))
+        assert (code, out) == (2, "")
+        assert "exactly one" in err
+
     def test_bad_selector(self, capsys):
         code, _, err = run(capsys, "code-info", "--code", "golay:23")
         assert code == 2

@@ -7,6 +7,7 @@ import pytest
 from linext.codes import (
     LinearCode,
     WeightDistribution,
+    codeword_weights,
     dual_generator,
     enumerate_weights,
     macwilliams_transform,
@@ -20,7 +21,7 @@ from linext.errors import InfeasibleError
 from linext.gf2 import BitMatrix, serialize_matrix
 from linext.pipeline import output_weight_profile
 
-from _naive import naive_weight_counts, random_full_rank
+from _naive import naive_codeword_weights, naive_weight_counts, random_full_rank
 
 # brute-forced once and frozen; the [16,11] extended-Hamming distribution
 RM24_WEIGHTS = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
@@ -164,6 +165,46 @@ class TestWideWalk:
         assert w.nonzero() == [(0, 1), (code.n // 2, (1 << 15) - 2), (code.n, 1)]
         # a 2^16-message table of 256 words would be 128 MB; 2^17 words are 1 MB
         assert peak < 8 << 20
+
+
+class TestMultiwordGrayWalk:
+    """k past the table split on codewords of two to four words, so every
+    Gray step XORs a multi-word row into the word-major table: lo is 16 up
+    to two words (n <= 128) and 15 for three and four."""
+
+    @pytest.mark.parametrize(
+        "k, n", [(18, 100), (17, 150)] + [(17, n) for n in (127, 128, 129, 191, 192, 193)]
+    )
+    def test_walk_matches_naive(self, k, n):
+        G = random_full_rank(np.random.default_rng(n), k, n)
+        expected = naive_codeword_weights(G.to_dense())
+        lo = 16 if n <= 128 else 15
+        hs = []
+        for h, w in codeword_weights(G):
+            assert w.size == 1 << lo
+            assert np.array_equal(w, expected[h << lo : (h + 1) << lo])
+            hs.append(h)
+        assert sorted(hs) == list(range(1 << (k - lo)))
+        assert np.array_equal(output_weight_profile(G), expected)
+        assert list(enumerate_weights(LinearCode(G)).counts) == np.bincount(
+            expected, minlength=n + 1
+        ).tolist()
+
+    def test_macwilliams_through_two_word_dual(self):
+        # C = C1 + C2 + C3 (direct sum of three [24,17] codes) is [72,51]; its
+        # [72,21] dual is walked over two-word rows, while A(C) is the
+        # convolution of the components' brute-forced distributions
+        rng = np.random.default_rng(72)
+        blocks = [random_full_rank(rng, 17, 24).to_dense() for _ in range(3)]
+        dense = np.zeros((51, 72), np.uint8)
+        for i, b in enumerate(blocks):
+            dense[17 * i : 17 * (i + 1), 24 * i : 24 * (i + 1)] = b
+        direct = np.ones(1, np.int64)  # the total, 2^51, fits int64
+        for b in blocks:
+            direct = np.convolve(direct, naive_weight_counts(b))
+        via, route = weight_distribution(LinearCode(BitMatrix.from_dense(dense)))
+        assert route == "macwilliams"
+        assert list(via.counts) == direct.tolist()
 
 
 class TestMinDistance:

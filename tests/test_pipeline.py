@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -534,3 +535,17 @@ class TestSimulatedTally:
     def test_histogram_cap(self):
         with pytest.raises(InfeasibleError, match="marginal"):
             simulated_stats(rm_generator(3, 5).generator, BiasedSourceSpec(0.1), 10)
+
+    def test_histogram_peak_is_two_bucket_arrays(self):
+        # the int64 counts and the float64 pmf, then the pmf and one delta
+        # temporary: never more than two 2^k arrays (a sparse pmf's nz is small)
+        k = 20
+        G = random_full_rank(np.random.default_rng(k), k, k + 4)
+        tracemalloc.start()
+        try:
+            stats = simulated_stats(G, BiasedSourceSpec(0.2, seed=1), 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.samples == 4096
+        assert peak < 2.25 * (8 << k)
