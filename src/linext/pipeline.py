@@ -242,14 +242,14 @@ def _stats_from_pmf(
     pmf: np.ndarray, k: int, biases: np.ndarray, samples=None
 ) -> ExactStats:
     pmf = np.asarray(pmf, np.float64)
-    d = pmf - 2.0**-k  # one full-size temporary at a time
-    delta = float(np.abs(d, out=d).sum())
-    del d
-    nz = pmf[pmf > 0]
-    plogp = np.log2(nz)
-    plogp *= nz
-    del nz
-    shannon = float(-plogp.sum() / k) + 0.0  # +0.0 normalizes -0.0
+    t = pmf - 2.0**-k  # the one full-size temporary, reused for p·log2(p)
+    delta = float(np.abs(t, out=t).sum())
+    # 0·log2(0) = 0: a zero cell's log2 is taken at the smallest subnormal,
+    # which is finite, and then multiplied by 0; every other cell is unchanged
+    np.maximum(pmf, np.finfo(np.float64).smallest_subnormal, out=t)
+    np.log2(t, out=t)
+    t *= pmf
+    shannon = float(-t.sum() / k) + 0.0  # +0.0 normalizes -0.0
     max_prob = float(pmf.max())
     min_entropy = float(-math.log2(max_prob) / k) + 0.0
     pmf.setflags(write=False)
@@ -270,8 +270,9 @@ def output_weight_profile(G: BitMatrix, cap: int = EMPIRICAL_K_CAP) -> np.ndarra
     """w[u] = wt(uG) for every message u in 0 .. 2^k - 1 (bit i selects row i).
 
     The profile separates the geometry of G from the bias, so one pass over
-    the 2^k codewords serves every eps. Needs k <= cap and full rank; both
-    are checked before any work.
+    the 2^k codewords serves every eps. It is held in the smallest unsigned
+    dtype that holds n (uint8 up to n = 255). Needs k <= cap and full rank;
+    both are checked before any work.
     """
     k = G.rows
     if k > cap:
@@ -283,22 +284,38 @@ def output_weight_profile(G: BitMatrix, cap: int = EMPIRICAL_K_CAP) -> np.ndarra
         raise ValueError(
             f"exact oracle requires a full-rank matrix (rank {rank(G)} < {k} rows)"
         )
-    w = np.empty(1 << k, np.int32)
+    w = np.empty(1 << k, np.min_scalar_type(G.cols))
     for h, chunk in codeword_weights(G):
         w[h * chunk.size : (h + 1) * chunk.size] = chunk
     return w
 
 
 def _fwht(a: np.ndarray) -> None:
-    """In-place unnormalized Walsh-Hadamard transform of a length-2^k array."""
-    h = 1
-    while h < a.size:
-        v = a.reshape(-1, 2, h)
-        x, y = v[:, 0], v[:, 1]
-        s = x + y
-        np.subtract(x, y, out=y)
-        x[...] = s
-        h *= 2
+    """In-place unnormalized Walsh-Hadamard transform of a length-2^k array.
+
+    A butterfly level on index bit p pairs entries 2^p apart, so numpy runs
+    it as inner loops of 2^p elements; below about 2^12 the per-loop
+    overhead, not memory traffic, sets its cost (at k = 18 on a 2-core Xeon
+    VM: 4.6 ms a level at 2^p = 2 against 0.2 ms at 2^p >= 2^12). So no
+    level runs on a low bit. The transform is three passes over
+    c = k//3, (k+1)//3, (k+2)//3 bits: each pass runs the levels of the top
+    c index bits in place, then one transposing copy into a second 2^k
+    buffer rotates those bits to the bottom. The three rotations sum to k
+    bits and restore the index order, and the result is copied back into a.
+    """
+    k = a.size.bit_length() - 1
+    src, dst = a, np.empty_like(a)
+    for c in (k // 3, (k + 1) // 3, (k + 2) // 3):
+        for p in range(k - c, k):
+            v = src.reshape(-1, 2, 1 << p)
+            x, y = v[:, 0], v[:, 1]
+            x += y
+            y *= -2
+            y += x  # (x + y) - 2y = x - y
+        top = src.reshape(1 << c, 1 << (k - c))  # row = the top c bits
+        np.copyto(dst.reshape(1 << (k - c), 1 << c), top.T)
+        src, dst = dst, src
+    np.copyto(a, src)
 
 
 def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
@@ -309,16 +326,22 @@ def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
     2^-k · FWHT(chi) with chi[u] = eps^w[u], and coordinate i's bias is
     chi[e_i] = eps^wt(row i), read off before the transform.
 
-    Rounding, with r = 2^-53: the power lookup rounds each chi entry once,
-    and each butterfly level rounds each partial sum once, by at most r
-    times the sum of the chi entries beneath it. A cell is a ±1 combination
-    of one level's partial sums, whose supports partition all 2^k entries,
-    so every pmf cell is within (k+1)·r·2^-k·S of exact, where
-    S = sum(chi) = sum_l A_l eps^l is one plus the weight-distribution
-    bound. Hence delta is within (k+1)·r·S plus the rounding of its own sum
-    (about k·r·delta), and max_prob >= 2^-k within a relative (k+1)·r·S.
-    Where the weight bound is tight (S near 1) that is under 3e-15 for
-    k <= 24. Cells are clipped at 0, which only moves them toward exact.
+    Rounding, with r = 2^-53: the power lookup rounds each chi entry once.
+    At each butterfly level the sum x + y rounds once, by at most r·T with T
+    the sum of the chi entries beneath the pair; the difference is formed in
+    place as (x + y) - 2y, which carries that rounding and adds its own, so
+    at most 2r·T. A rotation copy rounds nothing, and later levels pass an
+    error on with coefficient ±1. After any set of levels each entry is a
+    ±1 sum over a subcube of those bits, and one level's subcubes partition
+    all 2^k entries, so the level on bit b adds at most r·S to cell f, or
+    2r·S where bit b of f is 1 (f descends from the difference there), with
+    S = sum(chi) = sum_l A_l eps^l one plus the weight-distribution bound.
+    Hence cell f is within (k+1+popcount(f))·r·2^-k·S <= (2k+1)·r·2^-k·S
+    of exact; delta, summed over cells of mean popcount k/2, is within
+    (3k/2+1)·r·S plus the rounding of its own sum (about k·r·delta); and
+    max_prob >= 2^-k is within a relative (2k+1)·r·S. Where the weight
+    bound is tight (S near 1) that is under 6e-15 for k <= 24. Cells are
+    clipped at 0, which only moves them toward exact.
     """
     k = profile.size.bit_length() - 1
     chi = (eps ** np.arange(int(profile.max()) + 1))[profile]

@@ -14,6 +14,7 @@ from linext.errors import InfeasibleError
 from linext.gf2 import BitMatrix, rank
 from linext.pipeline import (
     DRAW_BITS,
+    _fwht,
     BiasedSourceSpec,
     COORD_BIAS_ALPHA,
     BitStream,
@@ -31,7 +32,12 @@ from linext.pipeline import (
     von_neumann,
 )
 
-from _naive import exact_pmf_fractions, random_full_rank, von_neumann_reference
+from _naive import (
+    exact_pmf_fractions,
+    naive_codeword_weights,
+    random_full_rank,
+    von_neumann_reference,
+)
 
 
 @st.composite
@@ -376,6 +382,50 @@ class TestExactOracle:
             b = exact_output_pmf(G, eps)
             assert np.array_equal(a.pmf, b.pmf)
 
+    @pytest.mark.parametrize("k", range(15))
+    def test_fwht_is_sylvester_product(self, k):
+        # integer inputs |x| <= 2^20 keep every partial sum exact in float64,
+        # so the transform must equal H_{2^k} @ x bit for bit. H_{2^k} is
+        # kron(H_{2^a}, H_{2^b}) with a + b = k, applied as H_a X H_b^T with X
+        # the input as a 2^a x 2^b matrix (high index bits pick the row), so
+        # no 2^k x 2^k matrix is formed. k < 3 gives passes of zero bits.
+        def sylvester(m):
+            h = np.ones((1, 1), np.int64)
+            for _ in range(m):
+                h = np.kron(np.array([[1, 1], [1, -1]], np.int64), h)
+            return h
+
+        a, b = k - k // 2, k // 2
+        x = np.random.default_rng(k).integers(-(1 << 20), 1 << 20, 1 << k)
+        expect = sylvester(a) @ x.reshape(1 << a, 1 << b) @ sylvester(b).T
+        got = x.astype(np.float64)
+        _fwht(got)
+        assert np.array_equal(got, expect.ravel())
+
+    def test_profile_dtype_is_smallest_holding_n(self):
+        rng = np.random.default_rng(7)
+        for n, dtype in ((25, np.uint8), (255, np.uint8), (256, np.uint16)):
+            G = random_full_rank(rng, 6, n)
+            w = output_weight_profile(G)
+            assert w.dtype == dtype
+            assert np.array_equal(w, naive_codeword_weights(G.to_dense()))
+
+    def test_stats_from_profile_peak_is_two_pmf_arrays(self):
+        # the pmf and the transform's second buffer, then the pmf and one
+        # delta/plogp temporary: two 2^k arrays
+        k = 20
+        profile = output_weight_profile(
+            random_full_rank(np.random.default_rng(24), k, k + 4)
+        )
+        tracemalloc.start()
+        try:
+            stats = stats_from_profile(profile, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.pmf.size == 1 << k
+        assert peak < 2.25 * (8 << k)
+
     def test_chunked_accumulation_disjoint_rows(self):
         # disjoint row supports make the output coordinates independent, so
         # the pmf is analytic
@@ -538,7 +588,7 @@ class TestSimulatedTally:
 
     def test_histogram_peak_is_two_bucket_arrays(self):
         # the int64 counts and the float64 pmf, then the pmf and one delta
-        # temporary: never more than two 2^k arrays (a sparse pmf's nz is small)
+        # temporary: never more than two 2^k arrays
         k = 20
         G = random_full_rank(np.random.default_rng(k), k, k + 4)
         tracemalloc.start()
