@@ -8,6 +8,7 @@ entropies are base-2^k so everything lives in [0, 1].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, fields
 from typing import List, Sequence
 
@@ -129,7 +130,9 @@ CSV_HEADER = ",".join(f.name for f in fields(BoundRow))
 def sweep(
     w: WeightDistribution, eps_grid: Sequence[float], variant: str = "standard"
 ) -> List[BoundRow]:
-    """Evaluate every bound on a strictly increasing eps grid in [0, 1]."""
+    """Evaluate every bound on a strictly increasing eps grid in [0, 1].
+
+    The bounds take 2^k as a double, so k must be below 1024."""
     grid = [float(e) for e in eps_grid]
     if not grid:
         raise ValueError("eps grid is empty")
@@ -138,6 +141,11 @@ def sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly increasing")
     k = w.k
+    if k >= sys.float_info.max_exp:
+        raise InfeasibleError(
+            f"k={k}: the bounds take 2^k as a double, which overflows from "
+            f"k={sys.float_info.max_exp}"
+        )
     d = min_distance(w)
     rows = []
     for e in grid:

@@ -185,28 +185,26 @@ def _dual_label(code: LinearCode) -> str:
     return f"dual({code.label})" if code.label else "dual"
 
 
-def krawtchouk(n: int, j: int, l: int) -> int:
-    """Krawtchouk value K_j(l) = Σ_s (-1)^s C(l,s) C(n-l, j-s), exact."""
-    total = 0
-    for s in range(max(0, j - (n - l)), min(j, l) + 1):
-        term = math.comb(l, s) * math.comb(n - l, j - s)
-        total += -term if s & 1 else term
-    return total
-
-
 def macwilliams_transform(dual_weights: WeightDistribution) -> WeightDistribution:
     """Weight distribution of C from the exact distribution of its dual.
 
     A_j(C) = 2^-(n-k) Σ_l A_l(C⊥) K_j(l); every division must come out
-    exact, otherwise the input distribution was not a valid dual.
+    exact, otherwise the input distribution was not a valid dual. Each
+    column K_0(l), K_1(l), ... of Krawtchouk values comes from the
+    recurrence (j+1)·K_{j+1} = (n-2l)·K_j - (n-j+1)·K_{j-1}, whose
+    divisions are exact, so the transform costs O(n) big-integer steps per
+    nonzero A_l(C⊥).
     """
     n, k_dual = dual_weights.n, dual_weights.k
     denom = 1 << k_dual
+    totals = [0] * (n + 1)
+    for l, c in dual_weights.nonzero():
+        prev, cur = 0, 1  # K_{j-1}(l), K_j(l) at j = 0
+        for j in range(n + 1):
+            totals[j] += c * cur
+            prev, cur = cur, ((n - 2 * l) * cur - (n - j + 1) * prev) // (j + 1)
     counts = []
-    for j in range(n + 1):
-        total = sum(
-            c * krawtchouk(n, j, l) for l, c in enumerate(dual_weights.counts) if c
-        )
+    for j, total in enumerate(totals):
         q, rem = divmod(total, denom)
         if rem or q < 0:
             raise ValueError(

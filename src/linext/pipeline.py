@@ -266,18 +266,18 @@ def _stats_from_pmf(
     )
 
 
-def output_weight_profile(G: BitMatrix, cap: int = EMPIRICAL_K_CAP) -> np.ndarray:
+def output_weight_profile(G: BitMatrix) -> np.ndarray:
     """w[u] = wt(uG) for every message u in 0 .. 2^k - 1 (bit i selects row i).
 
     The profile separates the geometry of G from the bias, so one pass over
     the 2^k codewords serves every eps. It is held in the smallest unsigned
-    dtype that holds n (uint8 up to n = 255). Needs k <= cap and full rank;
-    both are checked before any work.
+    dtype that holds n (uint8 up to n = 255). Needs k <= EMPIRICAL_K_CAP and
+    full rank; both are checked before any work.
     """
     k = G.rows
-    if k > cap:
+    if k > EMPIRICAL_K_CAP:
         raise InfeasibleError(
-            f"exact oracle holds 2^k buckets; k={k} is over the cap {cap} - "
+            f"exact oracle holds 2^k buckets; k={k} is over the cap {EMPIRICAL_K_CAP} - "
             f"use Monte-Carlo simulation instead"
         )
     if rank(G) != k:
@@ -352,14 +352,12 @@ def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
     return _stats_from_pmf(chi, k, biases)
 
 
-def exact_output_pmf(
-    G: BitMatrix, eps: float, cap: int = EMPIRICAL_K_CAP
-) -> ExactStats:
+def exact_output_pmf(G: BitMatrix, eps: float) -> ExactStats:
     """Exact output distribution of y = G·x under the biased IID source.
 
-    Costs O(k·2^k) whatever n is; feasible for k <= cap only.
+    Costs O(k·2^k) whatever n is; feasible for k <= EMPIRICAL_K_CAP only.
     """
-    return stats_from_profile(output_weight_profile(G, cap), eps)
+    return stats_from_profile(output_weight_profile(G), eps)
 
 
 def check_histogram(k: int) -> None:

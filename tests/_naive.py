@@ -5,6 +5,7 @@ exhaustive enumeration, exact rationals) so the bit-packed production code
 is never checked against itself.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,25 @@ def exact_pmf_fractions(dense: np.ndarray, eps: Fraction) -> list:
             bucket |= y << i
         pmf[bucket] += p
     return pmf
+
+
+def krawtchouk(n: int, j: int, l: int) -> int:
+    """Krawtchouk value K_j(l) = Σ_s (-1)^s C(l,s) C(n-l, j-s), exact."""
+    total = 0
+    for s in range(max(0, j - (n - l)), min(j, l) + 1):
+        term = math.comb(l, s) * math.comb(n - l, j - s)
+        total += -term if s & 1 else term
+    return total
+
+
+def naive_macwilliams(dual) -> list:
+    """A_j(C) = 2^-(n-k) Σ_l A_l(C⊥) K_j(l) as exact rationals, every K_j(l)
+    a binomial sum; dual is the WeightDistribution of C⊥."""
+    terms = [(l, c) for l, c in enumerate(dual.counts) if c]
+    return [
+        Fraction(sum(c * krawtchouk(dual.n, j, l) for l, c in terms), 1 << dual.k)
+        for j in range(dual.n + 1)
+    ]
 
 
 def von_neumann_reference(bits) -> list:

@@ -13,7 +13,7 @@ import pytest
 import linext
 from linext.bounds import CSV_HEADER
 from linext.cli import build_parser, main
-from linext.codes import enumerate_weights, rm_generator, serialize_weights
+from linext.codes import enumerate_weights, rm_generator, serialize_weights, weight_distribution
 from linext.gf2 import BitMatrix, serialize_matrix
 from linext.pipeline import BiasedSourceSpec, BitStream, generate
 
@@ -339,12 +339,17 @@ class TestSimulate:
         assert "min_entropy=0" in out
 
     def test_marginal_only(self, capsys):
+        # k = 26 is over the 2^k-bucket cap: the per-coordinate report only
         code, out, _ = run(
-            capsys, "simulate", "--code", "rm:2,4", "--eps", "0.2",
-            "--blocks", "20000", "--seed", "3", "--marginal-only",
+            capsys, "simulate", "--code", "rm:3,5", "--eps", "0.2",
+            "--blocks", "20000", "--seed", "3",
         )
         assert code == 0
-        assert "coord_bias_max" in out and "PASS" in out
+        assert out.splitlines()[2:] == [
+            "coord_bias_max=0.0138",
+            "coord_tol=0.0329529953078 alpha=0.001",
+            "coord-bias <= eps^d + tol: PASS",
+        ]
 
     @pytest.mark.parametrize("blocks", ["0", "-3"])
     def test_nonpositive_blocks_is_usage_error(self, capsys, blocks):
@@ -357,16 +362,17 @@ class TestSimulate:
 
     def test_marginal_only_infeasible_weights_is_checked_or_exits_3(self, capsys, tmp_path):
         # an infeasible weight distribution means no bound to check: exit 3
-        argv = ["simulate", "--code", "rm:2,4", "--eps", "0.2", "--blocks", "20000",
-                "--seed", "3", "--cap", "2", "--marginal-only"]
+        argv = ["simulate", "--code", "rm:3,5", "--eps", "0.2", "--blocks", "20000",
+                "--seed", "3", "--cap", "2"]
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert "--weights FILE" in err
-        path = tmp_path / "rm24.txt"
-        path.write_text(serialize_weights(enumerate_weights(rm_generator(2, 4))))
+        path = tmp_path / "rm35.txt"
+        path.write_text(serialize_weights(weight_distribution(rm_generator(3, 5))[0]))
         code, out, _ = run(capsys, *argv, "--weights", str(path))
         assert code == 0
+        assert "coord_bias_max=0.0138" in out
         assert "coord-bias <= eps^d + tol: PASS" in out
 
     @pytest.mark.parametrize("seed, eps", [("5", "0.1"), ("3", "0.6"), ("4", "0.3")])
@@ -380,14 +386,20 @@ class TestSimulate:
         assert code == 0
         assert "tol=0.0101850337171 alpha=0.001 PASS" in out
 
-    def test_binning_infeasible_suggests_marginal_flag(self, capsys):
-        # k = 26 cannot be histogrammed; the error names the fallback flag
-        code, _, err = run(
-            capsys, "simulate", "--code", "rm:3,5", "--eps", "0.1",
-            "--blocks", "100", "--seed", "1",
+    def test_k_over_histogram_cap_gets_marginal_report(self, capsys):
+        # k = 120 cannot be histogrammed and its outputs span two words
+        code, out, _ = run(
+            capsys, "simulate", "--code", "rm:5,7", "--eps", "0.1",
+            "--blocks", "1000", "--seed", "1",
         )
-        assert code == 3
-        assert "--marginal-only" in err
+        assert code == 0
+        assert out == (
+            "simulate RM(5,7) [128,120] eps=0.1 seed=1\n"
+            "blocks=1000\n"
+            "coord_bias_max=0.102\n"
+            "coord_tol=0.157406443339 alpha=0.001\n"
+            "coord-bias <= eps^d + tol: PASS\n"
+        )
 
 
 class TestExitCodes:
@@ -418,7 +430,7 @@ class TestExitCodes:
         "argv",
         [
             ["code-info", "--code", "rm:3,6", "--cap", "20"],
-            ["simulate", "--code", "rm:3,5", "--eps", "0.1", "--blocks", "100"],
+            ["simulate", "--code", "rm:4,8", "--eps", "0.1", "--blocks", "100"],
             ["simulate", "--code", "rm:2,4", "--eps", "0.2", "--cap", "2"],
             ["bounds-sweep", "--code", "rm:3,6", "--cap", "20", "--eps", "0.1"],
             ["verify", "--code", "rm:3,5", "--eps", "0.1"],
@@ -429,6 +441,17 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["verify", "code-info", "bounds-sweep", "simulate"])
+    def test_trivial_code_is_usage_error(self, capsys, tmp_path, command):
+        # a 0 x 5 generator has no nonzero codeword, so no minimum distance
+        (tmp_path / "g.txt").write_text("0 5\n")
+        argv = [command, "--matrix", str(tmp_path / "g.txt")]
+        if command != "code-info":
+            argv += ["--eps", "0.2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "minimum distance is undefined for the trivial code" in err
 
     def test_eps_checked_before_weights(self, capsys):
         # the bad eps is a usage error even though the weights are infeasible
@@ -479,7 +502,7 @@ class TestCliSurface:
         "verify": ["--code", "--matrix", "--eps", "--eps-min", "--eps-max", "--steps",
                    "--tol"],
         "simulate": ["--code", "--matrix", "--weights", "--cap", "--eps", "--blocks",
-                     "--seed", "--marginal-only"],
+                     "--seed"],
     }
 
     def test_option_strings(self):
@@ -505,8 +528,9 @@ class TestCliSurface:
             ["verify", "--code", "rm:2,4", "--weights", "fake.txt", "--eps", "0.3"],
             ["verify", "--code", "rm:2,4", "--cap", "2", "--eps", "0.3"],
             ["extract", "--code", "rm:2,4", "--in", "x.bits", "--out", "y.bits", "--cap", "2"],
+            ["simulate", "--code", "rm:2,4", "--eps", "0.3", "--marginal-only"],
         ],
-        ids=["verify-weights", "verify-cap", "extract-cap"],
+        ids=["verify-weights", "verify-cap", "extract-cap", "simulate-marginal-only"],
     )
     def test_unread_flag_is_usage_error(self, capsys, tmp_path, argv):
         # a valid [16,11] distribution that is not RM(2,4)'s (A_8 = 2047)
@@ -522,6 +546,16 @@ class TestCliSurface:
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _run_limited(cwd, argv):
+    """The CLI in a child process under a 2 GiB address-space limit."""
+    src = str(pathlib.Path(linext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "linext.cli", *argv], cwd=cwd, env=env,
+        capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=120,
+    )
 
 
 class TestSizeGates:
@@ -548,23 +582,28 @@ class TestSizeGates:
     def test_rejected_before_allocation(self, tmp_path, argv, files, code):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        src = str(pathlib.Path(linext.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        res = subprocess.run(
-            [sys.executable, "-m", "linext.cli", *argv], cwd=tmp_path, env=env,
-            capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=120,
-        )
+        res = _run_limited(tmp_path, argv)
         assert (res.returncode, res.stdout) == (code, "")
         assert "Traceback" not in res.stderr and "error:" in res.stderr
 
+    @pytest.mark.parametrize("selector, code", [("rm:8,10", 0), ("rm:9,11", 3)])
+    def test_sweep_dimension_past_double_range(self, tmp_path, selector, code):
+        # the bounds take 2^k as a double: k = 1013 fits, k = 2036 overflows
+        res = _run_limited(tmp_path, ["bounds-sweep", "--code", selector, "--steps", "3",
+                                      "--out", "s.csv", "--svg", "s.svg"])
+        assert res.returncode == code
+        assert "Traceback" not in res.stderr
+        wrote = (tmp_path / "s.csv").exists(), (tmp_path / "s.svg").exists()
+        assert (bool(res.stdout), *wrote) == (code == 0,) * 3
 
-@pytest.mark.parametrize("mode", [[], ["--marginal-only"]], ids=["full", "marginal"])
-def test_simulate_memory_does_not_grow_with_blocks(capsys, mode):
+
+@pytest.mark.parametrize("selector", ["rm:2,4", "rm:3,5"], ids=["full", "marginal"])
+def test_simulate_memory_does_not_grow_with_blocks(capsys, selector):
     def peak(blocks):
         tracemalloc.start()
         try:
-            code = main(["simulate", "--code", "rm:2,4", "--eps", "0.2",
-                         "--blocks", str(blocks), *mode])
+            code = main(["simulate", "--code", selector, "--eps", "0.2",
+                         "--blocks", str(blocks)])
             return code, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -656,11 +695,11 @@ coord_bias <= eps^d + tol: stat=0.0111 bound=0.0016 tol=0.0316208755925 alpha=0.
 min_entropy >= lacharme - tol: stat=0.893480069174 bound=0.80940620521 tol=0.262145127443 PASS
 """
 
-GOLDEN_SIMULATE_RM24_MARGINAL = """\
-simulate RM(2,4) [16,11] eps=0.2 seed=7
+GOLDEN_SIMULATE_RM35 = """\
+simulate RM(3,5) [32,26] eps=0.2 seed=7
 blocks=20000
-coord_bias_max=0.0111
-coord_tol=0.0316208755925 alpha=0.001
+coord_bias_max=0.0131
+coord_tol=0.0329529953078 alpha=0.001
 coord-bias <= eps^d + tol: PASS
 """
 
@@ -700,8 +739,8 @@ class TestGoldenStdout:
               "--steps", "9"], GOLDEN_VERIFY_RM13),
             (["simulate", "--code", "rm:2,4", "--eps", "0.2", "--blocks", "20000",
               "--seed", "7"], GOLDEN_SIMULATE_RM24),
-            (["simulate", "--code", "rm:2,4", "--eps", "0.2", "--blocks", "20000",
-              "--seed", "7", "--marginal-only"], GOLDEN_SIMULATE_RM24_MARGINAL),
+            (["simulate", "--code", "rm:3,5", "--eps", "0.2", "--blocks", "20000",
+              "--seed", "7"], GOLDEN_SIMULATE_RM35),
             (["code-info", "--code", "rm:2,4"], GOLDEN_CODE_INFO_RM24),
             (["bounds-sweep", "--code", "rm:2,4", "--eps-min", "0.05", "--eps-max", "0.45",
               "--steps", "5"], GOLDEN_BOUNDS_SWEEP_RM24),

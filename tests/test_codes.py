@@ -21,7 +21,9 @@ from linext.errors import InfeasibleError
 from linext.gf2 import BitMatrix, serialize_matrix
 from linext.pipeline import output_weight_profile
 
-from _naive import naive_codeword_weights, naive_weight_counts, random_full_rank
+from _naive import (
+    naive_codeword_weights, naive_macwilliams, naive_weight_counts, random_full_rank,
+)
 
 # brute-forced once and frozen; the [16,11] extended-Hamming distribution
 RM24_WEIGHTS = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
@@ -268,6 +270,19 @@ class TestMacWilliams:
             n = int(rng.integers(k, 13))
             w = enumerate_weights(LinearCode(random_full_rank(rng, k, n)))
             assert macwilliams_transform(macwilliams_transform(w)) == w
+
+    def test_matches_binomial_sums_on_random_duals(self):
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            n = int(rng.integers(2, 81))
+            k = int(rng.integers(1, min(n, 12) + 1))
+            dual = enumerate_weights(LinearCode(random_full_rank(rng, k, n)))
+            assert list(macwilliams_transform(dual).counts) == naive_macwilliams(dual)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_binomial_sums_on_rm1_duals(self, m):
+        dual = enumerate_weights(rm_generator(1, m))
+        assert list(macwilliams_transform(dual).counts) == naive_macwilliams(dual)
 
     def test_non_dual_input_detected(self):
         # sums to 2^2 but is not linear (three weight-1 words, no closure)
