@@ -33,14 +33,7 @@ from .codes import (
     weight_distribution,
 )
 from .errors import InfeasibleError
-from .gf2 import (
-    BitMatrix,
-    SystematicForm,
-    parse_matrix,
-    rank,
-    serialize_matrix,
-    systematize,
-)
+from .gf2 import BitMatrix, parse_matrix, rank, serialize_matrix
 from .pipeline import (
     BiasedSourceSpec,
     BitStream,
@@ -49,7 +42,6 @@ from .pipeline import (
     exact_output_pmf,
     generate,
     linear_extract,
-    marginal_biases,
     multinomial_noise_floor,
     output_weight_profile,
     simulated_biases,

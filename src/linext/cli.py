@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 
@@ -110,7 +111,18 @@ def cmd_bounds_sweep(args) -> int:
         f"source: {args.code or args.matrix or args.weights} (weights via {route})",
         f"code: [{w.n},{w.k},{codes.min_distance(w)}]",
     ]
-    # both files are written before any stdout, so a bad path prints nothing
+    # both paths are opened, which creates but truncates nothing, before
+    # either file is written or anything printed: a bad path exits 2 and
+    # leaves no file this run created and no old file changed
+    paths = [p for p in (args.out, args.svg) if p]
+    new = [p for p in paths if not os.path.exists(p)]
+    try:
+        for p in paths:
+            open(p, "a").close()
+    except OSError:
+        for p in filter(os.path.exists, new):
+            os.remove(p)
+        raise
     if args.out:
         with open(args.out, "w", newline="") as fp:
             bounds.write_csv(rows, fp, comments)
@@ -128,6 +140,8 @@ def cmd_bounds_sweep(args) -> int:
 
 def cmd_extract(args) -> int:
     if args.baseline == "von-neumann":
+        if args.code or args.matrix:
+            raise ValueError("--baseline von-neumann takes no --code or --matrix")
         label, block, extract = "von-neumann", 2, pipeline.von_neumann
     else:
         code = _load_code(args)  # construction rejects rank-deficient G

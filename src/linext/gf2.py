@@ -8,8 +8,6 @@ construction and safe to share across threads; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InfeasibleError
@@ -37,12 +35,6 @@ def pack_bits(bits) -> np.ndarray:
             [packed, np.zeros(bits.shape[:-1] + (pad,), np.uint8)], axis=-1
         )
     return np.ascontiguousarray(packed).view(_U64)
-
-
-def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Inverse of pack_bits: a uint8 array of 0/1 values of width nbits."""
-    raw = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(raw, axis=-1, bitorder="little")[..., :nbits]
 
 
 def subset_xor_table(vectors: np.ndarray) -> np.ndarray:
@@ -127,7 +119,8 @@ class BitMatrix:
         return int(self.words[i, j // WORD_BITS] >> np.uint64(j % WORD_BITS)) & 1
 
     def to_dense(self) -> np.ndarray:
-        return unpack_bits(self.words, self.cols)
+        """A fresh rows x cols uint8 array of 0/1 values."""
+        return np.unpackbits(self.words.view(np.uint8), axis=1, count=self.cols, bitorder="little")
 
     def __eq__(self, other) -> bool:
         return (
@@ -142,16 +135,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
-
-
-@dataclass(frozen=True)
-class SystematicForm:
-    """Result of systematize: matrix is [I_k | A]; column j of matrix is
-    column column_permutation[j] of the input, so the permutation carries
-    the input code onto the code of matrix (weights preserved)."""
-
-    matrix: BitMatrix
-    column_permutation: tuple
 
 
 def row_reduce(dense: np.ndarray):
@@ -186,24 +169,6 @@ def rank(G: BitMatrix) -> int:
     if G.rows == 0:
         return 0
     return len(row_reduce(G.to_dense())[1])
-
-
-def systematize(G: BitMatrix) -> SystematicForm:
-    """Reduce a full-row-rank G to [I_k | A].
-
-    The column permutation lists the pivot columns of G's reduced row
-    echelon form in increasing order, then the remaining columns in
-    increasing order. Pivot columns are chosen greedily from the left, so
-    the permutation is the identity whenever the leading k columns of G
-    are independent.
-    """
-    if G.rows == 0:
-        raise ValueError("cannot systematize an empty matrix")
-    rref, pivots = row_reduce(G.to_dense())
-    if len(pivots) < G.rows:
-        raise ValueError(f"matrix is rank-deficient: rank {len(pivots)} < {G.rows} rows")
-    perm = pivots + sorted(set(range(G.cols)) - set(pivots))
-    return SystematicForm(BitMatrix.from_dense(rref[:, perm]), tuple(perm))
 
 
 def parse_matrix(text: str) -> BitMatrix:

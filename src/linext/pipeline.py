@@ -266,6 +266,13 @@ def _stats_from_pmf(
     )
 
 
+def check_buckets(k: int) -> None:
+    """Raise InfeasibleError when 2^k buckets, the exact oracle's or the
+    histogram's, are over the cap."""
+    if k > EMPIRICAL_K_CAP:
+        raise InfeasibleError(f"k={k} needs 2^{k} buckets, over the cap {EMPIRICAL_K_CAP}")
+
+
 def output_weight_profile(G: BitMatrix) -> np.ndarray:
     """w[u] = wt(uG) for every message u in 0 .. 2^k - 1 (bit i selects row i).
 
@@ -275,11 +282,7 @@ def output_weight_profile(G: BitMatrix) -> np.ndarray:
     full rank; both are checked before any work.
     """
     k = G.rows
-    if k > EMPIRICAL_K_CAP:
-        raise InfeasibleError(
-            f"exact oracle holds 2^k buckets; k={k} is over the cap {EMPIRICAL_K_CAP} - "
-            f"use Monte-Carlo simulation instead"
-        )
+    check_buckets(k)
     if rank(G) != k:
         raise ValueError(
             f"exact oracle requires a full-rank matrix (rank {rank(G)} < {k} rows)"
@@ -360,15 +363,6 @@ def exact_output_pmf(G: BitMatrix, eps: float) -> ExactStats:
     return stats_from_profile(output_weight_profile(G), eps)
 
 
-def check_histogram(k: int) -> None:
-    """Raise InfeasibleError when 2^k histogram bins are over the cap."""
-    if k > EMPIRICAL_K_CAP:
-        raise InfeasibleError(
-            f"k={k} needs 2^{k} histogram bins, over the cap {EMPIRICAL_K_CAP}; "
-            f"use per-coordinate marginal biases instead"
-        )
-
-
 def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     """Histogram estimate of the output distribution over k-bit words.
 
@@ -376,12 +370,12 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     word is coordinate i, matching the exact oracle's buckets). The sample
     count is reported so callers can form confidence radii.
     """
-    return _tally_words(stream, k, True)
-
-
-def marginal_biases(stream: BitStream, k: int) -> np.ndarray:
-    """Per-coordinate empirical biases |2·ones_i - m| / m without binning."""
-    return _tally_words(stream, k, False)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if len(stream) == 0 or len(stream) % k:
+        raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
+    check_buckets(k)  # before the k x k identity
+    return _tally(BitMatrix.identity(k), [stream], True)
 
 
 def simulated_stats(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> ExactStats:
@@ -392,17 +386,10 @@ def simulated_stats(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> ExactS
 
 
 def simulated_biases(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> np.ndarray:
-    """marginal_biases(linear_extract(G, generate(spec, blocks·n)), k), bit
-    for bit, in one pass over the source."""
+    """The coordinate biases |2·ones_i - m| / m of the m = blocks words G·x
+    of the source, in one pass over it and with no 2^k buckets, so at any k:
+    simulated_stats(G, spec, blocks).coord_biases wherever that fits."""
     return _tally(G, _source_chunks(spec, blocks, G.cols), False)
-
-
-def _tally_words(stream: BitStream, k: int, histogram: bool):
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if len(stream) == 0 or len(stream) % k:
-        raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
-    return _tally(BitMatrix.identity(k), [stream], histogram)
 
 
 def _tally(G: BitMatrix, streams, histogram: bool):
@@ -413,7 +400,7 @@ def _tally(G: BitMatrix, streams, histogram: bool):
     8c .. 8c + 7."""
     k, m = G.rows, 0
     if histogram:
-        check_histogram(k)
+        check_buckets(k)
         counts = np.zeros(1 << k, np.int64)
     byte_counts = np.zeros(((k + 7) // 8, 256), np.int64)
     for stream in streams:

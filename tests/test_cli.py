@@ -176,6 +176,25 @@ class TestBoundsSweep:
         )
         assert code == 2
         assert out == ""
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_bad_csv_path_prints_nothing(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "bounds-sweep", "--code", "rm:1,3", "--eps", "0.2",
+            "--out", str(tmp_path / "no" / "a.csv"), "--svg", str(tmp_path / "a.svg"),
+        )
+        assert code == 2
+        assert out == ""
+        assert not (tmp_path / "a.svg").exists()
+
+    def test_bad_path_leaves_old_file_unchanged(self, capsys, tmp_path):
+        (tmp_path / "a.csv").write_text("old\n")
+        code, _, _ = run(
+            capsys, "bounds-sweep", "--code", "rm:1,3", "--eps", "0.2",
+            "--out", str(tmp_path / "a.csv"), "--svg", str(tmp_path / "no" / "a.svg"),
+        )
+        assert code == 2
+        assert (tmp_path / "a.csv").read_text() == "old\n"
 
     def test_weights_only_source(self, capsys, tmp_path):
         wfile = tmp_path / "w.txt"
@@ -228,6 +247,19 @@ class TestExtract:
         # mean 250000, 4 sigma = 4*sqrt(500000)/2 ~ 1415
         assert abs(emitted - 250_000) <= 1415
 
+    @pytest.mark.parametrize("source", [["--code", "rm:2,4"], ["--matrix", "G.txt"]])
+    def test_von_neumann_takes_no_code(self, capsys, tmp_path, source):
+        src = tmp_path / "in.bits"
+        dst = tmp_path / "out.bits"
+        generate(BiasedSourceSpec(0.0, seed=5), 64).write(src)
+        code, out, err = run(
+            capsys, "extract", "--baseline", "von-neumann", *source,
+            "--in", str(src), "--out", str(dst),
+        )
+        assert (code, out) == (2, "")
+        assert "--baseline von-neumann takes no --code or --matrix" in err
+        assert not dst.exists()
+
     def test_rank_deficient_matrix(self, capsys, tmp_path):
         mfile = tmp_path / "bad.txt"
         mfile.write_text("2 2\n11\n11\n")
@@ -274,7 +306,7 @@ class TestVerify:
         # k = 26 is over the oracle's 2^k-bucket cap; rejected before output
         code, out, err = run(capsys, "verify", "--code", "rm:3,5", "--eps", "0.1")
         assert code == 3
-        assert "simulate" in err
+        assert err == "error: k=26 needs 2^26 buckets, over the cap 24; try `linext simulate`\n"
         assert out == ""
 
     def test_n32_feasible_when_k_fits(self, capsys):

@@ -10,11 +10,10 @@ from linext.gf2 import (
     rank,
     serialize_matrix,
     subset_xor_table,
-    systematize,
 )
 from linext.pipeline import BitStream, linear_extract
 
-from _naive import naive_matvec, naive_weight_counts, random_full_rank
+from _naive import naive_matvec
 
 
 def bm(*rows):
@@ -139,64 +138,6 @@ class TestRank:
 
     def test_empty(self):
         assert rank(BitMatrix.zeros(0, 4)) == 0
-
-
-class TestSystematize:
-    def test_already_systematic(self):
-        G = bm("1001", "0111")
-        form = systematize(G)
-        assert form.matrix == G
-        assert form.column_permutation == (0, 1, 2, 3)
-
-    def test_row_swap_suffices(self):
-        form = systematize(bm("011", "101"))
-        assert form.matrix == bm("101", "011")
-        assert form.column_permutation == (0, 1, 2)
-
-    def test_rank_deficient_reports_rank(self):
-        with pytest.raises(ValueError, match="rank 1"):
-            systematize(bm("11", "11"))
-
-    def test_column_swap_when_needed(self):
-        form = systematize(bm("001", "010"))
-        dense = form.matrix.to_dense()
-        assert np.array_equal(dense[:, :2], np.eye(2, dtype=np.uint8))
-        assert sorted(form.column_permutation) == [0, 1, 2]
-        assert form.column_permutation != (0, 1, 2)
-
-    def _codeword_set(self, dense):
-        k = dense.shape[0]
-        words = set()
-        for m in range(1 << k):
-            acc = np.zeros(dense.shape[1], np.uint8)
-            for i in range(k):
-                if (m >> i) & 1:
-                    acc ^= dense[i]
-            words.add(acc.tobytes())
-        return words
-
-    def test_permutation_maps_code_onto_result(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            k = int(rng.integers(1, 7))
-            n = int(rng.integers(k, 12))
-            G = random_full_rank(rng, k, n)
-            form = systematize(G)
-            permuted = G.to_dense()[:, list(form.column_permutation)]
-            assert self._codeword_set(permuted) == self._codeword_set(
-                form.matrix.to_dense()
-            )
-
-    def test_preserves_weight_distribution(self):
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            k = int(rng.integers(1, 11))
-            n = int(rng.integers(k, 17))
-            G = random_full_rank(rng, k, n)
-            form = systematize(G)
-            assert naive_weight_counts(G.to_dense()) == naive_weight_counts(
-                form.matrix.to_dense()
-            )
 
 
 class TestMatrixText:

@@ -23,7 +23,6 @@ from linext.pipeline import (
     exact_output_pmf,
     generate,
     linear_extract,
-    marginal_biases,
     multinomial_noise_floor,
     output_weight_profile,
     simulated_biases,
@@ -367,7 +366,7 @@ class TestExactOracle:
     def test_input_cap(self):
         # k = 26 is over the 2^k-bucket cap, whatever n is
         G = rm_generator(3, 5).generator
-        with pytest.raises(InfeasibleError, match="Monte-Carlo"):
+        with pytest.raises(InfeasibleError, match=r"k=26 needs 2\^26 buckets"):
             exact_output_pmf(G, 0.1)
 
     def test_rank_deficient_rejected(self):
@@ -490,8 +489,11 @@ class TestEmpirical:
     def test_validation(self):
         with pytest.raises(ValueError, match="multiple"):
             empirical_stats(BitStream([1, 0, 1]), 2)
-        with pytest.raises(InfeasibleError, match="marginal"):
+        with pytest.raises(InfeasibleError, match=r"k=25 needs 2\^25 buckets"):
             empirical_stats(BitStream([0] * 50), 25)
+        # gated before the 10^10-byte identity matrix
+        with pytest.raises(InfeasibleError, match=r"k=100000 needs"):
+            empirical_stats(BitStream.from_bytes(bytes(12_500)), 100_000)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_pmf_is_histogram_of_words(self, k):
@@ -502,12 +504,6 @@ class TestEmpirical:
         stats = empirical_stats(BitStream(bits.reshape(-1)), k)
         assert np.array_equal(stats.pmf, np.bincount(words, minlength=1 << k) / m)
 
-    def test_marginal_biases(self):
-        s = generate(BiasedSourceSpec(0.4, seed=4), 400_000)
-        biases = marginal_biases(s, 4)
-        assert biases.shape == (4,)
-        assert np.all(np.abs(biases - 0.4) < 0.01)
-
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_coord_biases_are_exact(self, seed):
         # |2·ones_i - m| / m from integer column counts, one rounding only
@@ -517,7 +513,6 @@ class TestEmpirical:
         ones = out.bits.reshape(m, 11).sum(axis=0, dtype=np.int64)
         expect = [abs(2 * int(c) - m) / m for c in ones]
         assert empirical_stats(out, 11).coord_biases.tolist() == expect
-        assert marginal_biases(out, 11).tolist() == expect
 
     def test_coord_bias_tolerance_is_union_bounded_hoeffding(self):
         tol = coord_bias_tolerance(16, 200_000)
@@ -578,12 +573,11 @@ class TestSimulatedTally:
         spec = BiasedSourceSpec(0.1, seed=k)
         out = linear_extract(G, generate(spec, blocks * n))
         got = simulated_biases(G, spec, blocks)
-        assert got.tolist() == marginal_biases(out, k).tolist()
         ones = out.bits.reshape(blocks, k).sum(axis=0, dtype=np.int64)
         assert got.tolist() == [abs(2 * int(c) - blocks) / blocks for c in ones]
 
     def test_histogram_cap(self):
-        with pytest.raises(InfeasibleError, match="marginal"):
+        with pytest.raises(InfeasibleError, match=r"k=26 needs 2\^26 buckets"):
             simulated_stats(rm_generator(3, 5).generator, BiasedSourceSpec(0.1), 10)
 
     def test_histogram_peak_is_two_bucket_arrays(self):
@@ -599,3 +593,27 @@ class TestSimulatedTally:
             tracemalloc.stop()
         assert stats.samples == 4096
         assert peak < 2.25 * (8 << k)
+
+
+def test_one_bucket_gate_for_oracle_and_histograms():
+    # the exact oracle, a stream's histogram and simulate's tally share one
+    # 2^k-bucket gate: the same message, raised before any 2^k allocation
+    k = 25
+    G = BitMatrix.identity(k)
+    calls = [
+        lambda: exact_output_pmf(G, 0.2),
+        lambda: empirical_stats(BitStream([0] * 2 * k), k),
+        lambda: simulated_stats(G, BiasedSourceSpec(0.2), 10),
+    ]
+    messages = []
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(InfeasibleError) as exc:
+                call()
+            messages.append(str(exc.value))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert messages == ["k=25 needs 2^25 buckets, over the cap 24"] * 3
+    assert peak < 1 << 20
