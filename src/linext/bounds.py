@@ -142,10 +142,8 @@ def sweep(
         raise ValueError("eps grid must be strictly increasing")
     k = w.k
     if k >= sys.float_info.max_exp:
-        raise InfeasibleError(
-            f"k={k}: the bounds take 2^k as a double, which overflows from "
-            f"k={sys.float_info.max_exp}"
-        )
+        raise InfeasibleError(f"k={k}: the bounds take 2^k as a double, which overflows "
+                              f"from k={sys.float_info.max_exp}")
     d = min_distance(w)
     rows = []
     for e in grid:
@@ -153,21 +151,19 @@ def sweep(
         tworst = tvd_worst_bound(k, d, e)
         ew = entropy_lower_bound(tw, k, variant)
         eworst = entropy_lower_bound(tworst, k, variant)
-        rows.append(
-            BoundRow(
-                eps=e,
-                bias_bound=bias_bound(e, d),
-                pointwise_bound=pointwise_bound(e, d, k),
-                tvd_weight=tw,
-                tvd_worst=tworst,
-                hmin_bound=clamp01(hmin_bound(k, d, e)),
-                entropy_weight_raw=ew,
-                entropy_weight=clamp01(ew),
-                entropy_worst_raw=eworst,
-                entropy_worst=clamp01(eworst),
-                h_variant=variant,
-            )
-        )
+        rows.append(BoundRow(
+            eps=e,
+            bias_bound=bias_bound(e, d),
+            pointwise_bound=pointwise_bound(e, d, k),
+            tvd_weight=tw,
+            tvd_worst=tworst,
+            hmin_bound=clamp01(hmin_bound(k, d, e)),
+            entropy_weight_raw=ew,
+            entropy_weight=clamp01(ew),
+            entropy_worst_raw=eworst,
+            entropy_worst=clamp01(eworst),
+            h_variant=variant,
+        ))
     return rows
 
 

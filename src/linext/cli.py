@@ -147,17 +147,14 @@ def cmd_extract(args) -> int:
         code = _load_code(args)  # construction rejects rank-deficient G
         label, block = code.label, code.n
         extract = functools.partial(pipeline.linear_extract, code.generator)
-    stream = pipeline.BitStream.read(args.infile)
     t0 = time.perf_counter()
-    out = extract(stream)
-    elapsed = time.perf_counter() - t0
-    blocks = len(stream) // block
-    out.write(args.out)
+    bits_in, bits_out = pipeline.extract_file(extract, block, args.infile, args.out)
+    elapsed = time.perf_counter() - t0  # read, extract and write together
     print(f"extractor: {label}")
-    print(f"blocks: {blocks}")
-    print(f"bits_in: {len(stream)}")
-    print(f"bits_out: {len(out)}")
-    rate = len(stream) / elapsed if elapsed > 0 else float("inf")
+    print(f"blocks: {bits_in // block}")
+    print(f"bits_in: {bits_in}")
+    print(f"bits_out: {bits_out}")
+    rate = bits_in / elapsed if elapsed > 0 else float("inf")
     print(f"throughput_mbit_s: {rate / 1e6:.1f}", file=sys.stderr)
     return EXIT_OK
 

@@ -15,7 +15,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .gf2 import BLOCK_LENGTH_CAP, BitMatrix, check_size, rank, row_reduce, subset_xor_table
+from .gf2 import (BLOCK_LENGTH_CAP, BitMatrix, check_size, parse_header, rank, row_reduce,
+                  subset_xor_table)
 
 ENUMERATION_CAP = 28
 _TABLE_BITS = 16
@@ -31,18 +32,14 @@ class WeightDistribution:
 
     def __post_init__(self):
         if len(self.counts) != self.n + 1:
-            raise ValueError(
-                f"need {self.n + 1} counts for block length {self.n}, "
-                f"got {len(self.counts)}"
-            )
+            raise ValueError(f"need {self.n + 1} counts for block length {self.n}, "
+                             f"got {len(self.counts)}")
         if any(c < 0 for c in self.counts):
             raise ValueError("negative weight count")
         if self.counts[0] != 1:
             raise ValueError(f"A_0 must be 1, got {self.counts[0]}")
         if sum(self.counts) != 1 << self.k:
-            raise ValueError(
-                f"counts sum to {sum(self.counts)}, expected 2^{self.k}"
-            )
+            raise ValueError(f"counts sum to {sum(self.counts)}, expected 2^{self.k}")
 
     def nonzero(self):
         """(weight, count) pairs with count > 0, ascending weight."""
@@ -58,10 +55,8 @@ class LinearCode:
 
     def __post_init__(self):
         if rank(self.generator) != self.generator.rows:
-            raise ValueError(
-                f"generator matrix is rank-deficient: rank "
-                f"{rank(self.generator)} < {self.generator.rows} rows"
-            )
+            raise ValueError(f"generator matrix is rank-deficient: rank "
+                             f"{rank(self.generator)} < {self.generator.rows} rows")
 
     @property
     def n(self) -> int:
@@ -86,15 +81,12 @@ def rm_generator(r: int, m: int) -> LinearCode:
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     if m >= BLOCK_LENGTH_CAP.bit_length():  # checked before 2^m is formed
-        raise InfeasibleError(
-            f"RM({r},{m}) has block length 2^{m}, over the cap {BLOCK_LENGTH_CAP}"
-        )
+        raise InfeasibleError(f"RM({r},{m}) has block length 2^{m}, "
+                              f"over the cap {BLOCK_LENGTH_CAP}")
     n = 1 << m
     check_size(n, sum(math.comb(m, deg) for deg in range(r + 1)))
     points = np.arange(n, dtype=np.uint32)
-    var = ((points[None, :] >> np.arange(m, dtype=np.uint32)[:, None]) & 1).astype(
-        np.uint8
-    )
+    var = ((points[None, :] >> np.arange(m, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
     rows = []
     for deg in range(r + 1):
         for subset in combinations(range(m), deg):
@@ -104,10 +96,6 @@ def rm_generator(r: int, m: int) -> LinearCode:
             rows.append(row)
     dense = np.array(rows, np.uint8)
     return LinearCode(BitMatrix.from_dense(dense), label=f"RM({r},{m})")
-
-
-def _trailing_zeros(t: int) -> int:
-    return (t & -t).bit_length() - 1
 
 
 def codeword_weights(G: BitMatrix):
@@ -131,7 +119,7 @@ def codeword_weights(G: BitMatrix):
     cur = np.zeros(W, dtype=G.words.dtype)
     for t in range(1 << (k - lo)):
         if t:
-            cur = cur ^ G.words[lo + _trailing_zeros(t)]
+            cur = cur ^ G.words[lo + (t & -t).bit_length() - 1]  # t's lowest set bit
         yield t ^ (t >> 1), np.bitwise_count(table ^ cur[:, None]).sum(axis=0, dtype=np.intp)
 
 
@@ -143,11 +131,9 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     G = code.generator
     k, n = G.rows, G.cols
     if k > cap:
-        raise InfeasibleError(
-            f"dimension {k} too large to enumerate (cap {cap}); use the "
-            f"MacWilliams route via the dual or supply an external "
-            f"weight distribution"
-        )
+        raise InfeasibleError(f"dimension {k} too large to enumerate (cap {cap}); use the "
+                              f"MacWilliams route via the dual or supply an external "
+                              f"weight distribution")
     counts = np.zeros(n + 1, np.int64)
     for _, w in codeword_weights(G):
         counts += np.bincount(w, minlength=n + 1)
@@ -166,23 +152,15 @@ def min_distance(w: WeightDistribution) -> int:
 
 def dual_generator(code: LinearCode) -> LinearCode:
     """Generator H of the dual code: (n-k) x n, full rank, G·Hᵀ = 0."""
-    G = code.generator
-    k, n = G.rows, G.cols
-    rref, pivots = row_reduce(G.to_dense())
-    if len(pivots) < k:
-        raise ValueError(
-            f"generator matrix is rank-deficient: rank {len(pivots)} < {k} rows"
-        )
+    n = code.n
+    rref, pivots = row_reduce(code.generator.to_dense())  # full rank, as LinearCode checks
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     h = np.zeros((len(free), n), np.uint8)
     h[:, free] = np.eye(len(free), dtype=np.uint8)
     h[:, pivots] = rref[:, free].T
-    return LinearCode(BitMatrix.from_dense(h), label=_dual_label(code))
-
-
-def _dual_label(code: LinearCode) -> str:
-    return f"dual({code.label})" if code.label else "dual"
+    label = f"dual({code.label})" if code.label else "dual"
+    return LinearCode(BitMatrix.from_dense(h), label=label)
 
 
 def macwilliams_transform(dual_weights: WeightDistribution) -> WeightDistribution:
@@ -207,10 +185,8 @@ def macwilliams_transform(dual_weights: WeightDistribution) -> WeightDistributio
     for j, total in enumerate(totals):
         q, rem = divmod(total, denom)
         if rem or q < 0:
-            raise ValueError(
-                f"MacWilliams transform gave a non-exact count at weight {j}; "
-                f"the input is not the weight distribution of a dual code"
-            )
+            raise ValueError(f"MacWilliams transform gave a non-exact count at weight {j}; "
+                             f"the input is not the weight distribution of a dual code")
         counts.append(q)
     return WeightDistribution(n, n - k_dual, tuple(counts))
 
@@ -237,18 +213,7 @@ def weight_distribution(
 
 def parse_weights(text: str) -> WeightDistribution:
     """Parse the weight file format: header "n k", then "l A_l" lines."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ValueError("line 1: missing header 'n k'")
-    head = lines[0].split()
-    try:
-        if len(head) != 2:
-            raise ValueError
-        n, k = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"line 1: expected header 'n k', got {lines[0]!r}") from None
+    lines, n, k = parse_header(text, "n k")
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"line 1: invalid parameters n={n}, k={k}")
     check_size(n)

@@ -29,12 +29,8 @@ def pack_bits(bits) -> np.ndarray:
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     nwords = _word_count(bits.shape[-1])
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = nwords * 8 - packed.shape[-1]
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros(bits.shape[:-1] + (pad,), np.uint8)], axis=-1
-        )
-    return np.ascontiguousarray(packed).view(_U64)
+    pad = [(0, 0)] * (bits.ndim - 1) + [(0, nwords * 8 - packed.shape[-1])]
+    return np.pad(packed, pad).view(_U64)
 
 
 def subset_xor_table(vectors: np.ndarray) -> np.ndarray:
@@ -75,10 +71,7 @@ class BitMatrix:
             raise ValueError(f"need 0 <= rows <= cols, got {rows}x{cols}")
         words = np.array(words, dtype=_U64, copy=True)
         if words.shape != (rows, _word_count(cols)):
-            raise ValueError(
-                f"word array shape {words.shape} does not match "
-                f"{rows}x{cols} matrix"
-            )
+            raise ValueError(f"word array shape {words.shape} does not match {rows}x{cols} matrix")
         tail = cols % WORD_BITS
         if tail and rows:
             words[:, -1] &= np.uint64((1 << tail) - 1)
@@ -154,8 +147,7 @@ def row_reduce(dense: np.ndarray):
         if hit.size == 0:
             continue
         p = r + int(hit[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
+        a[[r, p]] = a[[p, r]]
         sel = a[:, c].astype(bool)
         sel[r] = False
         a[sel] ^= a[r]
@@ -171,22 +163,24 @@ def rank(G: BitMatrix) -> int:
     return len(row_reduce(G.to_dense())[1])
 
 
-def parse_matrix(text: str) -> BitMatrix:
-    """Parse the text format: header "rows cols", then one 0/1 line per row."""
+def parse_header(text: str, names: str):
+    """The lines of text, trailing blank ones dropped, and the two integers
+    of its first line, the header, which errors call names ("rows cols")."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
-        raise ValueError("line 1: missing header 'rows cols'")
-    head = lines[0].split()
+        raise ValueError(f"line 1: missing header '{names}'")
     try:
-        if len(head) != 2:
-            raise ValueError
-        k, n = int(head[0]), int(head[1])
+        a, b = map(int, lines[0].split())
     except ValueError:
-        raise ValueError(
-            f"line 1: expected header 'rows cols', got {lines[0]!r}"
-        ) from None
+        raise ValueError(f"line 1: expected header '{names}', got {lines[0]!r}") from None
+    return lines, a, b
+
+
+def parse_matrix(text: str) -> BitMatrix:
+    """Parse the text format: header "rows cols", then one 0/1 line per row."""
+    lines, k, n = parse_header(text, "rows cols")
     if k < 0 or n < 1 or k > n:
         raise ValueError(f"line 1: invalid dimensions {k}x{n}")
     check_size(n, k)

@@ -10,6 +10,7 @@ is not a multiple of 8.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -73,7 +74,7 @@ class BitStream:
         raw = np.frombuffer(data, np.uint8).copy()
         if nbits is None:
             nbits = raw.size * 8
-        elif not raw.size * 8 - 8 < nbits <= raw.size * 8:
+        elif not max(0, raw.size * 8 - 7) <= nbits <= raw.size * 8:
             raise ValueError(f"bit length {nbits} inconsistent with {raw.size} bytes")
         if nbits % 8:
             raw[-1] &= 0xFF << (8 - nbits % 8) & 0xFF
@@ -89,23 +90,37 @@ class BitStream:
         """Write packed bytes; a sidecar <path>.len records ragged lengths."""
         with open(path, "wb") as fp:
             fp.write(self.data)
-        sidecar = str(path) + ".len"
-        if len(self) % 8:
-            with open(sidecar, "w") as fp:
-                fp.write(f"{len(self)}\n")
-        elif os.path.exists(sidecar):
-            os.remove(sidecar)
+        _write_length(path, len(self))
 
     @classmethod
     def read(cls, path) -> "BitStream":
         with open(path, "rb") as fp:
-            data = fp.read()
-        sidecar = str(path) + ".len"
-        nbits = None
-        if os.path.exists(sidecar):
-            with open(sidecar) as fp:
-                nbits = int(fp.read().strip())
-        return cls.from_bytes(data, nbits)
+            return cls.from_bytes(fp.read(), _read_length(path))
+
+
+def _read_length(path) -> Optional[int]:
+    """The bit length in the stream file's <path>.len sidecar, checked
+    against the file's size, or None when there is no sidecar."""
+    sidecar = str(path) + ".len"
+    if not os.path.exists(sidecar):
+        return None
+    with open(sidecar) as fp:
+        nbits = int(fp.read())
+    size = os.path.getsize(path)
+    if not max(0, 8 * size - 7) <= nbits <= 8 * size:
+        raise ValueError(f"{sidecar}: bit length {nbits} does not fit {size} bytes")
+    return nbits
+
+
+def _write_length(path, nbits: int) -> None:
+    sidecar = str(path) + ".len"
+    if not os.path.isfile(path):  # a device or a pipe, such as /dev/null, has none
+        return
+    if nbits % 8:
+        with open(sidecar, "w") as fp:
+            fp.write(f"{nbits}\n")
+    elif os.path.exists(sidecar):
+        os.remove(sidecar)
 
 
 @dataclass(frozen=True)
@@ -122,10 +137,6 @@ class BiasedSourceSpec:
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
-
-    @property
-    def rho0(self) -> float:
-        return 0.5 + self.eps / 2.0
 
     @property
     def rho1(self) -> float:
@@ -145,12 +156,17 @@ def generate(spec: BiasedSourceSpec, nbits: int) -> BitStream:
     return BitStream.from_bytes(data, nbits)
 
 
+def _chunk_blocks(n: int) -> int:
+    """Blocks of n bits per chunk of a stream: a multiple of 8 (at least 8) of
+    about DRAW_BITS bits, so each chunk but the last holds whole bytes."""
+    return max(8, DRAW_BITS // (8 * n) * 8)
+
+
 def _source_chunks(spec: BiasedSourceSpec, blocks: int, n: int = 1):
-    """generate(spec, blocks·n) as consecutive streams of whole n-bit blocks:
-    a multiple of 8 blocks (at least 8) of about DRAW_BITS bits each, and
-    the rest. PCG64 doubles concatenate across draws, so the chunks join to
-    the stream of one draw."""
-    step = max(8, DRAW_BITS // (8 * n) * 8)
+    """generate(spec, blocks·n) as consecutive streams of _chunk_blocks(n)
+    whole n-bit blocks, and the rest. PCG64 doubles concatenate across
+    draws, so the chunks join to the stream of one draw."""
+    step = _chunk_blocks(n)
     rng = np.random.default_rng(spec.seed)
     for start in range(0, blocks, step):
         bits = rng.random(min(step, blocks - start) * n) < spec.rho1
@@ -200,22 +216,65 @@ def linear_extract(G: BitMatrix, stream: BitStream) -> BitStream:
 def von_neumann(stream: BitStream) -> BitStream:
     """Pairwise debiasing: 01 -> 0, 10 -> 1, 00/11 -> nothing.
 
-    The input is unpacked DRAW_BITS bits at a time and the output packed as
-    it comes, each chunk carrying its last (fewer than 8) bits to the next.
+    A stream longer than one chunk of _chunk_blocks(2) pairs goes through
+    _extract_chunks a chunk at a time. A chunk is gathered byte by byte from
+    _PAIR_CODES, so the unequal pairs are the codes below 2 and each code is
+    its output bit; np.compress keeps them without a boolean-mask index.
     """
-    end, step = len(stream) // 2 * 2, DRAW_BITS // 8
-    parts, carry = [], np.zeros(0, np.uint8)
-    for start in range(0, stream.data.size, step):
-        chunk = stream.data[start : start + step]
-        pairs = np.unpackbits(chunk, count=min(8 * chunk.size, end - 8 * start))
-        first, second = pairs[0::2], pairs[1::2]
-        out = np.concatenate([carry, first[first != second]])
-        whole = out.size // 8 * 8
-        parts.append(np.packbits(out[:whole]).tobytes())
-        carry = out[whole:]
-    nbytes = sum(map(len, parts))
-    parts.append(np.packbits(carry).tobytes())
-    return BitStream.from_bytes(b"".join(parts), 8 * nbytes + carry.size)
+    if len(stream) > 2 * _chunk_blocks(2):
+        out = io.BytesIO()
+        _, nbits = _extract_chunks(von_neumann, 2, io.BytesIO(stream.data), out, len(stream))
+        return BitStream.from_bytes(out.getbuffer(), nbits)
+    codes = _PAIR_CODES[stream.data].view(np.uint8)[: len(stream) // 2]
+    firsts = np.compress(codes < 2, codes)
+    return BitStream.from_bytes(np.packbits(firsts), firsts.size)
+
+
+# the four bit pairs of each byte value, MSB-first, as 2·first + second - 1
+# in uint8 arithmetic: 01 -> 0, 10 -> 1, 11 -> 2, 00 -> 255
+_PAIR_CODES = ((np.arange(256, dtype=np.uint8)[:, None] >> np.arange(6, -1, -2, dtype=np.uint8)) % 4
+               - np.uint8(1)).view(np.uint32).ravel()
+
+
+def _extract_chunks(extract, n: int, src, dst, nbits: Optional[int]):
+    """Read a stream x as packed bytes from src, _chunk_blocks(n) blocks at
+    a time, and write extract(x) to dst as packed bytes as it comes; returns
+    (bits in, bits out). extract maps whole n-bit blocks to their output
+    block by block, so the chunks' outputs join to the whole stream's.
+    nbits, when given, is the length of x; without it every byte read holds
+    8 bits. Each output is shifted right by the c < 8 bits carried from the
+    ones before, which fill the top of its first byte.
+    """
+    size, limit = _chunk_blocks(n) * n // 8, math.inf if nbits is None else nbits
+    nin = nout = carry = 0
+    while data := src.read(size):
+        bits = min(8 * len(data), limit - nin)
+        out = extract(BitStream.from_bytes(data, bits))
+        nin, c, d = nin + bits, nout % 8, out.data
+        if c:
+            d = np.append(d, np.uint8(0))
+            d[1:] = d[1:] >> c | d[:-1] << (8 - c)
+            d[0] = d[0] >> c | carry
+        t = c + len(out)  # bits from the carry on
+        dst.write(d[: t // 8])
+        carry, nout = d[t // 8] if t % 8 else 0, nout + len(out)
+    if nout % 8:
+        dst.write(bytes([carry]))
+    return nin, nout
+
+
+def extract_file(extract, n: int, src, dst):
+    """_extract_chunks from the stream file src to the stream file dst, so
+    memory holds one chunk whatever the file size; returns (bits in, bits
+    out). src's .len sidecar is checked, and dst must not be src, before
+    dst is opened."""
+    nbits = _read_length(src)
+    if os.path.exists(dst) and os.path.samefile(src, dst):
+        raise ValueError(f"{dst} is the input file, which writing would truncate")
+    with open(src, "rb") as fin, open(dst, "wb") as fout:
+        counts = _extract_chunks(extract, n, fin, fout, nbits)
+    _write_length(dst, counts[1])
+    return counts
 
 
 @dataclass(frozen=True)
@@ -238,9 +297,7 @@ class ExactStats:
     samples: Optional[int] = None
 
 
-def _stats_from_pmf(
-    pmf: np.ndarray, k: int, biases: np.ndarray, samples=None
-) -> ExactStats:
+def _stats_from_pmf(pmf: np.ndarray, k: int, biases: np.ndarray, samples=None) -> ExactStats:
     pmf = np.asarray(pmf, np.float64)
     t = pmf - 2.0**-k  # the one full-size temporary, reused for p·log2(p)
     delta = float(np.abs(t, out=t).sum())
@@ -254,16 +311,9 @@ def _stats_from_pmf(
     min_entropy = float(-math.log2(max_prob) / k) + 0.0
     pmf.setflags(write=False)
     biases.setflags(write=False)
-    return ExactStats(
-        pmf=pmf,
-        delta=delta,
-        tvd=delta / 2.0,
-        shannon=shannon,
-        min_entropy=min_entropy,
-        coord_biases=biases,
-        max_prob=max_prob,
-        samples=samples,
-    )
+    return ExactStats(pmf=pmf, delta=delta, tvd=delta / 2.0, shannon=shannon,
+                      min_entropy=min_entropy, coord_biases=biases, max_prob=max_prob,
+                      samples=samples)
 
 
 def check_buckets(k: int) -> None:
@@ -284,9 +334,7 @@ def output_weight_profile(G: BitMatrix) -> np.ndarray:
     k = G.rows
     check_buckets(k)
     if rank(G) != k:
-        raise ValueError(
-            f"exact oracle requires a full-rank matrix (rank {rank(G)} < {k} rows)"
-        )
+        raise ValueError(f"exact oracle requires a full-rank matrix (rank {rank(G)} < {k} rows)")
     w = np.empty(1 << k, np.min_scalar_type(G.cols))
     for h, chunk in codeword_weights(G):
         w[h * chunk.size : (h + 1) * chunk.size] = chunk

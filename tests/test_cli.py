@@ -5,17 +5,21 @@ import resource
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import linext
+from linext import pipeline
 from linext.bounds import CSV_HEADER
 from linext.cli import build_parser, main
 from linext.codes import enumerate_weights, rm_generator, serialize_weights, weight_distribution
 from linext.gf2 import BitMatrix, serialize_matrix
-from linext.pipeline import BiasedSourceSpec, BitStream, generate
+from linext.pipeline import BiasedSourceSpec, BitStream, generate, linear_extract, von_neumann
 
 from _naive import random_full_rank
 
@@ -271,6 +275,95 @@ class TestExtract:
         )
         assert code == 2
         assert "rank" in err
+
+    def test_same_file_is_usage_error(self, capsys, tmp_path):
+        # streaming would truncate the input before reading it
+        src = tmp_path / "in.bits"
+        generate(BiasedSourceSpec(0.2, seed=6), 1003).write(src)
+        os.link(src, tmp_path / "link.bits")
+        before = src.read_bytes(), (tmp_path / "in.bits.len").read_text()
+        for out in (src, tmp_path / "." / "in.bits", tmp_path / "link.bits"):
+            code, stdout, err = run(capsys, "extract", "--code", "rm:1,3",
+                                    "--in", str(src), "--out", str(out))
+            assert (code, stdout) == (2, "")
+            assert "is the input file" in err
+        assert (src.read_bytes(), (tmp_path / "in.bits.len").read_text()) == before
+
+    def test_out_dev_null(self, capsys, tmp_path):
+        src = tmp_path / "in.bits"
+        src.write_bytes(bytes([0b01100110]) * 128)  # 1024 bits, 512 unequal pairs
+        for argv in (["--code", "rm:1,3"], ["--baseline", "von-neumann"]):
+            code, out, _ = run(capsys, "extract", *argv, "--in", str(src), "--out", os.devnull)
+            assert code == 0 and "bits_out: 512" in out.splitlines()
+
+    def test_pipe_output_gets_no_sidecar(self, capsys, tmp_path):
+        src, fifo = tmp_path / "in.bits", tmp_path / "out.fifo"
+        generate(BiasedSourceSpec(0.2, seed=7), 1024).write(src)  # 250 bits out
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, "extract", "--baseline", "von-neumann",
+                           "--in", str(src), "--out", str(fifo))
+        reader.join(timeout=60)
+        assert code == 0 and "bits_out: 250" in out.splitlines()
+        assert not reader.is_alive() and len(got[0]) == 32
+        assert not (tmp_path / "out.fifo.len").exists()
+
+    @pytest.mark.parametrize(
+        "data, sidecar",
+        [(b"\xff\x80", "abc"), (b"", "-5"), (b"\xff\x80", "17"), (b"\xff\x80", "8")],
+        ids=["garbage", "negative", "too-long", "too-short"],
+    )
+    def test_bad_sidecar_leaves_output_alone(self, capsys, tmp_path, data, sidecar):
+        src, dst = tmp_path / "in.bits", tmp_path / "out.bits"
+        src.write_bytes(data)
+        (tmp_path / "in.bits.len").write_text(sidecar + "\n")
+        argv = ["extract", "--code", "rm:1,3", "--in", str(src), "--out", str(dst)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "error:" in err
+        assert not dst.exists() and not (tmp_path / "out.bits.len").exists()
+        dst.write_bytes(b"old")
+        (tmp_path / "out.bits.len").write_text("23\n")
+        assert run(capsys, *argv)[:2] == (2, "")
+        assert dst.read_bytes() == b"old"
+        assert (tmp_path / "out.bits.len").read_text() == "23\n"
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["linear", "von-neumann"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_file_to_file_matches_in_memory(self, capsys, tmp_path, baseline, data):
+        # 64-bit draws make chunks of max(8, 64 // (8n) · 8) blocks, so a few
+        # hundred bits cross several chunk boundaries
+        if baseline:
+            n, argv, extract = 2, ["--baseline", "von-neumann"], von_neumann
+        else:
+            n = data.draw(st.integers(1, 150), label="n")
+            k = data.draw(st.integers(1, min(n, 12)), label="k")
+            G = random_full_rank(np.random.default_rng(data.draw(st.integers(0, 2**32))), k, n)
+            (tmp_path / "G.txt").write_text(serialize_matrix(G))
+            argv = ["--matrix", str(tmp_path / "G.txt")]
+            extract = lambda s: linear_extract(G, s)  # noqa: E731
+        chunk = max(8, 64 // (8 * n) * 8) * n
+        nbits = max(0, data.draw(st.integers(0, 4)) * chunk + data.draw(st.integers(-n - 8, n + 8)))
+        src, dst = tmp_path / "in.bits", tmp_path / "out.bits"
+        src.write_bytes(data.draw(st.binary(min_size=(nbits + 7) // 8, max_size=(nbits + 7) // 8)))
+        sidecar = tmp_path / "in.bits.len"
+        sidecar.unlink(missing_ok=True)
+        if nbits % 8:  # the padding bits past nbits are drawn too, so mostly dirty
+            sidecar.write_text(f"{nbits}\n")
+        want = extract(BitStream.read(src))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "DRAW_BITS", 64)
+            code, out, _ = run(capsys, "extract", *argv, "--in", str(src), "--out", str(dst))
+        assert code == 0
+        assert f"bits_in: {nbits}" in out.splitlines()
+        assert f"bits_out: {len(want)}" in out.splitlines()
+        assert dst.read_bytes() == want.to_bytes()
+        out_len = tmp_path / "out.bits.len"
+        assert (out_len.read_text() if out_len.exists() else None) == (
+            f"{len(want)}\n" if len(want) % 8 else None)
 
 
 class TestVerify:
@@ -646,6 +739,29 @@ def test_simulate_memory_does_not_grow_with_blocks(capsys, selector):
     # a second full chunk drawn while the first one's words are alive adds
     # about 1 MB; a materialized 4·10^6-block stream would add about 100 MB
     assert large - small < 4 << 20
+
+
+def test_extract_memory_does_not_grow_with_input(capsys, tmp_path):
+    rng = np.random.default_rng(9)
+    for nbits in (1 << 23, 1 << 25):
+        rng.integers(0, 256, nbits // 8, np.uint8).tofile(tmp_path / f"{nbits}.bits")
+
+    def peak(argv, nbits):
+        tracemalloc.start()
+        try:
+            code = main(["extract", *argv, "--in", str(tmp_path / f"{nbits}.bits"),
+                         "--out", str(tmp_path / "out.bits")])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    for argv in (["--code", "rm:1,7"], ["--baseline", "von-neumann"]):
+        (code_small, small), (code_large, large) = peak(argv, 1 << 23), peak(argv, 1 << 25)
+        assert code_small == code_large == 0
+        # one chunk is held whatever the file size; holding the whole 4 MB
+        # input, as a read of the file at once does, adds at least 3 MB
+        assert large - small < 2 << 20
 
 
 # Stdout pinned byte for byte; any change to these reports is a contract change.

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from linext import pipeline
 from linext.codes import rm_generator
 from linext.errors import InfeasibleError
 from linext.gf2 import BitMatrix, rank
@@ -264,6 +265,18 @@ class TestVonNeumann:
         pairs = s.bits[: nbits // 2 * 2]
         first, second = pairs[0::2], pairs[1::2]
         assert von_neumann(s) == BitStream(first[first != second])
+
+    @pytest.mark.parametrize("tail", range(16))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_at_every_length_mod_16(self, tail, data):
+        bits = data.draw(st.integers(0, 40).flatmap(
+            lambda j: arrays(np.uint8, 16 * j + tail, elements=st.integers(0, 1))))
+        want = von_neumann_reference(bits)
+        assert von_neumann(BitStream(bits)).bits.tolist() == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "DRAW_BITS", 64)  # 64-bit chunks: the carry path runs
+            assert von_neumann(BitStream(bits)).bits.tolist() == want
 
     def test_exactly_unbiased_for_any_p(self):
         # exhaustive 2-bit block analysis in exact rationals
