@@ -54,9 +54,8 @@ class LinearCode:
     label: str = ""
 
     def __post_init__(self):
-        if rank(self.generator) != self.generator.rows:
-            raise ValueError(f"generator matrix is rank-deficient: rank "
-                             f"{rank(self.generator)} < {self.generator.rows} rows")
+        if (r := rank(self.generator)) != self.k:
+            raise ValueError(f"generator matrix is rank-deficient: rank {r} < {self.k} rows")
 
     @property
     def n(self) -> int:
@@ -102,31 +101,41 @@ def codeword_weights(G: BitMatrix):
     """Yield (h, weights) for every codeword uG, 2^lo messages at a time.
 
     weights[j] is the Hamming weight of uG for message u = h·2^lo + j, where
-    bit i of u selects generator row i. The low rows are expanded once into
-    a table of partial codewords; the high rows are walked in Gray-code
-    order (so h is not monotone), each step XORing a single row across the
-    whole table before the packed-word popcount. lo = min(k, 16) up to two
-    words per codeword (n <= 128) and shrinks as the word count W grows, so
-    the one table holds at most 2^17 words whatever n and k are. The table
-    is word-major, (W, 2^lo), so that word i of every partial codeword is one
+    bit i of u selects generator row i, in min_scalar_type(n): padding bits
+    are zero, so no weight passes n. The low rows are expanded once into a
+    table of partial codewords; the high rows are walked in Gray-code order
+    (so h is not monotone), each step XORing a single row across the whole
+    table before the packed-word popcount. lo = min(k, 16) up to two words
+    per codeword (n <= 128) and shrinks as the word count W grows, so the one
+    table holds at most 2^17 words whatever n and k are. The table is
+    word-major, (W, 2^lo), so word i of every partial codeword is one
     contiguous row: a step XORs each row with one scalar and adds W popcount
-    rows element-wise, where a (2^lo, W) table broadcasts over and reduces a
-    trailing axis of length W, several times slower per step from W = 2.
+    rows, where a (2^lo, W) table reduces a trailing axis of length W,
+    several times slower per step from W = 2.
     """
     k, W = G.words.shape
+    dt = np.min_scalar_type(G.cols)
     lo = min(k, _TABLE_BITS - max(0, (W - 1).bit_length() - 1))
     table = subset_xor_table(G.words[:lo].T[:, :, None])[:, :, 0]
     cur = np.zeros(W, dtype=G.words.dtype)
     for t in range(1 << (k - lo)):
         if t:
             cur = cur ^ G.words[lo + (t & -t).bit_length() - 1]  # t's lowest set bit
-        yield t ^ (t >> 1), np.bitwise_count(table ^ cur[:, None]).sum(axis=0, dtype=np.intp)
+        yield t ^ (t >> 1), np.bitwise_count(table ^ cur[:, None]).sum(axis=0, dtype=dt)
 
 
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
     """Exact weight distribution by visiting all 2^k codewords.
 
-    Histograms the weights of the codeword_weights walk.
+    Histograms the codeword_weights walk. For n <= 255 and k >= 1 a chunk
+    holds an even number of one-byte weights, so its uint16 view keys two
+    adjacent codewords, a + 256·b, in one bincount; the joint counts J[b, a]
+    fold once into A = J.sum(axis=1) + J[:, :n+1].sum(axis=0), the sum of
+    both marginals, so byte order does not matter. Otherwise (n > 255, or
+    k = 0: one codeword) the weights are counted one by one. On [40,28]
+    (2 cores) XOR and popcount took 0.35 s, widening weights to intp 0.28 s
+    and their bincount 0.44 s; one-byte pairs drop the widening and halve
+    the keys.
     """
     G = code.generator
     k, n = G.rows, G.cols
@@ -134,9 +143,13 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
         raise InfeasibleError(f"dimension {k} too large to enumerate (cap {cap}); use the "
                               f"MacWilliams route via the dual or supply an external "
                               f"weight distribution")
-    counts = np.zeros(n + 1, np.int64)
+    pair = k > 0 and n < 256
+    counts = np.zeros(256 * (n + 1) if pair else n + 1, np.int64)
     for _, w in codeword_weights(G):
-        counts += np.bincount(w, minlength=n + 1)
+        counts += np.bincount(w.view(np.uint16) if pair else w, minlength=counts.size)
+    if pair:
+        J = counts.reshape(n + 1, 256)
+        counts = J.sum(axis=1) + J[:, : n + 1].sum(axis=0)
     return WeightDistribution(n, k, tuple(int(c) for c in counts))
 
 
@@ -152,15 +165,12 @@ def min_distance(w: WeightDistribution) -> int:
 
 def dual_generator(code: LinearCode) -> LinearCode:
     """Generator H of the dual code: (n-k) x n, full rank, G·Hᵀ = 0."""
-    n = code.n
     rref, pivots = row_reduce(code.generator.to_dense())  # full rank, as LinearCode checks
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    h = np.zeros((len(free), n), np.uint8)
+    free = sorted(set(range(code.n)) - set(pivots))
+    h = np.zeros((len(free), code.n), np.uint8)
     h[:, free] = np.eye(len(free), dtype=np.uint8)
     h[:, pivots] = rref[:, free].T
-    label = f"dual({code.label})" if code.label else "dual"
-    return LinearCode(BitMatrix.from_dense(h), label=label)
+    return LinearCode(BitMatrix.from_dense(h), f"dual({code.label})" if code.label else "dual")
 
 
 def macwilliams_transform(dual_weights: WeightDistribution) -> WeightDistribution:

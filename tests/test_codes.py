@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from linext.codes import (
     LinearCode,
@@ -18,7 +21,7 @@ from linext.codes import (
     weight_distribution,
 )
 from linext.errors import InfeasibleError
-from linext.gf2 import BitMatrix, serialize_matrix
+from linext.gf2 import BitMatrix, rank, serialize_matrix
 from linext.pipeline import output_weight_profile
 
 from _naive import (
@@ -112,6 +115,14 @@ class TestEnumerateWeights:
         assert (w.n, w.k) == (4, 0)
         assert w.nonzero() == [(0, 1)]
 
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 40, 255, 256, 300])
+    def test_one_and_two_codeword_chunks(self, k, n):
+        # k = 0 walks one codeword (the plain bincount); k = 1 walks a chunk
+        # of two, one uint16 pair key up to n = 255
+        G = random_full_rank(np.random.default_rng(n), k, n)
+        assert list(enumerate_weights(LinearCode(G)).counts) == naive_weight_counts(G.to_dense())
+
     def test_matches_naive_recomputation(self):
         # table+Gray path vs per-codeword recomputation, k past the table split
         rng = np.random.default_rng(23)
@@ -129,6 +140,20 @@ class TestEnumerateWeights:
             G = random_full_rank(rng, 8, n)
             got = enumerate_weights(LinearCode(G))
             assert list(got.counts) == naive_weight_counts(G.to_dense())
+
+    def test_pair_histogram_memory_is_bounded(self):
+        # one-word [40,20]: the 2^16-word table, one XOR of it and one-byte
+        # weights, 1.2 MB; intp weight chunks, one held across each step,
+        # peak at 1.63 MB
+        code = LinearCode(random_full_rank(np.random.default_rng(40), 20, 40))
+        tracemalloc.start()
+        try:
+            w = enumerate_weights(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(w.counts) == 1 << 20
+        assert peak < 1.5 * (1 << 20)
 
 
 class TestWideWalk:
@@ -172,10 +197,13 @@ class TestWideWalk:
 class TestMultiwordGrayWalk:
     """k past the table split on codewords of two to four words, so every
     Gray step XORs a multi-word row into the word-major table: lo is 16 up
-    to two words (n <= 128) and 15 for three and four."""
+    to two words (n <= 128) and 15 for three and four. n = 255 is the
+    widest code whose weights enumerate_weights counts in uint16 pairs;
+    n = 256 takes the plain bincount of uint16 weights."""
 
     @pytest.mark.parametrize(
-        "k, n", [(18, 100), (17, 150)] + [(17, n) for n in (127, 128, 129, 191, 192, 193)]
+        "k, n",
+        [(18, 100), (17, 150)] + [(17, n) for n in (127, 128, 129, 191, 192, 193, 255, 256)],
     )
     def test_walk_matches_naive(self, k, n):
         G = random_full_rank(np.random.default_rng(n), k, n)
@@ -183,7 +211,7 @@ class TestMultiwordGrayWalk:
         lo = 16 if n <= 128 else 15
         hs = []
         for h, w in codeword_weights(G):
-            assert w.size == 1 << lo
+            assert w.size == 1 << lo and w.dtype == np.min_scalar_type(n)
             assert np.array_equal(w, expected[h << lo : (h + 1) << lo])
             hs.append(h)
         assert sorted(hs) == list(range(1 << (k - lo)))
@@ -284,6 +312,19 @@ class TestMacWilliams:
         dual = enumerate_weights(rm_generator(1, m))
         assert list(macwilliams_transform(dual).counts) == naive_macwilliams(dual)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dual_transform_matches_direct_enumeration(self, data):
+        # 1 <= k < n <= 24, so both codes have k >= 1 and n <= 255: both
+        # sides run the uint16 pair histogram
+        n = data.draw(st.integers(2, 24))
+        k = data.draw(st.integers(1, n - 1))
+        G = BitMatrix.from_dense(data.draw(arrays(np.uint8, (k, n), elements=st.integers(0, 1))))
+        assume(rank(G) == k)
+        code = LinearCode(G)
+        via_dual = macwilliams_transform(enumerate_weights(dual_generator(code)))
+        assert via_dual == enumerate_weights(code)
+
     def test_non_dual_input_detected(self):
         # sums to 2^2 but is not linear (three weight-1 words, no closure)
         fake = WeightDistribution(4, 2, (1, 3, 0, 0, 0))
@@ -316,6 +357,22 @@ class TestWeightFiles:
     def test_roundtrip(self):
         w = enumerate_weights(rm_generator(2, 4))
         assert parse_weights(serialize_weights(w)) == w
+
+    @given(data=st.data())
+    def test_roundtrip_drawn(self, data):
+        # any valid distribution: A_0 = 1 and 2^k - 1 more words spread over
+        # the weights 1..n in a drawn order
+        n = data.draw(st.integers(1, 80))
+        k = data.draw(st.integers(0, n))
+        counts, rest = [1] + [0] * n, (1 << k) - 1
+        for l in data.draw(st.permutations(range(1, n + 1))):
+            counts[l] = data.draw(st.integers(0, rest))
+            rest -= counts[l]
+        counts[l] += rest
+        w = WeightDistribution(n, k, tuple(counts))
+        text = serialize_weights(w)
+        assert parse_weights(text) == w
+        assert serialize_weights(parse_weights(text)) == text
 
     def test_format_example(self):
         assert serialize_weights(

@@ -141,6 +141,19 @@ class TestRank:
 
 
 class TestMatrixText:
+    @given(data=st.data())
+    def test_roundtrip_drawn(self, data):
+        # k = 0 through k = n, n past one and two words
+        n = data.draw(st.integers(1, 150))
+        dense = data.draw(arrays(np.uint8, (data.draw(st.integers(0, n)), n),
+                                 elements=st.integers(0, 1)))
+        G = BitMatrix.from_dense(dense)
+        assert np.array_equal(G.to_dense(), dense)
+        assert BitMatrix.from_dense(G.to_dense()) == G
+        text = serialize_matrix(G)
+        assert parse_matrix(text) == G
+        assert serialize_matrix(parse_matrix(text)) == text
+
     def test_parse_single_row(self):
         assert parse_matrix("1 2\n11\n") == bm("11")
 
