@@ -76,10 +76,7 @@ def entropy_lower_bound(delta: float, k: int, variant: str = "standard") -> floa
     x = d / 2.0
     scale = 1.0 / (k * math.log(2.0))  # ln -> log base 2^k
     first = _xlog(x, 2.0**k - 1.0) * scale
-    if variant == "standard":
-        h = -(_xlog(x, x) + _xlog(1.0 - x, 1.0 - x)) * scale
-    else:
-        h = -(_xlog(x, d) + _xlog(1.0 - x, 1.0 - x)) * scale
+    h = -(_xlog(x, x if variant == "standard" else d) + _xlog(1.0 - x, 1.0 - x)) * scale
     return 1.0 - first - h
 
 

@@ -30,13 +30,11 @@ _fmt = bounds.format_real
 def _parse_code_selector(text: str):
     if not text.startswith("rm:"):
         raise ValueError(f"unknown code selector {text!r}; expected rm:<r>,<m>")
-    body = text[3:].split(",")
     try:
-        if len(body) != 2:
-            raise ValueError
-        return int(body[0]), int(body[1])
+        r, m = map(int, text[3:].split(","))
     except ValueError:
         raise ValueError(f"bad Reed-Muller selector {text!r}; expected rm:<r>,<m>") from None
+    return r, m
 
 
 def _read_text(path: str) -> str:
@@ -256,11 +254,8 @@ def _svg_chart(rows, title: str) -> str:
         py = top + (1.0 - y) * ph
         return f"{px:.2f},{py:.2f}"
 
-    curves = (
-        ("entropy_weight", "#1f77b4", [(r.eps, r.entropy_weight) for r in rows]),
-        ("entropy_worst", "#d62728", [(r.eps, r.entropy_worst) for r in rows]),
-        ("hmin_bound", "#2ca02c", [(r.eps, r.hmin_bound) for r in rows]),
-    )
+    curves = zip(("entropy_weight", "entropy_worst", "hmin_bound"),
+                 ("#1f77b4", "#d62728", "#2ca02c"))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -289,8 +284,8 @@ def _svg_chart(rows, title: str) -> str:
         f'<text x="{left + pw / 2:.0f}" y="{height - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">input bias eps</text>'
     )
-    for idx, (name, color, pts) in enumerate(curves):
-        poly = " ".join(xy(e, y) for e, y in pts)
+    for idx, (name, color) in enumerate(curves):
+        poly = " ".join(xy(r.eps, getattr(r, name)) for r in rows)
         parts.append(f'<polyline points="{poly}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = top + 16 + 16 * idx
         parts.append(
@@ -378,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--blocks", type=_at_least(1), default=100000,
         help="number of n-bit blocks (default %(default)s)",
     )
-    p.add_argument("--seed", type=int, default=0, help="source seed (default %(default)s)")
+    p.add_argument(
+        "--seed", type=_at_least(0), default=0, help="source seed (default %(default)s)"
+    )
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -105,23 +105,25 @@ def codeword_weights(G: BitMatrix):
     are zero, so no weight passes n. The low rows are expanded once into a
     table of partial codewords; the high rows are walked in Gray-code order
     (so h is not monotone), each step XORing a single row across the whole
-    table before the packed-word popcount. lo = min(k, 16) up to two words
-    per codeword (n <= 128) and shrinks as the word count W grows, so the one
-    table holds at most 2^17 words whatever n and k are. The table is
-    word-major, (W, 2^lo), so word i of every partial codeword is one
-    contiguous row: a step XORs each row with one scalar and adds W popcount
-    rows, where a (2^lo, W) table reduces a trailing axis of length W,
-    several times slower per step from W = 2.
+    table before the popcount. lo = min(k, 16) up to two words per codeword
+    (n <= 128) and shrinks as the word count W grows, so the one table holds
+    at most 2^20 bytes whatever n and k are. The table is byte-major,
+    (ceil(n/8), 2^lo) uint8, so byte c of every partial codeword is one
+    contiguous row: a step XORs each row with one scalar into a reused
+    buffer, popcounts it in place and sums the rows. np.bitwise_count is SIMD
+    on uint8, scalar on uint64 (numpy 2.4: 38 us for 2^19 bytes, 48 for 2^16 words).
     """
     k, W = G.words.shape
     dt = np.min_scalar_type(G.cols)
     lo = min(k, _TABLE_BITS - max(0, (W - 1).bit_length() - 1))
-    table = subset_xor_table(G.words[:lo].T[:, :, None])[:, :, 0]
-    cur = np.zeros(W, dtype=G.words.dtype)
+    rows = G.words.view(np.uint8).reshape(k, 8 * W)[:, : (G.cols + 7) // 8]
+    table = subset_xor_table(rows[:lo].T[:, :, None])[:, :, 0]
+    buf, cur = np.empty_like(table), np.zeros(rows.shape[1], np.uint8)
     for t in range(1 << (k - lo)):
         if t:
-            cur = cur ^ G.words[lo + (t & -t).bit_length() - 1]  # t's lowest set bit
-        yield t ^ (t >> 1), np.bitwise_count(table ^ cur[:, None]).sum(axis=0, dtype=dt)
+            cur ^= rows[lo + (t & -t).bit_length() - 1]  # t's lowest set bit
+        np.bitwise_xor(table, cur[:, None], out=buf)
+        yield t ^ (t >> 1), np.bitwise_count(buf, out=buf).sum(axis=0, dtype=dt)
 
 
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:

@@ -138,8 +138,7 @@ def row_reduce(dense: np.ndarray):
     """
     a = np.array(dense, dtype=np.uint8, copy=True)
     m, n = a.shape
-    pivots = []
-    r = 0
+    pivots, r = [], 0
     for c in range(n):
         if r == m:
             break
@@ -158,8 +157,6 @@ def row_reduce(dense: np.ndarray):
 
 def rank(G: BitMatrix) -> int:
     """GF(2) row rank."""
-    if G.rows == 0:
-        return 0
     return len(row_reduce(G.to_dense())[1])
 
 
@@ -200,8 +197,5 @@ def parse_matrix(text: str) -> BitMatrix:
 
 def serialize_matrix(G: BitMatrix) -> str:
     """Inverse of parse_matrix; parse(serialize(G)) == G."""
-    lines = [f"{G.rows} {G.cols}"]
-    dense = G.to_dense()
-    for i in range(G.rows):
-        lines.append((dense[i] + ord("0")).tobytes().decode("ascii"))
-    return "\n".join(lines) + "\n"
+    rows = [(row + ord("0")).tobytes().decode("ascii") for row in G.to_dense()]
+    return "\n".join([f"{G.rows} {G.cols}", *rows]) + "\n"

@@ -615,6 +615,42 @@ class TestExitCodes:
         assert "[16,11]" in err and "[8,4]" in err
 
 
+def _flag_values(valid):
+    """A flag's text: a small valid value or one of the malformed ones."""
+    bad = ["-1", "-0.5", "nan", "inf", "-inf", "1e400", "garbage", "", "0x10", "1_0", " 3"]
+    return st.one_of(valid.map(str), st.sampled_from(bad))
+
+
+class TestSimulateFlagFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        code=st.sampled_from(["rm:1,3", "rm:3,5"]),  # the full and the k > 24 report
+        eps=_flag_values(st.floats(0.0, 1.0)),
+        blocks=_flag_values(st.integers(1, 300)),
+        seed=_flag_values(st.one_of(st.integers(0, 2**64), st.just(2**200))),
+    )
+    def test_no_traceback(self, capsys, code, eps, blocks, seed):
+        argv = ["simulate", "--code", code, "--eps", eps, "--blocks", blocks, "--seed", seed]
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            status = exc.code
+        out, err = capsys.readouterr()
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err
+        if status == 2:
+            assert out == "" and err.startswith(("usage:", "error:"))
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--code", "rm:1,3", "--eps", "0.1", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be finite and at least 0, got '-1'" in captured.err
+
+
 class TestCliSurface:
     """verify takes its weights from its own oracle walk and extract needs
     none, so only the weight-resolving subcommands take --weights and --cap."""

@@ -15,6 +15,9 @@ from linext.errors import InfeasibleError
 from linext.gf2 import BitMatrix, rank
 from linext.pipeline import (
     DRAW_BITS,
+    PIECE_BITS,
+    _chunk_blocks,
+    _source_chunks,
     _fwht,
     BiasedSourceSpec,
     COORD_BIAS_ALPHA,
@@ -158,6 +161,64 @@ class TestGenerate:
         s = generate(spec, nbits)
         assert len(s) == nbits
         assert s.to_bytes() == expect.tobytes()
+
+    # the ends of [0, 1/2] for rho1, a rho1 one ulp above 0 (2^-54) and one
+    # that no multiple of 2^-53 equals
+    CONTRACT_EPS = [0.0, 1.0, 2.0**-60, 1 - 2.0**-53, 1 / 3]
+
+    @pytest.mark.parametrize("eps", CONTRACT_EPS)
+    @pytest.mark.parametrize(
+        "nbits", [1, PIECE_BITS - 1, PIECE_BITS + 1, 3 * DRAW_BITS + PIECE_BITS // 2 + 3]
+    )
+    def test_raw_word_threshold_is_the_double_rule(self, eps, nbits):
+        spec = BiasedSourceSpec(eps, seed=nbits)
+        expect = np.packbits(np.random.default_rng(nbits).random(nbits) < spec.rho1)
+        assert generate(spec, nbits).to_bytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("eps", CONTRACT_EPS + [0.2, 0.999, 1e-300, 1 - 2.0**-52])
+    def test_threshold_at_the_boundary_words(self, eps):
+        # the integer and the double rule could part only at the word values
+        # around the threshold, which random words hit with probability
+        # about 2^-53, so _draw is fed those words: m = w >> 11 on both sides
+        # of rho1·2^53, each with the lowest and the highest 11 low bits
+        rho1 = BiasedSourceSpec(eps).rho1
+        f = math.floor(rho1 * 2.0**53)
+        m = np.array([x for x in range(f - 2, f + 3) if 0 <= x < 1 << 53], np.uint64)
+        words = ((m[:, None] << np.uint64(11)) | np.array([0, 2047], np.uint64)).ravel()
+
+        class Words:
+            def random_raw(self, size):
+                return words[:size]
+
+        got = pipeline._draw(Words(), BiasedSourceSpec(eps), words.size).bits
+        want = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 < rho1
+        assert got.tolist() == want.astype(np.uint8).tolist()
+        assert 0 < want.sum() < want.size or rho1 == 0.0
+
+    @pytest.mark.parametrize("eps", CONTRACT_EPS)
+    @pytest.mark.parametrize("n", [1, 25, 100])
+    def test_source_chunks_join_to_the_double_rule(self, eps, n):
+        # three whole chunks and a ragged one; at n = 25 and 100 a chunk is
+        # not a whole number of pieces of PIECE_BITS
+        blocks = 3 * _chunk_blocks(n) + 7
+        spec = BiasedSourceSpec(eps, seed=n)
+        chunks = list(_source_chunks(spec, blocks, n))
+        assert [len(c) for c in chunks] == [_chunk_blocks(n) * n] * 3 + [7 * n]
+        expect = np.packbits(np.random.default_rng(n).random(blocks * n) < spec.rho1)
+        assert b"".join(c.to_bytes() for c in chunks) == expect.tobytes()
+
+    def test_generate_peak_is_the_stream(self):
+        # the 8 MB stream plus one piece of raw words and its bits; a draw of
+        # doubles held 8 bytes per bit of each 2^20-bit draw and a joined copy
+        nbits = 64 << 20
+        tracemalloc.start()
+        try:
+            s = generate(BiasedSourceSpec(0.2, seed=4), nbits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == nbits
+        assert peak < 10 << 20
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
@@ -588,6 +649,19 @@ class TestSimulatedTally:
         got = simulated_biases(G, spec, blocks)
         ones = out.bits.reshape(blocks, k).sum(axis=0, dtype=np.int64)
         assert got.tolist() == [abs(2 * int(c) - blocks) / blocks for c in ones]
+
+    def test_peak_is_one_chunk(self):
+        # a chunk of 65536 [16,11] blocks: 128 KB of source bytes, 512 KB of
+        # words, and one 1 MB piece of raw PCG64 words while it is drawn
+        G = random_full_rank(np.random.default_rng(16), 11, 16)
+        tracemalloc.start()
+        try:
+            stats = simulated_stats(G, BiasedSourceSpec(0.2, seed=3), 3 * 65536 + 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.samples == 3 * 65536 + 5
+        assert peak < 4 << 20
 
     def test_histogram_cap(self):
         with pytest.raises(InfeasibleError, match=r"k=26 needs 2\^26 buckets"):
