@@ -214,17 +214,14 @@ def cmd_simulate(args) -> int:
     nf = pipeline.multinomial_noise_floor(k, stats.samples)
     # per-bucket frequency noise, inflated for the max over 2^k buckets
     point_tol = 3.0 * math.sqrt(2.0 * k * 2.0**-k / stats.samples)
-    # first-order propagation of max_prob noise through -log2(max)/k
-    hmin_tol = point_tol / (stats.max_prob * k * math.log(2.0))
     # name -> (label, scale, tolerance, note on the tolerance); the tvd rows
-    # print delta/2 against bound/2 (exact in binary floating point);
-    # entropy has no statistical tolerance yet and stays unchecked
+    # print delta/2 against bound/2 (exact in binary floating point); entropy
+    # has no statistical tolerance yet, and min-entropy restates pointwise
     policy = {
         "tvd-weight": ("tvd <= weight-bound/2 + 3nf", 0.5, 3 * nf, ""),
         "tvd-worst": ("tvd <= worst-bound/2 + 3nf", 0.5, 3 * nf, ""),
         "pointwise": ("max_prob <= pointwise + tol", 1.0, point_tol, ""),
         "coord-bias": ("coord_bias <= eps^d + tol", 1.0, coord_tol, f" alpha={alpha}"),
-        "min-entropy": ("min_entropy >= lacharme - tol", 1.0, hmin_tol, ""),
     }
     print("\n".join(header + pipeline.stats_lines(stats)))
     print(f"noise_floor={_fmt(nf)}")

@@ -10,7 +10,6 @@ is not a multiple of 8.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -27,6 +26,9 @@ from .gf2 import BitMatrix, pack_bits, rank, subset_xor_table
 EMPIRICAL_K_CAP = 24
 # False-alarm rate of the coordinate-bias check at each simulate run.
 COORD_BIAS_ALPHA = 1e-3
+# Cap on the source bits blocks·n that simulate draws: at about 10^8
+# source bits/s (the README's simulate rate) 2^40 bits take about 3 hours.
+SOURCE_BITS_CAP = 1 << 40
 # Source bits per draw, about: the source is drawn a multiple of 8 blocks
 # at a time, so every draw but the last holds whole bytes and whole blocks.
 DRAW_BITS = 1 << 20
@@ -189,10 +191,13 @@ def _source_chunks(spec: BiasedSourceSpec, blocks: int, n: int = 1):
     """generate(spec, blocks·n) as consecutive streams of _chunk_blocks(n)
     whole n-bit blocks, and the rest. The chunks draw on from one PCG64, so
     they join to the stream of one draw, and memory holds one chunk's bytes
-    and one piece of raw words at a time."""
+    and one piece of raw words at a time. Past SOURCE_BITS_CAP it raises
+    InfeasibleError at the call, before any draw."""
+    if blocks * n > SOURCE_BITS_CAP:
+        raise InfeasibleError(f"blocks·n = {blocks * n} source bits, over the cap {SOURCE_BITS_CAP}")
     step, bitgen = _chunk_blocks(n), np.random.PCG64(spec.seed)
-    for start in range(0, blocks, step):
-        yield _draw(bitgen, spec, min(step, blocks - start) * n)
+    return (_draw(bitgen, spec, min(step, blocks - start) * n)
+            for start in range(0, blocks, step))
 
 
 def _words(G: BitMatrix, stream: BitStream) -> np.ndarray:
@@ -238,15 +243,12 @@ def linear_extract(G: BitMatrix, stream: BitStream) -> BitStream:
 def von_neumann(stream: BitStream) -> BitStream:
     """Pairwise debiasing: 01 -> 0, 10 -> 1, 00/11 -> nothing.
 
-    A stream longer than one chunk of _chunk_blocks(2) pairs goes through
-    _extract_chunks a chunk at a time. A chunk is gathered byte by byte from
-    _PAIR_CODES, so the unequal pairs are the codes below 2 and each code is
-    its output bit; np.compress keeps them without a boolean-mask index.
+    The pairs are gathered byte by byte from _PAIR_CODES, so the unequal
+    pairs are the codes below 2 and each code is its output bit; np.compress
+    keeps them without a boolean-mask index. A call holds temporaries of
+    O(input) size, a code byte and a mask byte per pair; extract_file, which
+    the CLI runs, calls it one chunk at a time.
     """
-    if len(stream) > 2 * _chunk_blocks(2):
-        out = io.BytesIO()
-        _, nbits = _extract_chunks(von_neumann, 2, io.BytesIO(stream.data), out, len(stream))
-        return BitStream.from_bytes(out.getbuffer(), nbits)
     codes = _PAIR_CODES[stream.data].view(np.uint8)[: len(stream) // 2]
     firsts = np.compress(codes < 2, codes)
     return BitStream._own(np.packbits(firsts), firsts.size)
@@ -258,45 +260,31 @@ _PAIR_CODES = ((np.arange(256, dtype=np.uint8)[:, None] >> np.arange(6, -1, -2, 
                - np.uint8(1)).view(np.uint32).ravel()
 
 
-def _extract_chunks(extract, n: int, src, dst, nbits: Optional[int]):
-    """Read a stream x as packed bytes from src, _chunk_blocks(n) blocks at
-    a time, and write extract(x) to dst as packed bytes as it comes; returns
-    (bits in, bits out). extract maps whole n-bit blocks to their output
-    block by block, so the chunks' outputs join to the whole stream's.
-    nbits, when given, is the length of x; without it every byte read holds
-    8 bits. Each output is shifted right by the c < 8 bits carried from the
-    ones before, which fill the top of its first byte.
-    """
-    size, limit = _chunk_blocks(n) * n // 8, math.inf if nbits is None else nbits
-    nin = nout = carry = 0
-    while data := src.read(size):
-        bits = min(8 * len(data), limit - nin)
-        out = extract(BitStream.from_bytes(data, bits))
-        nin, c, d = nin + bits, nout % 8, out.data
-        if c:
-            d = np.append(d, np.uint8(0))
-            d[1:] = d[1:] >> c | d[:-1] << (8 - c)
-            d[0] = d[0] >> c | carry
-        t = c + len(out)  # bits from the carry on
-        dst.write(d[: t // 8])
-        carry, nout = d[t // 8] if t % 8 else 0, nout + len(out)
-    if nout % 8:
-        dst.write(bytes([carry]))
-    return nin, nout
-
-
 def extract_file(extract, n: int, src, dst):
-    """_extract_chunks from the stream file src to the stream file dst, so
-    memory holds one chunk whatever the file size; returns (bits in, bits
-    out). src's .len sidecar is checked, and dst must not be src, before
-    dst is opened."""
+    """Extract the stream file src into the stream file dst _chunk_blocks(n)
+    blocks at a time, so memory holds one chunk whatever the file size;
+    returns (bits in, bits out). extract maps whole blocks to output block
+    by block, so the chunks' outputs join to the whole stream's. The < 8
+    output bits that do not fill a byte go, as 0/1 values, before the next
+    chunk's bits, and the last are packed at the end. src's .len sidecar is
+    checked, and dst must not be src, before dst is opened."""
     nbits = _read_length(src)
     if os.path.exists(dst) and os.path.samefile(src, dst):
         raise ValueError(f"{dst} is the input file, which writing would truncate")
+    size, limit = _chunk_blocks(n) * n // 8, math.inf if nbits is None else nbits
+    nin, nout, tail = 0, 0, np.empty(0, np.uint8)
     with open(src, "rb") as fin, open(dst, "wb") as fout:
-        counts = _extract_chunks(extract, n, fin, fout, nbits)
-    _write_length(dst, counts[1])
-    return counts
+        while data := fin.read(size):
+            count = min(8 * len(data), limit - nin)
+            out = extract(BitStream.from_bytes(data, count))
+            nin, nout = nin + count, nout + len(out)
+            bits = np.concatenate((tail, out.bits))
+            cut = bits.size - bits.size % 8
+            fout.write(np.packbits(bits[:cut]))
+            tail = bits[cut:]
+        fout.write(np.packbits(tail))
+    _write_length(dst, nout)
+    return nin, nout
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from linext.pipeline import (
     coord_bias_tolerance,
     empirical_stats,
     exact_output_pmf,
+    extract_file,
     generate,
     linear_extract,
     multinomial_noise_floor,
@@ -328,16 +329,20 @@ class TestVonNeumann:
         assert von_neumann(s) == BitStream(first[first != second])
 
     @pytest.mark.parametrize("tail", range(16))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_matches_reference_at_every_length_mod_16(self, tail, data):
+    def test_matches_reference_at_every_length_mod_16(self, tmp_path, tail, data):
         bits = data.draw(st.integers(0, 40).flatmap(
             lambda j: arrays(np.uint8, 16 * j + tail, elements=st.integers(0, 1))))
         want = von_neumann_reference(bits)
         assert von_neumann(BitStream(bits)).bits.tolist() == want
+        src, dst = tmp_path / "in.bits", tmp_path / "out.bits"
+        BitStream(bits).write(src)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "DRAW_BITS", 64)  # 64-bit chunks: the carry path runs
-            assert von_neumann(BitStream(bits)).bits.tolist() == want
+            mp.setattr(pipeline, "DRAW_BITS", 64)  # 64-bit chunks: the tail carry runs
+            assert extract_file(von_neumann, 2, src, dst) == (len(bits), len(want))
+        assert BitStream.read(dst).bits.tolist() == want
 
     def test_exactly_unbiased_for_any_p(self):
         # exhaustive 2-bit block analysis in exact rationals
