@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import astuple, dataclass, fields
-from typing import List, Sequence
+from typing import List, Mapping, Sequence
 
 from .codes import WeightDistribution, min_distance
 from .errors import InfeasibleError
@@ -80,15 +80,33 @@ def entropy_lower_bound(delta: float, k: int, variant: str = "standard") -> floa
     return 1.0 - first - h
 
 
-def checks(w: WeightDistribution, eps: float, stats) -> List[tuple]:
-    """Every bound check at one eps, as (name, kind, statistic, bound) rows.
+@dataclass(frozen=True)
+class Check:
+    """One bound check with absolute slack tol: kind "upper" holds when
+    stat <= bound + tol, "lower" when stat >= bound - tol; equality holds."""
 
-    stats is an ExactStats from the exact oracle or from a histogram. Kind
-    "upper" holds when statistic <= bound, "lower" when statistic >= bound.
-    Both TVD statistics are on the delta scale (twice the TVD).
+    name: str
+    kind: str
+    stat: float
+    bound: float
+    tol: float
+
+    @property
+    def ok(self) -> bool:
+        s, b, t = self.stat, self.bound, self.tol
+        return s <= b + t if self.kind == "upper" else s >= b - t
+
+
+def checks(w: WeightDistribution, eps: float, stats, tol: float | Mapping) -> List[Check]:
+    """Every bound check at one eps, in a fixed order.
+
+    stats is an ExactStats from the exact oracle or from a histogram; both
+    TVD statistics are on the delta scale (twice the TVD). tol is one slack
+    for every check or a mapping from check name to slack, and a name the
+    mapping leaves out is not checked.
     """
     k, d = w.k, min_distance(w)
-    return [
+    rows = [
         ("tvd-weight", "upper", stats.delta, tvd_weight_bound(w, eps)),
         ("tvd-worst", "upper", stats.delta, tvd_worst_bound(k, d, eps)),
         ("pointwise", "upper", stats.max_prob, pointwise_bound(eps, d, k)),
@@ -96,11 +114,8 @@ def checks(w: WeightDistribution, eps: float, stats) -> List[tuple]:
         ("entropy", "lower", stats.shannon, entropy_lower_bound(stats.delta, k)),
         ("min-entropy", "lower", stats.min_entropy, hmin_bound(k, d, eps)),
     ]
-
-
-def holds(kind: str, stat: float, bound: float, tol: float) -> bool:
-    """Verdict of one check with absolute slack tol; equality holds."""
-    return stat <= bound + tol if kind == "upper" else stat >= bound - tol
+    tols = tol if isinstance(tol, Mapping) else dict.fromkeys([r[0] for r in rows], tol)
+    return [Check(*r, tols[r[0]]) for r in rows if r[0] in tols]
 
 
 @dataclass(frozen=True)

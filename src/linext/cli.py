@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -37,11 +38,6 @@ def _parse_code_selector(text: str):
     return r, m
 
 
-def _read_text(path: str) -> str:
-    with open(path) as fp:
-        return fp.read()
-
-
 def _check_code_source(args) -> None:
     if bool(args.code) == bool(args.matrix):
         raise ValueError("specify exactly one code source: --code rm:<r>,<m> or --matrix FILE")
@@ -52,7 +48,7 @@ def _load_code(args) -> codes.LinearCode:
     _check_code_source(args)
     if args.code:
         return codes.rm_generator(*_parse_code_selector(args.code))
-    return codes.LinearCode(parse_matrix(_read_text(args.matrix)), label=args.matrix)
+    return codes.LinearCode(parse_matrix(Path(args.matrix).read_text()), label=args.matrix)
 
 
 def _eps_grid(args):
@@ -73,7 +69,7 @@ def _load_weights(args):
     external = not (args.code or args.matrix)
     if not external:
         _check_code_source(args)
-    w = codes.parse_weights(_read_text(args.weights)) if args.weights else None
+    w = codes.parse_weights(Path(args.weights).read_text()) if args.weights else None
     if external:
         if w is None:
             raise ValueError("specify a code via --code, --matrix or --weights")
@@ -173,20 +169,12 @@ def cmd_verify(args) -> int:
     print(f"{'eps':<10}  {'check':<11}  {'exact':<15}  {'bound':<15}  status")
     for eps in grid:
         # stats (a 2^k pmf) is not bound to a name, so it is freed before the next eps
-        for name, kind, stat, bound in bounds.checks(
-            w, eps, pipeline.stats_from_profile(profile, eps)
-        ):
-            ok = bounds.holds(kind, stat, bound, args.tol)
-            failures += not ok
-            print(
-                f"{_fmt(eps):<10}  {name:<11}  {_fmt(stat):<15}  "
-                f"{_fmt(bound):<15}  {'PASS' if ok else 'FAIL'}"
-            )
-    if failures:
-        print(f"{failures} bound violation(s)")
-        return EXIT_VERIFY_FAIL
-    print("all bounds hold")
-    return EXIT_OK
+        for c in bounds.checks(w, eps, pipeline.stats_from_profile(profile, eps), args.tol):
+            failures += not c.ok
+            print(f"{_fmt(eps):<10}  {c.name:<11}  {_fmt(c.stat):<15}  "
+                  f"{_fmt(c.bound):<15}  {'PASS' if c.ok else 'FAIL'}")
+    print(f"{failures} bound violation(s)" if failures else "all bounds hold")
+    return EXIT_VERIFY_FAIL if failures else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -204,38 +192,35 @@ def cmd_simulate(args) -> int:
         # 2^k buckets do not fit, so only the bound that needs no output
         # distribution is checked: each coordinate's bias against eps^d
         bias = float(pipeline.simulated_biases(code.generator, spec, args.blocks).max())
-        print("\n".join(header))
-        print(f"coord_bias_max={_fmt(bias)}")
-        print(f"coord_tol={_fmt(coord_tol)} alpha={alpha}")
-        ok = bounds.holds("upper", bias, bounds.bias_bound(args.eps, d), coord_tol)
-        print(f"coord-bias <= eps^d + tol: {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_VERIFY_FAIL
+        print("\n".join(header + [f"coord_bias_max={_fmt(bias)}",
+                                  f"coord_tol={_fmt(coord_tol)} alpha={alpha}"]))
+        c = bounds.Check("coord-bias", "upper", bias, bounds.bias_bound(args.eps, d), coord_tol)
+        print(f"coord-bias <= eps^d + tol: {'PASS' if c.ok else 'FAIL'}")
+        return EXIT_OK if c.ok else EXIT_VERIFY_FAIL
     stats = pipeline.simulated_stats(code.generator, spec, args.blocks)
     nf = pipeline.multinomial_noise_floor(k, stats.samples)
     # per-bucket frequency noise, inflated for the max over 2^k buckets
     point_tol = 3.0 * math.sqrt(2.0 * k * 2.0**-k / stats.samples)
-    # name -> (label, scale, tolerance, note on the tolerance); the tvd rows
-    # print delta/2 against bound/2 (exact in binary floating point); entropy
-    # has no statistical tolerance yet, and min-entropy restates pointwise
-    policy = {
-        "tvd-weight": ("tvd <= weight-bound/2 + 3nf", 0.5, 3 * nf, ""),
-        "tvd-worst": ("tvd <= worst-bound/2 + 3nf", 0.5, 3 * nf, ""),
-        "pointwise": ("max_prob <= pointwise + tol", 1.0, point_tol, ""),
-        "coord-bias": ("coord_bias <= eps^d + tol", 1.0, coord_tol, f" alpha={alpha}"),
+    # entropy has no statistical tolerance yet and min-entropy restates
+    # pointwise, so neither gets one; the tvd checks are on the delta scale
+    tols = {"tvd-weight": 6 * nf, "tvd-worst": 6 * nf, "pointwise": point_tol,
+            "coord-bias": coord_tol}
+    # name -> (label, print scale, note); the tvd rows print delta, bound and
+    # tol halved (tol/2 = 3nf), exactly in binary floating point
+    table = {
+        "tvd-weight": ("tvd <= weight-bound/2 + 3nf", 0.5, ""),
+        "tvd-worst": ("tvd <= worst-bound/2 + 3nf", 0.5, ""),
+        "pointwise": ("max_prob <= pointwise + tol", 1.0, ""),
+        "coord-bias": ("coord_bias <= eps^d + tol", 1.0, f" alpha={alpha}"),
     }
     print("\n".join(header + pipeline.stats_lines(stats)))
     print(f"noise_floor={_fmt(nf)}")
-    failures = 0
-    for name, kind, stat, bound in bounds.checks(w, args.eps, stats):
-        if name not in policy:
-            continue
-        label, scale, tol, note = policy[name]
-        stat, bound = stat * scale, bound * scale
-        ok = bounds.holds(kind, stat, bound, tol)
-        failures += not ok
-        print(f"{label}: stat={_fmt(stat)} bound={_fmt(bound)} tol={_fmt(tol)}{note} "
-              f"{'PASS' if ok else 'FAIL'}")
-    return EXIT_VERIFY_FAIL if failures else EXIT_OK
+    results = bounds.checks(w, args.eps, stats, tols)
+    for c in results:
+        label, scale, note = table[c.name]
+        print(f"{label}: stat={_fmt(c.stat * scale)} bound={_fmt(c.bound * scale)} "
+              f"tol={_fmt(c.tol * scale)}{note} {'PASS' if c.ok else 'FAIL'}")
+    return EXIT_VERIFY_FAIL if sum(not c.ok for c in results) else EXIT_OK
 
 
 def _svg_chart(rows, title: str) -> str:

@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linext.bounds import (
     CSV_HEADER,
+    Check,
     bias_bound,
     checks,
     clamp01,
     entropy_lower_bound,
     format_real,
     hmin_bound,
-    holds,
     linear_grid,
     pointwise_bound,
     sweep,
@@ -149,11 +151,15 @@ class TestOrderingInvariants:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+# 0 or a magnitude whose half is a normal double: halving it is exact
+_HALVABLE = st.one_of(st.just(0.0), st.floats(2.0**-1020, 2.0**1020))
+
+
 class TestChecks:
     def test_names_kinds_order(self, rm24):
         stats = exact_output_pmf(rm_generator(2, 4).generator, 0.2)
-        rows = checks(rm24, 0.2, stats)
-        assert [(name, kind) for name, kind, _, _ in rows] == [
+        rows = checks(rm24, 0.2, stats, 0.0)
+        assert [(c.name, c.kind) for c in rows] == [
             ("tvd-weight", "upper"),
             ("tvd-worst", "upper"),
             ("pointwise", "upper"),
@@ -161,22 +167,42 @@ class TestChecks:
             ("entropy", "lower"),
             ("min-entropy", "lower"),
         ]
-        stat = {name: s for name, _, s, _ in rows}
-        bound = {name: b for name, _, _, b in rows}
+        stat = {c.name: c.stat for c in rows}
+        bound = {c.name: c.bound for c in rows}
         assert stat["tvd-weight"] == stat["tvd-worst"] == stats.delta
         assert bound["tvd-weight"] == tvd_weight_bound(rm24, 0.2)
         assert bound["min-entropy"] == hmin_bound(11, 4, 0.2)
-        assert all(holds(kind, s, b, 0.0) for _, kind, s, b in rows)
+        assert all(c.tol == 0.0 and c.ok for c in rows)
 
     @pytest.mark.parametrize("kind", ["upper", "lower"])
     def test_equality_holds(self, kind):
-        assert holds(kind, 0.25, 0.25, 0.0)
+        assert Check("x", kind, 0.25, 0.25, 0.0).ok
 
     def test_tolerance_is_absolute_slack(self):
-        assert not holds("upper", 0.3, 0.25, 0.01)
-        assert holds("upper", 0.3, 0.25, 0.05)
-        assert not holds("lower", 0.2, 0.25, 0.01)
-        assert holds("lower", 0.2, 0.25, 0.05)
+        assert not Check("x", "upper", 0.3, 0.25, 0.01).ok
+        assert Check("x", "upper", 0.3, 0.25, 0.05).ok
+        assert not Check("x", "lower", 0.2, 0.25, 0.01).ok
+        assert Check("x", "lower", 0.2, 0.25, 0.05).ok
+
+    def test_mapping_checks_only_the_names_it_gives_a_tolerance(self, rm24):
+        stats = exact_output_pmf(rm_generator(2, 4).generator, 0.2)
+        every = {c.name: c for c in checks(rm24, 0.2, stats, 0.0)}
+        rows = checks(rm24, 0.2, stats, {"pointwise": 0.5, "tvd-weight": 0.1})
+        assert [(c.name, c.tol) for c in rows] == [("tvd-weight", 0.1), ("pointwise", 0.5)]
+        for c in rows:
+            assert (c.kind, c.stat, c.bound) == (every[c.name].kind, every[c.name].stat,
+                                                 every[c.name].bound)
+        assert checks(rm24, 0.2, stats, {}) == []
+
+    @given(stat=st.one_of(_HALVABLE, _HALVABLE.map(lambda x: -x)), bound=_HALVABLE,
+           nf=st.floats(2.0**-1000, 2.0**1000))
+    def test_delta_scale_tvd_verdict_is_the_printed_one(self, stat, bound, nf):
+        """simulate checks tvd on the delta scale with tolerance 6nf and prints
+        stat, bound and tol halved: the verdict and the printed tolerance are
+        those of tvd <= bound/2 + 3nf."""
+        c = Check("tvd-weight", "upper", stat, bound, 6 * nf)
+        assert c.ok == (0.5 * stat <= 0.5 * bound + 3 * nf)
+        assert format_real(0.5 * c.tol) == format_real(3 * nf)
 
 
 class TestSweep:

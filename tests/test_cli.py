@@ -630,6 +630,22 @@ def _flag_values(valid):
     return st.one_of(valid.map(str), st.sampled_from(bad))
 
 
+def _fuzzed_status(capsys, argv):
+    """Exit status of one fuzzed command line, after the checks every
+    command line must pass: a known status, no traceback, and nothing on
+    stdout when the run is refused."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        status = exc.code
+    out, err = capsys.readouterr()
+    assert status in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if status in (2, 3):
+        assert out == "" and err.startswith(("usage:", "error:"))
+    return status
+
+
 class TestSimulateFlagFuzz:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -641,15 +657,7 @@ class TestSimulateFlagFuzz:
     )
     def test_no_traceback(self, capsys, code, eps, blocks, seed):
         argv = ["simulate", "--code", code, "--eps", eps, "--blocks", blocks, "--seed", seed]
-        try:
-            status = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            status = exc.code
-        out, err = capsys.readouterr()
-        assert status in (0, 1, 2, 3)
-        assert "Traceback" not in err
-        if status in (2, 3):
-            assert out == "" and err.startswith(("usage:", "error:"))
+        _fuzzed_status(capsys, argv)
 
     def test_negative_seed_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -658,6 +666,32 @@ class TestSimulateFlagFuzz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --seed: must be finite and at least 0, got '-1'" in captured.err
+
+
+class TestGridFlagFuzz:
+    """The eps-grid flags of verify and bounds-sweep, each present or not.
+    Valid --steps values stay at most 50, so no run prints a huge grid."""
+
+    GRID_FLAGS = {
+        "--eps": _flag_values(st.floats(0.0, 1.0)),
+        "--eps-min": _flag_values(st.floats(0.0, 1.0)),
+        "--eps-max": _flag_values(st.floats(0.0, 1.0)),
+        "--steps": _flag_values(st.integers(0, 50)),
+    }
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["verify", "bounds-sweep"]),
+        flags=st.fixed_dictionaries({}, optional=GRID_FLAGS),
+        tol=st.none() | _flag_values(st.floats(0.0, 1.0)),
+    )
+    def test_no_traceback(self, capsys, command, flags, tol):
+        if command == "verify" and tol is not None:
+            flags["--tol"] = tol
+        argv = [command, "--code", "rm:1,3", *(x for item in flags.items() for x in item)]
+        status = _fuzzed_status(capsys, argv)
+        assert status != 1 or command == "verify"  # exit 1 means a violated bound
 
 
 class TestCliSurface:
