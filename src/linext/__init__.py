@@ -14,6 +14,7 @@ from .bounds import (
     entropy_lower_bound,
     hmin_bound,
     linear_grid,
+    multinomial_noise_floor,
     pointwise_bound,
     sweep,
     tvd_weight_bound,
@@ -42,9 +43,7 @@ from .pipeline import (
     exact_output_pmf,
     generate,
     linear_extract,
-    multinomial_noise_floor,
     output_weight_profile,
-    simulated_biases,
     simulated_stats,
     stats_from_profile,
     von_neumann,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import astuple, dataclass, fields
-from typing import List, Mapping, Sequence
+from typing import List, Sequence
 
 from .codes import WeightDistribution, min_distance
 from .errors import InfeasibleError
@@ -18,6 +18,8 @@ from .errors import InfeasibleError
 H_VARIANTS = ("standard", "as-printed")
 # Cap on the points of an eps grid, checked before the grid is built.
 GRID_CAP = 100_000
+# False-alarm rate of each sampled check whose tolerance states one.
+ALPHA = 1e-3
 
 
 def bias_bound(eps: float, d: int) -> float:
@@ -97,25 +99,59 @@ class Check:
         return s <= b + t if self.kind == "upper" else s >= b - t
 
 
-def checks(w: WeightDistribution, eps: float, stats, tol: float | Mapping) -> List[Check]:
-    """Every bound check at one eps, in a fixed order.
+def multinomial_noise_floor(k: int, samples: int) -> float:
+    """sqrt(2^k / N): the scale of empirical-TVD noise near uniform."""
+    return math.sqrt((1 << k) / samples)
 
-    stats is an ExactStats from the exact oracle or from a histogram; both
-    TVD statistics are on the delta scale (twice the TVD). tol is one slack
-    for every check or a mapping from check name to slack, and a name the
-    mapping leaves out is not checked.
-    """
-    k, d = w.k, min_distance(w)
+
+def coord_bias_tolerance(k: int, samples: int) -> float:
+    """sqrt(2·ln(2k/ALPHA)/N): a coordinate's bias moves 2t when its
+    ones-frequency over N samples moves t, which Hoeffding bounds by
+    2·exp(-2N·t^2), so by a union bound over the k coordinates the largest
+    deviation passes this tolerance with probability at most ALPHA."""
+    return math.sqrt(2.0 * math.log(2 * k / ALPHA) / samples)
+
+
+def pointwise_tolerance(k: int, samples: int, bound: float) -> float:
+    """t = (L/3 + sqrt(L^2/9 + 2bNL))/N, L = ln(2^k/ALPHA), b = bound: a
+    bucket's frequency over N samples, of variance at most p(1-p)/N <= b/N,
+    passes p + t with probability at most exp(-N·t^2 / (2(b + t/3))) =
+    ALPHA/2^k by Bernstein's inequality, so by a union bound over the 2^k
+    buckets the largest passes b + t with probability at most ALPHA."""
+    L = k * math.log(2.0) + math.log(1.0 / ALPHA)
+    return (L / 3.0 + math.sqrt(L * L / 9.0 + 2.0 * bound * samples * L)) / samples
+
+
+def checks(w: WeightDistribution, eps: float, stats, tol: float = 0.0) -> List[Check]:
+    """Every bound check at one eps that stats decides, in a fixed order.
+
+    stats is an ExactStats from the exact oracle, a histogram or simulate's
+    tally; the TVD checks are on the delta scale (twice the TVD). Every check
+    gets the slack tol, plus, for sampled stats (samples set), its own
+    sampling tolerance at N = samples. Not built, nor their bound and
+    tolerance evaluated (2.0**k overflows from k = 1024): a check whose
+    statistic stats did not measure (None), and for sampled stats a check
+    with no sampling tolerance (entropy, min-entropy)."""
+    k, d, n = w.k, min_distance(w), stats.samples
+    noise = lambda b: 6 * multinomial_noise_floor(k, n)
+    # name, kind, statistic, bound, sampling tolerance of the bound (None: none)
     rows = [
-        ("tvd-weight", "upper", stats.delta, tvd_weight_bound(w, eps)),
-        ("tvd-worst", "upper", stats.delta, tvd_worst_bound(k, d, eps)),
-        ("pointwise", "upper", stats.max_prob, pointwise_bound(eps, d, k)),
-        ("coord-bias", "upper", float(stats.coord_biases.max()), bias_bound(eps, d)),
-        ("entropy", "lower", stats.shannon, entropy_lower_bound(stats.delta, k)),
-        ("min-entropy", "lower", stats.min_entropy, hmin_bound(k, d, eps)),
+        ("tvd-weight", "upper", stats.delta, lambda: tvd_weight_bound(w, eps), noise),
+        ("tvd-worst", "upper", stats.delta, lambda: tvd_worst_bound(k, d, eps), noise),
+        ("pointwise", "upper", stats.max_prob, lambda: pointwise_bound(eps, d, k),
+         lambda b: pointwise_tolerance(k, n, b)),
+        ("coord-bias", "upper", float(stats.coord_biases.max()), lambda: bias_bound(eps, d),
+         lambda b: coord_bias_tolerance(k, n)),
+        ("entropy", "lower", stats.shannon, lambda: entropy_lower_bound(stats.delta, k), None),
+        ("min-entropy", "lower", stats.min_entropy, lambda: hmin_bound(k, d, eps), None),
     ]
-    tols = tol if isinstance(tol, Mapping) else dict.fromkeys([r[0] for r in rows], tol)
-    return [Check(*r, tols[r[0]]) for r in rows if r[0] in tols]
+    built = []
+    for name, kind, stat, bound, sampling in rows:
+        if stat is None or n is not None and sampling is None:
+            continue
+        b = bound()
+        built.append(Check(name, kind, stat, b, tol if n is None else tol + sampling(b)))
+    return built
 
 
 @dataclass(frozen=True)

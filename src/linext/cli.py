@@ -44,8 +44,7 @@ def _check_code_source(args) -> None:
 
 
 def _load_code(args) -> codes.LinearCode:
-    """Resolve --code / --matrix into a LinearCode."""
-    _check_code_source(args)
+    """Resolve --code / --matrix, which _check_code_source has passed, into a LinearCode."""
     if args.code:
         return codes.rm_generator(*_parse_code_selector(args.code))
     return codes.LinearCode(parse_matrix(Path(args.matrix).read_text()), label=args.matrix)
@@ -59,15 +58,16 @@ def _eps_grid(args):
     return bounds.linear_grid(args.eps_min, args.eps_max, args.steps)
 
 
-def _load_weights(args):
+def _load_weights(args, runs_code: bool = False):
     """(code, weights, route) for code-info, bounds-sweep and simulate.
 
-    --weights wins over enumeration and must match the generator's [n,k].
-    It is parsed after the code source is checked and before the code is
-    built. --weights alone gives code None.
+    The code source is checked first; a command that runs the generator
+    (runs_code) needs one even beside --weights. --weights wins over
+    enumeration and must match the generator's [n,k]. It is parsed before
+    the code is built. --weights alone gives code None.
     """
     external = not (args.code or args.matrix)
-    if not external:
+    if runs_code or not external:
         _check_code_source(args)
     w = codes.parse_weights(Path(args.weights).read_text()) if args.weights else None
     if external:
@@ -138,6 +138,7 @@ def cmd_extract(args) -> int:
             raise ValueError("--baseline von-neumann takes no --code or --matrix")
         label, block, extract = "von-neumann", 2, pipeline.von_neumann
     else:
+        _check_code_source(args)
         code = _load_code(args)  # construction rejects rank-deficient G
         label, block = code.label, code.n
         extract = functools.partial(pipeline.linear_extract, code.generator)
@@ -153,8 +154,22 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _check_table(stat: str, rows) -> int:
+    """Print a column header, one row per (eps, Check) of rows and the
+    verdict line; exit 1 when any check fails."""
+    print(f"{'eps':<10}  {'check':<11}  {stat:<15}  {'bound':<15}  status")
+    failures = 0
+    for eps, c in rows:
+        failures += not c.ok
+        print(f"{_fmt(eps):<10}  {c.name:<11}  {_fmt(c.stat):<15}  "
+              f"{_fmt(c.bound):<15}  {'PASS' if c.ok else 'FAIL'}")
+    print(f"{failures} bound violation(s)" if failures else "all bounds hold")
+    return EXIT_VERIFY_FAIL if failures else EXIT_OK
+
+
 def cmd_verify(args) -> int:
     grid = _eps_grid(args)
+    _check_code_source(args)
     code = _load_code(args)
     try:
         profile = pipeline.output_weight_profile(code.generator)
@@ -163,64 +178,24 @@ def cmd_verify(args) -> int:
     # A_l = #{u : wt(uG) = l}: G's own weights, counted from the oracle's walk
     counts = np.bincount(profile, minlength=code.n + 1).tolist()
     w = codes.WeightDistribution(code.n, code.k, tuple(counts))
-    failures = 0
     print(f"verify {code.label or 'matrix'} [{code.n},{code.k},{codes.min_distance(w)}] "
           f"tol={_fmt(args.tol)}")
-    print(f"{'eps':<10}  {'check':<11}  {'exact':<15}  {'bound':<15}  status")
-    for eps in grid:
-        # stats (a 2^k pmf) is not bound to a name, so it is freed before the next eps
-        for c in bounds.checks(w, eps, pipeline.stats_from_profile(profile, eps), args.tol):
-            failures += not c.ok
-            print(f"{_fmt(eps):<10}  {c.name:<11}  {_fmt(c.stat):<15}  "
-                  f"{_fmt(c.bound):<15}  {'PASS' if c.ok else 'FAIL'}")
-    print(f"{failures} bound violation(s)" if failures else "all bounds hold")
-    return EXIT_VERIFY_FAIL if failures else EXIT_OK
+    # stats (a 2^k pmf) is not bound to a name, so it is freed before the next eps
+    return _check_table("exact", ((eps, c) for eps in grid for c in bounds.checks(
+        w, eps, pipeline.stats_from_profile(profile, eps), args.tol)))
 
 
 def cmd_simulate(args) -> int:
     spec = pipeline.BiasedSourceSpec(args.eps, args.seed)
-    _check_code_source(args)  # --weights alone names no generator to run
-    code, w, _ = _load_weights(args)
-    n, k, d = code.n, code.k, codes.min_distance(w)
-    header = [
-        f"simulate {code.label or 'matrix'} [{n},{k}] eps={_fmt(args.eps)} seed={args.seed}",
-        f"blocks={args.blocks}",
-    ]
-    coord_tol = pipeline.coord_bias_tolerance(k, args.blocks)
-    alpha = _fmt(pipeline.COORD_BIAS_ALPHA)
-    if k > pipeline.EMPIRICAL_K_CAP:
-        # 2^k buckets do not fit, so only the bound that needs no output
-        # distribution is checked: each coordinate's bias against eps^d
-        bias = float(pipeline.simulated_biases(code.generator, spec, args.blocks).max())
-        print("\n".join(header + [f"coord_bias_max={_fmt(bias)}",
-                                  f"coord_tol={_fmt(coord_tol)} alpha={alpha}"]))
-        c = bounds.Check("coord-bias", "upper", bias, bounds.bias_bound(args.eps, d), coord_tol)
-        print(f"coord-bias <= eps^d + tol: {'PASS' if c.ok else 'FAIL'}")
-        return EXIT_OK if c.ok else EXIT_VERIFY_FAIL
+    code, w, _ = _load_weights(args, runs_code=True)  # --weights names no generator to run
+    codes.min_distance(w)  # the trivial code has none: exit 2 before any draw
     stats = pipeline.simulated_stats(code.generator, spec, args.blocks)
-    nf = pipeline.multinomial_noise_floor(k, stats.samples)
-    # per-bucket frequency noise, inflated for the max over 2^k buckets
-    point_tol = 3.0 * math.sqrt(2.0 * k * 2.0**-k / stats.samples)
-    # entropy has no statistical tolerance yet and min-entropy restates
-    # pointwise, so neither gets one; the tvd checks are on the delta scale
-    tols = {"tvd-weight": 6 * nf, "tvd-worst": 6 * nf, "pointwise": point_tol,
-            "coord-bias": coord_tol}
-    # name -> (label, print scale, note); the tvd rows print delta, bound and
-    # tol halved (tol/2 = 3nf), exactly in binary floating point
-    table = {
-        "tvd-weight": ("tvd <= weight-bound/2 + 3nf", 0.5, ""),
-        "tvd-worst": ("tvd <= worst-bound/2 + 3nf", 0.5, ""),
-        "pointwise": ("max_prob <= pointwise + tol", 1.0, ""),
-        "coord-bias": ("coord_bias <= eps^d + tol", 1.0, f" alpha={alpha}"),
-    }
-    print("\n".join(header + pipeline.stats_lines(stats)))
-    print(f"noise_floor={_fmt(nf)}")
-    results = bounds.checks(w, args.eps, stats, tols)
-    for c in results:
-        label, scale, note = table[c.name]
-        print(f"{label}: stat={_fmt(c.stat * scale)} bound={_fmt(c.bound * scale)} "
-              f"tol={_fmt(c.tol * scale)}{note} {'PASS' if c.ok else 'FAIL'}")
-    return EXIT_VERIFY_FAIL if sum(not c.ok for c in results) else EXIT_OK
+    results = bounds.checks(w, args.eps, stats)
+    print("\n".join([
+        f"simulate {code.label or 'matrix'} [{code.n},{code.k}] eps={_fmt(args.eps)} "
+        f"seed={args.seed}", f"blocks={args.blocks}", *pipeline.stats_lines(stats),
+        *(f"tol_{c.name}={_fmt(c.tol)}" for c in results), f"alpha={_fmt(bounds.ALPHA)}"]))
+    return _check_table("sampled", ((args.eps, c) for c in results))
 
 
 def _svg_chart(rows, title: str) -> str:

@@ -24,8 +24,6 @@ from .gf2 import BitMatrix, pack_bits, rank, subset_xor_table
 # Cap on k for anything holding 2^k buckets: the empirical histogram and
 # the exact oracle.
 EMPIRICAL_K_CAP = 24
-# False-alarm rate of the coordinate-bias check at each simulate run.
-COORD_BIAS_ALPHA = 1e-3
 # Cap on the source bits blocks·n that simulate draws: at about 10^8
 # source bits/s (the README's simulate rate) 2^40 bits take about 3 hours.
 SOURCE_BITS_CAP = 1 << 40
@@ -260,17 +258,27 @@ _PAIR_CODES = ((np.arange(256, dtype=np.uint8)[:, None] >> np.arange(6, -1, -2, 
                - np.uint8(1)).view(np.uint32).ravel()
 
 
+def _same_file(a, b) -> bool:
+    """a and b name one file: the same existing file, or one resolved path."""
+    return (os.path.samefile(a, b) if os.path.exists(a) and os.path.exists(b)
+            else os.path.realpath(a) == os.path.realpath(b))
+
+
 def extract_file(extract, n: int, src, dst):
     """Extract the stream file src into the stream file dst _chunk_blocks(n)
     blocks at a time, so memory holds one chunk whatever the file size;
     returns (bits in, bits out). extract maps whole blocks to output block
     by block, so the chunks' outputs join to the whole stream's. The < 8
     output bits that do not fill a byte go, as 0/1 values, before the next
-    chunk's bits, and the last are packed at the end. src's .len sidecar is
-    checked, and dst must not be src, before dst is opened."""
-    nbits = _read_length(src)
-    if os.path.exists(dst) and os.path.samefile(src, dst):
+    chunk's bits, and the last are packed at the end. Before anything is
+    opened, dst must not be src, nor src's .len sidecar or the file whose
+    sidecar src is; then src's sidecar is checked before dst is opened."""
+    if _same_file(dst, src):
         raise ValueError(f"{dst} is the input file, which writing would truncate")
+    if _same_file(dst, str(src) + ".len") or _same_file(str(dst) + ".len", src):
+        raise ValueError(f"one of {dst} and {src} is the other's .len sidecar, "
+                         f"which writing would change")
+    nbits = _read_length(src)
     size, limit = _chunk_blocks(n) * n // 8, math.inf if nbits is None else nbits
     nin, nout, tail = 0, 0, np.empty(0, np.uint8)
     with open(src, "rb") as fin, open(dst, "wb") as fout:
@@ -289,22 +297,23 @@ def extract_file(extract, n: int, src, dst):
 
 @dataclass(frozen=True)
 class ExactStats:
-    """Full output distribution statistics (exact oracle or empirical).
+    """Output distribution statistics (exact oracle or empirical).
 
-    delta is the L1 distance from uniform (twice the TVD); shannon and
-    min_entropy are base-2^k entropy rates in [0, 1]; coord_biases[i] is
-    |P(Y_i=1) - P(Y_i=0)| for output coordinate i. samples is None for
-    exact results and the word count for empirical ones.
+    coord_biases[i] is |P(Y_i=1) - P(Y_i=0)| for output coordinate i.
+    samples is None for exact results and the word count for empirical ones.
+    The rest come from the 2^k-bucket pmf, and are None past EMPIRICAL_K_CAP
+    in simulate's tally: delta is the L1 distance from uniform (twice the
+    TVD); shannon and min_entropy are base-2^k entropy rates in [0, 1].
     """
 
-    pmf: np.ndarray
-    delta: float
-    tvd: float
-    shannon: float
-    min_entropy: float
     coord_biases: np.ndarray
-    max_prob: float
     samples: Optional[int] = None
+    pmf: Optional[np.ndarray] = None
+    delta: Optional[float] = None
+    tvd: Optional[float] = None
+    shannon: Optional[float] = None
+    min_entropy: Optional[float] = None
+    max_prob: Optional[float] = None
 
 
 def _stats_from_pmf(pmf: np.ndarray, k: int, biases: np.ndarray, samples=None) -> ExactStats:
@@ -433,32 +442,26 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     if len(stream) == 0 or len(stream) % k:
         raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
     check_buckets(k)  # before the k x k identity
-    return _tally(BitMatrix.identity(k), [stream], True)
+    return _tally(BitMatrix.identity(k), [stream])
 
 
 def simulated_stats(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> ExactStats:
     """empirical_stats(linear_extract(G, generate(spec, blocks·n)), k), bit
     for bit, in one pass over the source: memory holds one draw and the
-    2^k buckets, whatever blocks is."""
-    return _tally(G, _source_chunks(spec, blocks, G.cols), True)
+    2^k buckets, whatever blocks is. Past EMPIRICAL_K_CAP it holds no
+    buckets and measures only coord_biases and samples, at any k."""
+    return _tally(G, _source_chunks(spec, blocks, G.cols))
 
 
-def simulated_biases(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> np.ndarray:
-    """The coordinate biases |2·ones_i - m| / m of the m = blocks words G·x
-    of the source, in one pass over it and with no 2^k buckets, so at any k:
-    simulated_stats(G, spec, blocks).coord_biases wherever that fits."""
-    return _tally(G, _source_chunks(spec, blocks, G.cols), False)
-
-
-def _tally(G: BitMatrix, streams, histogram: bool):
-    """The stats of the 2^k-bucket histogram of the words G·x over the whole
-    blocks of each stream in turn, or without one the coordinate biases
-    |2·ones_i - m| / m, exact but for one rounding. One-counts come from how
-    often each value of each word byte occurs; byte c holds coordinates
-    8c .. 8c + 7."""
+def _tally(G: BitMatrix, streams) -> ExactStats:
+    """The stats of the words G·x over the whole blocks of each stream in
+    turn: the coordinate biases |2·ones_i - m| / m, exact but for one
+    rounding, and up to k = EMPIRICAL_K_CAP the 2^k-bucket histogram's.
+    One-counts come from how often each value of each word byte occurs;
+    byte c holds coordinates 8c .. 8c + 7."""
     k, m = G.rows, 0
+    histogram = k <= EMPIRICAL_K_CAP
     if histogram:
-        check_buckets(k)
         counts = np.zeros(1 << k, np.int64)
     byte_counts = np.zeros(((k + 7) // 8, 256), np.int64)
     for stream in streams:
@@ -471,35 +474,18 @@ def _tally(G: BitMatrix, streams, histogram: bool):
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     biases = np.abs(2 * (byte_counts @ byte_bits).reshape(-1)[:k] - m) / m
     if not histogram:
-        return biases
+        biases.setflags(write=False)
+        return ExactStats(coord_biases=biases, samples=m)
     pmf = counts / m
     del counts
     return _stats_from_pmf(pmf, k, biases, samples=m)
 
 
-def multinomial_noise_floor(k: int, samples: int) -> float:
-    """sqrt(2^k / N): the scale of empirical-TVD noise near uniform."""
-    return math.sqrt((1 << k) / samples)
-
-
-def coord_bias_tolerance(k: int, samples: int) -> float:
-    """sqrt(2·ln(2k/alpha)/N), alpha = COORD_BIAS_ALPHA: a coordinate's bias
-    moves 2t when its ones-frequency over N samples moves t, which Hoeffding
-    bounds by 2·exp(-2N·t^2), so by a union bound over the k coordinates the
-    largest deviation passes this tolerance with probability at most alpha."""
-    return math.sqrt(2.0 * math.log(2 * k / COORD_BIAS_ALPHA) / samples)
-
-
 def stats_lines(stats: ExactStats) -> list:
-    """Stats as key=value lines, reals at 12 significant digits."""
-    lines = [
-        f"delta={stats.delta:.12g}",
-        f"tvd={stats.tvd:.12g}",
-        f"shannon={stats.shannon:.12g}",
-        f"min_entropy={stats.min_entropy:.12g}",
-        f"max_prob={stats.max_prob:.12g}",
-        "coord_biases=" + ",".join(f"{b:.12g}" for b in stats.coord_biases),
-    ]
+    """The measured stats as key=value lines, reals at 12 significant digits."""
+    reals = ("delta", "tvd", "shannon", "min_entropy", "max_prob")
+    lines = [f"{f}={getattr(stats, f):.12g}" for f in reals if getattr(stats, f) is not None]
+    lines.append("coord_biases=" + ",".join(f"{b:.12g}" for b in stats.coord_biases))
     if stats.samples is not None:
         lines.append(f"samples={stats.samples}")
     return lines

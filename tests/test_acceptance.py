@@ -21,6 +21,7 @@ from linext.bounds import (
     entropy_lower_bound,
     hmin_bound,
     linear_grid,
+    multinomial_noise_floor,
     pointwise_bound,
     sweep,
     tvd_weight_bound,
@@ -43,7 +44,6 @@ from linext.pipeline import (
     exact_output_pmf,
     generate,
     linear_extract,
-    multinomial_noise_floor,
     output_weight_profile,
     stats_from_profile,
     von_neumann,

@@ -1,13 +1,13 @@
+import dataclasses
 import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from linext.bounds import (
+    ALPHA,
     CSV_HEADER,
     Check,
     bias_bound,
@@ -18,13 +18,14 @@ from linext.bounds import (
     hmin_bound,
     linear_grid,
     pointwise_bound,
+    pointwise_tolerance,
     sweep,
     tvd_weight_bound,
     tvd_worst_bound,
     write_csv,
 )
 from linext.codes import LinearCode, WeightDistribution, enumerate_weights, rm_generator
-from linext.pipeline import exact_output_pmf
+from linext.pipeline import ExactStats, exact_output_pmf
 
 from _naive import random_full_rank
 
@@ -151,10 +152,6 @@ class TestOrderingInvariants:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-# 0 or a magnitude whose half is a normal double: halving it is exact
-_HALVABLE = st.one_of(st.just(0.0), st.floats(2.0**-1020, 2.0**1020))
-
-
 class TestChecks:
     def test_names_kinds_order(self, rm24):
         stats = exact_output_pmf(rm_generator(2, 4).generator, 0.2)
@@ -184,25 +181,62 @@ class TestChecks:
         assert not Check("x", "lower", 0.2, 0.25, 0.01).ok
         assert Check("x", "lower", 0.2, 0.25, 0.05).ok
 
-    def test_mapping_checks_only_the_names_it_gives_a_tolerance(self, rm24):
-        stats = exact_output_pmf(rm_generator(2, 4).generator, 0.2)
-        every = {c.name: c for c in checks(rm24, 0.2, stats, 0.0)}
-        rows = checks(rm24, 0.2, stats, {"pointwise": 0.5, "tvd-weight": 0.1})
-        assert [(c.name, c.tol) for c in rows] == [("tvd-weight", 0.1), ("pointwise", 0.5)]
+    def test_unmeasured_or_untoleranced_checks_are_not_built(self, rm24):
+        exact = exact_output_pmf(rm_generator(2, 4).generator, 0.2)
+        every = {c.name: c for c in checks(rm24, 0.2, exact, 1e-12)}
+        assert all(c.tol == 1e-12 for c in every.values())
+        # sampled stats: entropy and min-entropy have no sampling tolerance
+        sampled = dataclasses.replace(exact, samples=20_000)
+        rows = checks(rm24, 0.2, sampled)
+        assert [c.name for c in rows] == ["tvd-weight", "tvd-worst", "pointwise", "coord-bias"]
         for c in rows:
             assert (c.kind, c.stat, c.bound) == (every[c.name].kind, every[c.name].stat,
                                                  every[c.name].bound)
-        assert checks(rm24, 0.2, stats, {}) == []
+            assert c.tol > 0
+        # every check gets tol on top of its sampling tolerance
+        assert [c.tol + 0.5 for c in rows] == [c.tol for c in checks(rm24, 0.2, sampled, 0.5)]
+        # only the coordinate biases measured: only coord-bias is built
+        tally = ExactStats(coord_biases=exact.coord_biases, samples=20_000)
+        assert [c.name for c in checks(rm24, 0.2, tally)] == ["coord-bias"]
 
-    @given(stat=st.one_of(_HALVABLE, _HALVABLE.map(lambda x: -x)), bound=_HALVABLE,
-           nf=st.floats(2.0**-1000, 2.0**1000))
-    def test_delta_scale_tvd_verdict_is_the_printed_one(self, stat, bound, nf):
-        """simulate checks tvd on the delta scale with tolerance 6nf and prints
-        stat, bound and tol halved: the verdict and the printed tolerance are
-        those of tvd <= bound/2 + 3nf."""
-        c = Check("tvd-weight", "upper", stat, bound, 6 * nf)
-        assert c.ok == (0.5 * stat <= 0.5 * bound + 3 * nf)
-        assert format_real(0.5 * c.tol) == format_real(3 * nf)
+    def test_unbuilt_checks_evaluate_nothing(self):
+        # k = 2036: 2.0**k and (1 << k)/N overflow a double, and only the
+        # coordinate-bias check, which needs neither, is built
+        k = 2036
+        # the [k+1, k] even-weight code: A_l = C(k+1, l) for even l
+        w = WeightDistribution(k + 1, k, tuple(math.comb(k + 1, l) * (l % 2 == 0)
+                                               for l in range(k + 2)))
+        stats = ExactStats(coord_biases=np.zeros(k), samples=10)
+        (c,) = checks(w, 0.1, stats)
+        assert (c.name, c.stat, c.ok) == ("coord-bias", 0.0, True)
+
+
+class TestSamplingTolerances:
+    @pytest.mark.parametrize("k, n, b", [(16, 100, 2.0**-16), (11, 4_000_000, 0.0405),
+                                         (1, 10, 1.0), (24, 10**8, 2.0**-24)])
+    def test_pointwise_is_bernstein_union_bounded(self, k, n, b):
+        t = pointwise_tolerance(k, n, b)
+        # 2^k buckets, each one-sided exp(-N·t^2 / (2(b + t/3))), sum to alpha
+        assert 2.0**k * math.exp(-n * t * t / (2 * (b + t / 3))) == pytest.approx(ALPHA)
+        L = math.log(2.0**k / ALPHA)
+        assert t == pytest.approx((L / 3 + math.sqrt(L * L / 9 + 2 * b * n * L)) / n)
+
+    def test_pointwise_at_100_blocks_clears_one_sample(self):
+        # any 100 samples have max_prob >= 0.01, so at k = 16 a tolerance
+        # under 0.01 - 2^-16 fails every run on a correct code
+        t = pointwise_tolerance(16, 100, 2.0**-16)
+        assert round(t, 2) == 0.12 and t > 0.01 - 2.0**-16
+
+    def test_pointwise_flags_a_bucket_past_bound_and_tolerance(self, rm24):
+        # a synthetic sample whose max_prob is over b + t must FAIL
+        b = pointwise_bound(0.1, 4, 11)
+        n = 100_000
+        t = pointwise_tolerance(11, n, b)
+        for max_prob, ok in ((b + t, True), (b + 1.01 * t, False), (2 * b, False)):
+            stats = ExactStats(coord_biases=np.zeros(11), samples=n, pmf=None, delta=0.0,
+                               tvd=0.0, shannon=1.0, min_entropy=1.0, max_prob=max_prob)
+            (c,) = [c for c in checks(rm24, 0.1, stats) if c.name == "pointwise"]
+            assert (c.bound, c.tol, c.ok) == (b, t, ok)
 
 
 class TestSweep:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import linext
-from linext import pipeline
+from linext import cli, pipeline
 from linext.bounds import CSV_HEADER
 from linext.cli import build_parser, main
 from linext.codes import enumerate_weights, rm_generator, serialize_weights, weight_distribution
@@ -289,6 +289,31 @@ class TestExtract:
             assert "is the input file" in err
         assert (src.read_bytes(), (tmp_path / "in.bits.len").read_text()) == before
 
+    @pytest.mark.parametrize("sidecar", ["13\n", None], ids=["ragged", "whole-bytes"])
+    def test_out_is_input_sidecar_is_usage_error(self, capsys, tmp_path, sidecar):
+        # writing p.bits.len would replace the input's length with binary
+        src, dst = tmp_path / "p.bits", tmp_path / "p.bits.len"
+        src.write_bytes(b"\xa5\x38")
+        if sidecar:
+            dst.write_text(sidecar)
+        code, out, err = run(capsys, "extract", "--code", "rm:1,3",
+                             "--in", str(src), "--out", str(dst))
+        assert (code, out) == (2, "")
+        assert "is the other's .len sidecar" in err
+        assert src.read_bytes() == b"\xa5\x38"
+        assert (dst.read_text() if dst.exists() else None) == sidecar
+
+    def test_input_is_out_sidecar_is_usage_error(self, capsys, tmp_path):
+        # writing q would remove or rewrite q.len, the input, as q's sidecar
+        src, dst = tmp_path / "q.len", tmp_path / "q"
+        src.write_bytes(bytes(range(64)))
+        code, out, err = run(capsys, "extract", "--code", "rm:1,3",
+                             "--in", str(src), "--out", str(dst))
+        assert (code, out) == (2, "")
+        assert "is the other's .len sidecar" in err
+        assert src.read_bytes() == bytes(range(64))
+        assert not dst.exists() and not (tmp_path / "q.len.len").exists()
+
     def test_out_dev_null(self, capsys, tmp_path):
         src = tmp_path / "in.bits"
         src.write_bytes(bytes([0b01100110]) * 128)  # 1024 bits, 512 unequal pairs
@@ -444,7 +469,7 @@ class TestSimulate:
         code_b, out_b, _ = run(capsys, *args)
         assert code_a == code_b == 0
         assert out_a == out_b
-        assert "noise_floor=" in out_a and "samples=20000" in out_a
+        assert "tol_tvd-weight=1.92" in out_a and "samples=20000" in out_a
 
     def test_all_checks_pass_small_code(self, capsys):
         code, out, _ = run(
@@ -470,10 +495,15 @@ class TestSimulate:
             "--blocks", "20000", "--seed", "3",
         )
         assert code == 0
-        assert out.splitlines()[2:] == [
-            "coord_bias_max=0.0138",
-            "coord_tol=0.0329529953078 alpha=0.001",
-            "coord-bias <= eps^d + tol: PASS",
+        lines = out.splitlines()
+        assert lines[2].startswith("coord_biases=0.0095,0.0118,")
+        assert lines[3:] == [
+            "samples=20000",
+            "tol_coord-bias=0.0329529953078",
+            "alpha=0.001",
+            "eps         check        sampled          bound            status",
+            "0.2         coord-bias   0.0138           0.0016           PASS",
+            "all bounds hold",
         ]
 
     @pytest.mark.parametrize("blocks", ["0", "-3"])
@@ -497,8 +527,8 @@ class TestSimulate:
         path.write_text(serialize_weights(weight_distribution(rm_generator(3, 5))[0]))
         code, out, _ = run(capsys, *argv, "--weights", str(path))
         assert code == 0
-        assert "coord_bias_max=0.0138" in out
-        assert "coord-bias <= eps^d + tol: PASS" in out
+        assert "0.2         coord-bias   0.0138           0.0016           PASS" in out
+        assert out.endswith("all bounds hold\n")
 
     @pytest.mark.parametrize("seed, eps", [("5", "0.1"), ("3", "0.6"), ("4", "0.3")])
     def test_coord_bias_max_over_k_is_not_a_false_alarm(self, capsys, seed, eps):
@@ -509,7 +539,7 @@ class TestSimulate:
             "--blocks", "200000", "--seed", seed,
         )
         assert code == 0
-        assert "tol=0.0101850337171 alpha=0.001 PASS" in out
+        assert {"tol_coord-bias=0.0101850337171", "alpha=0.001"} <= set(out.splitlines())
 
     @pytest.mark.parametrize("blocks", ["300", "1000"])
     def test_uniform_output_is_not_a_violation(self, capsys, blocks):
@@ -527,13 +557,54 @@ class TestSimulate:
             "--blocks", "1000", "--seed", "1",
         )
         assert code == 0
-        assert out == (
-            "simulate RM(5,7) [128,120] eps=0.1 seed=1\n"
-            "blocks=1000\n"
-            "coord_bias_max=0.102\n"
-            "coord_tol=0.157406443339 alpha=0.001\n"
-            "coord-bias <= eps^d + tol: PASS\n"
-        )
+        lines = out.splitlines()
+        biases = lines[2].removeprefix("coord_biases=").split(",")
+        assert (len(biases), max(map(float, biases))) == (120, 0.102)
+        assert lines[:2] + lines[3:] == [
+            "simulate RM(5,7) [128,120] eps=0.1 seed=1",
+            "blocks=1000",
+            "samples=1000",
+            "tol_coord-bias=0.157406443339",
+            "alpha=0.001",
+            "eps         check        sampled          bound            status",
+            "0.1         coord-bias   0.102            0.0001           PASS",
+            "all bounds hold",
+        ]
+
+    def test_few_blocks_on_uniform_output_pass_pointwise(self, capsys):
+        # 100 samples have max_prob >= 0.01 whatever the code, far over the
+        # bound 2^-16: the tolerance must grow like ln(2^k/alpha)/N here
+        for seed in range(40):
+            code, out, _ = run(capsys, "simulate", "--code", "rm:2,5", "--eps", "0",
+                               "--blocks", "100", "--seed", str(seed))
+            assert (seed, code, "FAIL" in out) == (seed, 0, False)
+        assert "tol_pointwise=0.120033160036" in out.splitlines()
+
+    def test_dimension_past_double_range(self, tmp_path):
+        # k = 2036: 2.0**k overflows, and only coord-bias, which needs no
+        # 2^k, is built and checked
+        res = _run_limited(tmp_path, ["simulate", "--code", "rm:9,11", "--eps", "0.1",
+                                      "--blocks", "10"])
+        assert res.returncode == 0
+        assert "Traceback" not in res.stderr
+        assert res.stdout.splitlines()[-2].split()[1:] == ["coord-bias", "1", "0.0001", "PASS"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["code-info", "--code", "rm:1,3"],
+    ["bounds-sweep", "--code", "rm:1,3", "--eps", "0.1"],
+    ["verify", "--code", "rm:1,3", "--eps", "0.1"],
+    ["simulate", "--code", "rm:1,3", "--eps", "0.1", "--blocks", "100"],
+    ["extract", "--code", "rm:1,3", "--in", "in.bits", "--out", os.devnull],
+], ids=lambda argv: argv[0])
+def test_code_source_checked_once(capsys, monkeypatch, tmp_path, argv):
+    (tmp_path / "in.bits").write_bytes(bytes(8))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    check = cli._check_code_source
+    monkeypatch.setattr(cli, "_check_code_source", lambda args: calls.append(check(args)))
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == 1
 
 
 class TestExitCodes:
@@ -916,19 +987,31 @@ min_entropy=0.893480069174
 max_prob=0.0011
 coord_biases=0.0067,0.0111,0.0019,0.0053,0.007,0.0023,0.007,0.0025,0.0082,0.0097,0.0064
 samples=20000
-noise_floor=0.32
-tvd <= weight-bound/2 + 3nf: stat=0.13095546875 bound=0.127472824323 tol=0.96 PASS
-tvd <= worst-bound/2 + 3nf: stat=0.13095546875 bound=1.6384 tol=0.96 PASS
-max_prob <= pointwise + tol: stat=0.0011 bound=0.00208828125 tol=0.00219863238742 PASS
-coord_bias <= eps^d + tol: stat=0.0111 bound=0.0016 tol=0.0316208755925 alpha=0.001 PASS
+tol_tvd-weight=1.92
+tol_tvd-worst=1.92
+tol_pointwise=0.00200102184241
+tol_coord-bias=0.0316208755925
+alpha=0.001
+eps         check        sampled          bound            status
+0.2         tvd-weight   0.2619109375     0.254945648647   PASS
+0.2         tvd-worst    0.2619109375     3.2768           PASS
+0.2         pointwise    0.0011           0.00208828125    PASS
+0.2         coord-bias   0.0111           0.0016           PASS
+all bounds hold
 """
 
 GOLDEN_SIMULATE_RM35 = """\
 simulate RM(3,5) [32,26] eps=0.2 seed=7
 blocks=20000
-coord_bias_max=0.0131
-coord_tol=0.0329529953078 alpha=0.001
-coord-bias <= eps^d + tol: PASS
+coord_biases=0.0002,0.0011,0.0025,0.0013,0.0075,0.0007,0.0087,0.0004,0.0001,0.0025,\
+0.0084,0.0037,0.0032,0.0061,0.0078,0.0053,0.0001,0.007,0.004,0.0034,0.0022,0.0102,0.001,\
+0.0002,0.0036,0.0131
+samples=20000
+tol_coord-bias=0.0329529953078
+alpha=0.001
+eps         check        sampled          bound            status
+0.2         coord-bias   0.0131           0.0016           PASS
+all bounds hold
 """
 
 GOLDEN_CODE_INFO_RM24 = """\

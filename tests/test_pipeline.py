@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from linext import pipeline
+from linext.bounds import ALPHA, coord_bias_tolerance, multinomial_noise_floor
 from linext.codes import rm_generator
 from linext.errors import InfeasibleError
 from linext.gf2 import BitMatrix, rank
@@ -20,17 +21,13 @@ from linext.pipeline import (
     _source_chunks,
     _fwht,
     BiasedSourceSpec,
-    COORD_BIAS_ALPHA,
     BitStream,
-    coord_bias_tolerance,
     empirical_stats,
     exact_output_pmf,
     extract_file,
     generate,
     linear_extract,
-    multinomial_noise_floor,
     output_weight_profile,
-    simulated_biases,
     simulated_stats,
     stats_from_profile,
     von_neumann,
@@ -595,12 +592,12 @@ class TestEmpirical:
 
     def test_coord_bias_tolerance_is_union_bounded_hoeffding(self):
         tol = coord_bias_tolerance(16, 200_000)
-        assert tol == pytest.approx(math.sqrt(2 * math.log(32 / COORD_BIAS_ALPHA) / 200_000))
+        assert tol == pytest.approx(math.sqrt(2 * math.log(32 / ALPHA) / 200_000))
         assert round(tol, 4) == 0.0102
         # k coordinates, each two-sided 2·exp(-N·tol^2/2), sum to alpha
         for k, n in [(1, 10), (11, 20_000), (24, 10**8)]:
             tol = coord_bias_tolerance(k, n)
-            assert 2 * k * math.exp(-n * tol**2 / 2) == pytest.approx(COORD_BIAS_ALPHA)
+            assert 2 * k * math.exp(-n * tol**2 / 2) == pytest.approx(ALPHA)
 
     def test_stats_lines_format(self):
         from linext.pipeline import stats_lines
@@ -641,19 +638,21 @@ class TestSimulatedTally:
         assert np.array_equal(got.pmf, np.bincount(words, minlength=1 << k) / blocks)
         ones = bits.sum(axis=0)
         assert got.coord_biases.tolist() == [abs(2 * int(c) - blocks) / blocks for c in ones]
-        assert simulated_biases(G, spec, blocks).tolist() == got.coord_biases.tolist()
 
     @pytest.mark.parametrize(
         "k, n, blocks", [(11, 25, 2 * 5240 + 3), (64, 67, 2 * 1952 + 9), (80, 100, 10480 + 77)]
     )
     def test_biases_match_materialized_stream(self, k, n, blocks):
-        # k = 64 and k = 80 give words of one and two 64-bit words
+        # k = 64 and k = 80 give words of one and two 64-bit words, past the
+        # histogram cap: the tally measures only the biases and the samples
         G = random_full_rank(np.random.default_rng(n), k, n)
         spec = BiasedSourceSpec(0.1, seed=k)
         out = linear_extract(G, generate(spec, blocks * n))
-        got = simulated_biases(G, spec, blocks)
+        got = simulated_stats(G, spec, blocks)
         ones = out.bits.reshape(blocks, k).sum(axis=0, dtype=np.int64)
-        assert got.tolist() == [abs(2 * int(c) - blocks) / blocks for c in ones]
+        assert got.coord_biases.tolist() == [abs(2 * int(c) - blocks) / blocks for c in ones]
+        assert got.samples == blocks
+        assert (got.pmf is None) == (k > pipeline.EMPIRICAL_K_CAP)
 
     def test_peak_is_one_chunk(self):
         # a chunk of 65536 [16,11] blocks: 128 KB of source bytes, 512 KB of
@@ -668,9 +667,18 @@ class TestSimulatedTally:
         assert stats.samples == 3 * 65536 + 5
         assert peak < 4 << 20
 
-    def test_histogram_cap(self):
-        with pytest.raises(InfeasibleError, match=r"k=26 needs 2\^26 buckets"):
-            simulated_stats(rm_generator(3, 5).generator, BiasedSourceSpec(0.1), 10)
+    def test_past_the_cap_allocates_no_buckets(self):
+        # k = 26: a 2^26 int64 histogram would be 512 MB
+        G = rm_generator(3, 5).generator
+        tracemalloc.start()
+        try:
+            stats = simulated_stats(G, BiasedSourceSpec(0.1, seed=2), 70_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (stats.samples, stats.coord_biases.size) == (70_000, 26)
+        assert (stats.pmf, stats.delta, stats.max_prob, stats.shannon) == (None,) * 4
+        assert peak < 8 << 20
 
     def test_histogram_peak_is_two_bucket_arrays(self):
         # the int64 counts and the float64 pmf, then the pmf and one delta
@@ -688,14 +696,13 @@ class TestSimulatedTally:
 
 
 def test_one_bucket_gate_for_oracle_and_histograms():
-    # the exact oracle, a stream's histogram and simulate's tally share one
-    # 2^k-bucket gate: the same message, raised before any 2^k allocation
+    # the exact oracle and a stream's histogram share one 2^k-bucket gate:
+    # the same message, raised before any 2^k allocation
     k = 25
     G = BitMatrix.identity(k)
     calls = [
         lambda: exact_output_pmf(G, 0.2),
         lambda: empirical_stats(BitStream([0] * 2 * k), k),
-        lambda: simulated_stats(G, BiasedSourceSpec(0.2), 10),
     ]
     messages = []
     tracemalloc.start()
@@ -707,5 +714,5 @@ def test_one_bucket_gate_for_oracle_and_histograms():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert messages == ["k=25 needs 2^25 buckets, over the cap 24"] * 3
+    assert messages == ["k=25 needs 2^25 buckets, over the cap 24"] * 2
     assert peak < 1 << 20
