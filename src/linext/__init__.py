@@ -14,7 +14,6 @@ from .bounds import (
     entropy_lower_bound,
     hmin_bound,
     linear_grid,
-    multinomial_noise_floor,
     pointwise_bound,
     sweep,
     tvd_weight_bound,

@@ -99,9 +99,14 @@ class Check:
         return s <= b + t if self.kind == "upper" else s >= b - t
 
 
-def multinomial_noise_floor(k: int, samples: int) -> float:
-    """sqrt(2^k / N): the scale of empirical-TVD noise near uniform."""
-    return math.sqrt((1 << k) / samples)
+def tvd_tolerance(k: int, samples: int) -> float:
+    """sqrt(2(2^k·ln 2 + ln(1/ALPHA))/N): the empirical pmf of N samples
+    over 2^k buckets is at L1 distance t or more from the true pmf with
+    probability at most 2^(2^k)·exp(-N·t^2/2) (Weissman, Ordentlich,
+    Seroussi, Verdú & Weinberger, HP Labs 2003), which is ALPHA at this t.
+    delta is an L1 distance from uniform, so by the triangle inequality a
+    sampled delta passes the true one plus t with probability at most ALPHA."""
+    return math.sqrt(2.0 * ((1 << k) * math.log(2.0) + math.log(1.0 / ALPHA)) / samples)
 
 
 def coord_bias_tolerance(k: int, samples: int) -> float:
@@ -133,11 +138,11 @@ def checks(w: WeightDistribution, eps: float, stats, tol: float = 0.0) -> List[C
     statistic stats did not measure (None), and for sampled stats a check
     with no sampling tolerance (entropy, min-entropy)."""
     k, d, n = w.k, min_distance(w), stats.samples
-    noise = lambda b: 6 * multinomial_noise_floor(k, n)
+    tvd_tol = lambda b: tvd_tolerance(k, n)
     # name, kind, statistic, bound, sampling tolerance of the bound (None: none)
     rows = [
-        ("tvd-weight", "upper", stats.delta, lambda: tvd_weight_bound(w, eps), noise),
-        ("tvd-worst", "upper", stats.delta, lambda: tvd_worst_bound(k, d, eps), noise),
+        ("tvd-weight", "upper", stats.delta, lambda: tvd_weight_bound(w, eps), tvd_tol),
+        ("tvd-worst", "upper", stats.delta, lambda: tvd_worst_bound(k, d, eps), tvd_tol),
         ("pointwise", "upper", stats.max_prob, lambda: pointwise_bound(eps, d, k),
          lambda b: pointwise_tolerance(k, n, b)),
         ("coord-bias", "upper", float(stats.coord_biases.max()), lambda: bias_bound(eps, d),

@@ -38,14 +38,9 @@ def _parse_code_selector(text: str):
     return r, m
 
 
-def _check_code_source(args) -> None:
-    if bool(args.code) == bool(args.matrix):
-        raise ValueError("specify exactly one code source: --code rm:<r>,<m> or --matrix FILE")
-
-
 def _load_code(args) -> codes.LinearCode:
-    """Resolve --code / --matrix, which _check_code_source has passed, into a LinearCode."""
-    if args.code:
+    """Resolve --code or --matrix, of which the parser allows one, into a LinearCode."""
+    if args.code is not None:
         return codes.rm_generator(*_parse_code_selector(args.code))
     return codes.LinearCode(parse_matrix(Path(args.matrix).read_text()), label=args.matrix)
 
@@ -58,19 +53,14 @@ def _eps_grid(args):
     return bounds.linear_grid(args.eps_min, args.eps_max, args.steps)
 
 
-def _load_weights(args, runs_code: bool = False):
+def _load_weights(args):
     """(code, weights, route) for code-info, bounds-sweep and simulate.
 
-    The code source is checked first; a command that runs the generator
-    (runs_code) needs one even beside --weights. --weights wins over
-    enumeration and must match the generator's [n,k]. It is parsed before
-    the code is built. --weights alone gives code None.
+    --weights wins over enumeration and must match the generator's [n,k].
+    It is parsed before the code is built. --weights alone gives code None.
     """
-    external = not (args.code or args.matrix)
-    if runs_code or not external:
-        _check_code_source(args)
-    w = codes.parse_weights(Path(args.weights).read_text()) if args.weights else None
-    if external:
+    w = None if args.weights is None else codes.parse_weights(Path(args.weights).read_text())
+    if args.code is None and args.matrix is None:
         if w is None:
             raise ValueError("specify a code via --code, --matrix or --weights")
         return None, w, "external"
@@ -134,11 +124,8 @@ def cmd_bounds_sweep(args) -> int:
 
 def cmd_extract(args) -> int:
     if args.baseline == "von-neumann":
-        if args.code or args.matrix:
-            raise ValueError("--baseline von-neumann takes no --code or --matrix")
         label, block, extract = "von-neumann", 2, pipeline.von_neumann
     else:
-        _check_code_source(args)
         code = _load_code(args)  # construction rejects rank-deficient G
         label, block = code.label, code.n
         extract = functools.partial(pipeline.linear_extract, code.generator)
@@ -154,22 +141,33 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _stats_lines(stats) -> list:
+    """The measured stats of an ExactStats as key=value lines."""
+    reals = ("delta", "tvd", "shannon", "min_entropy", "max_prob")
+    lines = [f"{f}={_fmt(getattr(stats, f))}" for f in reals if getattr(stats, f) is not None]
+    lines.append("coord_biases=" + ",".join(map(_fmt, stats.coord_biases)))
+    if stats.samples is not None:
+        lines.append(f"samples={stats.samples}")
+    return lines
+
+
 def _check_table(stat: str, rows) -> int:
     """Print a column header, one row per (eps, Check) of rows and the
-    verdict line; exit 1 when any check fails."""
-    print(f"{'eps':<10}  {'check':<11}  {stat:<15}  {'bound':<15}  status")
+    verdict line; exit 1 when any check fails. The real columns are 19
+    wide, the longest _fmt string: sign, 12 digits, point, "e-" and 3
+    exponent digits."""
+    print(f"{'eps':<19}  {'check':<11}  {stat:<19}  {'bound':<19}  status")
     failures = 0
     for eps, c in rows:
         failures += not c.ok
-        print(f"{_fmt(eps):<10}  {c.name:<11}  {_fmt(c.stat):<15}  "
-              f"{_fmt(c.bound):<15}  {'PASS' if c.ok else 'FAIL'}")
+        print(f"{_fmt(eps):<19}  {c.name:<11}  {_fmt(c.stat):<19}  "
+              f"{_fmt(c.bound):<19}  {'PASS' if c.ok else 'FAIL'}")
     print(f"{failures} bound violation(s)" if failures else "all bounds hold")
     return EXIT_VERIFY_FAIL if failures else EXIT_OK
 
 
 def cmd_verify(args) -> int:
     grid = _eps_grid(args)
-    _check_code_source(args)
     code = _load_code(args)
     try:
         profile = pipeline.output_weight_profile(code.generator)
@@ -178,7 +176,7 @@ def cmd_verify(args) -> int:
     # A_l = #{u : wt(uG) = l}: G's own weights, counted from the oracle's walk
     counts = np.bincount(profile, minlength=code.n + 1).tolist()
     w = codes.WeightDistribution(code.n, code.k, tuple(counts))
-    print(f"verify {code.label or 'matrix'} [{code.n},{code.k},{codes.min_distance(w)}] "
+    print(f"verify {code.label} [{code.n},{code.k},{codes.min_distance(w)}] "
           f"tol={_fmt(args.tol)}")
     # stats (a 2^k pmf) is not bound to a name, so it is freed before the next eps
     return _check_table("exact", ((eps, c) for eps in grid for c in bounds.checks(
@@ -187,13 +185,13 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = pipeline.BiasedSourceSpec(args.eps, args.seed)
-    code, w, _ = _load_weights(args, runs_code=True)  # --weights names no generator to run
+    code, w, _ = _load_weights(args)
     codes.min_distance(w)  # the trivial code has none: exit 2 before any draw
     stats = pipeline.simulated_stats(code.generator, spec, args.blocks)
     results = bounds.checks(w, args.eps, stats)
     print("\n".join([
-        f"simulate {code.label or 'matrix'} [{code.n},{code.k}] eps={_fmt(args.eps)} "
-        f"seed={args.seed}", f"blocks={args.blocks}", *pipeline.stats_lines(stats),
+        f"simulate {code.label} [{code.n},{code.k}] eps={_fmt(args.eps)} "
+        f"seed={args.seed}", f"blocks={args.blocks}", *_stats_lines(stats),
         *(f"tol_{c.name}={_fmt(c.tol)}" for c in results), f"alpha={_fmt(bounds.ALPHA)}"]))
     return _check_table("sampled", ((args.eps, c) for c in results))
 
@@ -270,15 +268,19 @@ def _at_least(lo, kind=int):
     return parse
 
 
-def _add_code_flags(p, weights=True):
-    p.add_argument("--code", help="code selector, e.g. rm:2,4")
-    p.add_argument("--matrix", help="generator matrix file")
+def _add_code_flags(p, weights=True, required=False):
+    """Add --code and --matrix as one mutually exclusive group, which is
+    returned, and with weights also --weights and --cap."""
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--code", help="code selector, e.g. rm:2,4")
+    group.add_argument("--matrix", help="generator matrix file")
     if weights:
         p.add_argument("--weights", help="external weight distribution file")
         p.add_argument(
             "--cap", type=_at_least(0), default=codes.ENUMERATION_CAP,
             help="weight enumeration cap on the code dimension (default %(default)s)",
         )
+    return group
 
 
 def _add_eps_flags(p):
@@ -308,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds_sweep)
 
     p = sub.add_parser("extract", help="run a stream file through an extractor")
-    _add_code_flags(p, weights=False)
+    source = _add_code_flags(p, weights=False, required=True)
     p.add_argument("--in", dest="infile", required=True, help="input stream file")
     p.add_argument("--out", required=True, help="output stream file")
-    p.add_argument("--baseline", choices=["von-neumann"], help="use a baseline instead of G")
+    source.add_argument("--baseline", choices=["von-neumann"], help="use a baseline instead of G")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="exact oracle vs every bound; exit 1 on violation")
-    _add_code_flags(p, weights=False)
+    _add_code_flags(p, weights=False, required=True)
     _add_eps_flags(p)
     p.add_argument(
         "--tol", type=_at_least(0.0, float), default=1e-12,
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte-Carlo source + extraction vs bounds")
-    _add_code_flags(p)
+    _add_code_flags(p, required=True)
     p.add_argument("--eps", type=float, required=True, help="input bias")
     p.add_argument(
         "--blocks", type=_at_least(1), default=100000,

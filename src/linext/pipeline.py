@@ -19,7 +19,7 @@ import numpy as np
 
 from .codes import codeword_weights
 from .errors import InfeasibleError
-from .gf2 import BitMatrix, pack_bits, rank, subset_xor_table
+from .gf2 import BitMatrix, pack_bits, subset_xor_table
 
 # Cap on k for anything holding 2^k buckets: the empirical histogram and
 # the exact oracle.
@@ -347,13 +347,11 @@ def output_weight_profile(G: BitMatrix) -> np.ndarray:
 
     The profile separates the geometry of G from the bias, so one pass over
     the 2^k codewords serves every eps. It is held in the smallest unsigned
-    dtype that holds n (uint8 up to n = 255). Needs k <= EMPIRICAL_K_CAP and
-    full rank; both are checked before any work.
+    dtype that holds n (uint8 up to n = 255). Needs k <= EMPIRICAL_K_CAP,
+    which is checked before any work; G may have any rank.
     """
     k = G.rows
     check_buckets(k)
-    if rank(G) != k:
-        raise ValueError(f"exact oracle requires a full-rank matrix (rank {rank(G)} < {k} rows)")
     w = np.empty(1 << k, np.min_scalar_type(G.cols))
     for h, chunk in codeword_weights(G):
         w[h * chunk.size : (h + 1) * chunk.size] = chunk
@@ -426,6 +424,7 @@ def exact_output_pmf(G: BitMatrix, eps: float) -> ExactStats:
     """Exact output distribution of y = G·x under the biased IID source.
 
     Costs O(k·2^k) whatever n is; feasible for k <= EMPIRICAL_K_CAP only.
+    G may have any rank: the XOR lemma holds for dependent rows too.
     """
     return stats_from_profile(output_weight_profile(G), eps)
 
@@ -479,13 +478,3 @@ def _tally(G: BitMatrix, streams) -> ExactStats:
     pmf = counts / m
     del counts
     return _stats_from_pmf(pmf, k, biases, samples=m)
-
-
-def stats_lines(stats: ExactStats) -> list:
-    """The measured stats as key=value lines, reals at 12 significant digits."""
-    reals = ("delta", "tvd", "shannon", "min_entropy", "max_prob")
-    lines = [f"{f}={getattr(stats, f):.12g}" for f in reals if getattr(stats, f) is not None]
-    lines.append("coord_biases=" + ",".join(f"{b:.12g}" for b in stats.coord_biases))
-    if stats.samples is not None:
-        lines.append(f"samples={stats.samples}")
-    return lines

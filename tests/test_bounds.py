@@ -20,6 +20,7 @@ from linext.bounds import (
     pointwise_bound,
     pointwise_tolerance,
     sweep,
+    tvd_tolerance,
     tvd_weight_bound,
     tvd_worst_bound,
     write_csv,
@@ -236,6 +237,31 @@ class TestSamplingTolerances:
             stats = ExactStats(coord_biases=np.zeros(11), samples=n, pmf=None, delta=0.0,
                                tvd=0.0, shannon=1.0, min_entropy=1.0, max_prob=max_prob)
             (c,) = [c for c in checks(rm24, 0.1, stats) if c.name == "pointwise"]
+            assert (c.bound, c.tol, c.ok) == (b, t, ok)
+
+
+    @pytest.mark.parametrize("k, n", [(1, 2000), (4, 50_000), (11, 20_000), (11, 4_000_000),
+                                      (24, 10**8)])
+    def test_tvd_is_weissman_at_alpha(self, k, n):
+        t = tvd_tolerance(k, n)
+        # P(|p_hat - p|_1 >= t) <= 2^(2^k)·exp(-N·t^2/2), which is alpha at t
+        assert 2.0**k * math.log(2.0) - n * t * t / 2 == pytest.approx(math.log(ALPHA))
+        assert t == pytest.approx(math.sqrt(2 * (2**k * math.log(2) + math.log(1 / ALPHA)) / n))
+
+    def test_tvd_at_the_stream_shape(self):
+        # [16,11] at 4·10^6 blocks, where 6·sqrt(2^k/N) gave 0.136
+        assert round(tvd_tolerance(11, 4_000_000), 4) == 0.0267
+
+    def test_tvd_flags_a_delta_the_old_tolerance_passed(self, rm24):
+        # a synthetic sample whose delta is past the bound by more than the
+        # Weissman tolerance but less than 6·sqrt(2^k/N) must FAIL
+        n = 4_000_000
+        b, t, old = tvd_weight_bound(rm24, 0.2), tvd_tolerance(11, n), 6 * math.sqrt(2**11 / n)
+        assert t < old
+        for delta, ok in ((b + t, True), (b + (t + old) / 2, False), (b + 0.99 * old, False)):
+            stats = ExactStats(coord_biases=np.zeros(11), samples=n, delta=delta,
+                               tvd=delta / 2, max_prob=2.0**-11)
+            (c,) = [c for c in checks(rm24, 0.2, stats) if c.name == "tvd-weight"]
             assert (c.bound, c.tol, c.ok) == (b, t, ok)
 
 

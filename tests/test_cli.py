@@ -91,20 +91,21 @@ class TestCodeInfo:
     def test_two_sources_is_usage_error(self, capsys, tmp_path):
         mfile = tmp_path / "g.txt"
         mfile.write_text("1 2\n11\n")
-        code, _, err = run(
-            capsys, "code-info", "--code", "rm:1,3", "--matrix", str(mfile)
-        )
-        assert code == 2
-        assert "exactly one" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["code-info", "--code", "rm:1,3", "--matrix", str(mfile)])
+        assert exc.value.code == 2
+        assert "argument --matrix: not allowed with argument --code" in capsys.readouterr().err
 
     def test_two_sources_checked_before_weights(self, capsys, tmp_path):
         # a weights header past the block-length cap would exit 3 if parsed
         (tmp_path / "g.txt").write_text("1 2\n11\n")
         (tmp_path / "w.txt").write_text("2000000000 3\n0 1\n")
-        code, out, err = run(capsys, "code-info", "--code", "rm:1,3", "--matrix",
-                             str(tmp_path / "g.txt"), "--weights", str(tmp_path / "w.txt"))
-        assert (code, out) == (2, "")
-        assert "exactly one" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["code-info", "--code", "rm:1,3", "--matrix", str(tmp_path / "g.txt"),
+                  "--weights", str(tmp_path / "w.txt")])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "not allowed with" in err
 
     def test_bad_selector(self, capsys):
         code, _, err = run(capsys, "code-info", "--code", "golay:23")
@@ -256,12 +257,12 @@ class TestExtract:
         src = tmp_path / "in.bits"
         dst = tmp_path / "out.bits"
         generate(BiasedSourceSpec(0.0, seed=5), 64).write(src)
-        code, out, err = run(
-            capsys, "extract", "--baseline", "von-neumann", *source,
-            "--in", str(src), "--out", str(dst),
-        )
-        assert (code, out) == (2, "")
-        assert "--baseline von-neumann takes no --code or --matrix" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--baseline", "von-neumann", *source,
+                  "--in", str(src), "--out", str(dst)])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"argument {source[0]}: not allowed with argument --baseline" in err
         assert not dst.exists()
 
     def test_rank_deficient_matrix(self, capsys, tmp_path):
@@ -459,6 +460,25 @@ class TestVerify:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, longest", [
+    (["verify", "--code", "rm:1,3", "--eps-min", "0.05", "--eps-max", "0.45", "--steps", "9"],
+     "1.09375048828e-05"),
+    (["verify", "--code", "rm:1,3", "--eps-min", "0.05", "--eps-max", "0.45", "--steps", "7"],
+     "0.116666666667"),
+    (["simulate", "--code", "rm:2,5", "--eps", "0", "--blocks", "100"], "1.52587890625e-05"),
+], ids=["verify-stat", "verify-eps", "simulate-bound"])
+def test_check_table_status_column_is_fixed(capsys, argv, longest):
+    # format_real strings run to 19 characters; shorter columns shift a row
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and longest in out
+    lines = out.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("eps "))
+    col = lines[start].index("status")
+    assert col == 3 * 19 + 11 + 4 * 2
+    rows = lines[start + 1 : -1]
+    assert rows and all(l[col:] in ("PASS", "FAIL") and l[col - 2 : col] == "  " for l in rows)
+
+
 class TestSimulate:
     def test_reproducible_report(self, capsys):
         args = (
@@ -469,7 +489,7 @@ class TestSimulate:
         code_b, out_b, _ = run(capsys, *args)
         assert code_a == code_b == 0
         assert out_a == out_b
-        assert "tol_tvd-weight=1.92" in out_a and "samples=20000" in out_a
+        assert "tol_tvd-weight=0.377686798957" in out_a and "samples=20000" in out_a
 
     def test_all_checks_pass_small_code(self, capsys):
         code, out, _ = run(
@@ -501,8 +521,8 @@ class TestSimulate:
             "samples=20000",
             "tol_coord-bias=0.0329529953078",
             "alpha=0.001",
-            "eps         check        sampled          bound            status",
-            "0.2         coord-bias   0.0138           0.0016           PASS",
+            "eps                  check        sampled              bound                status",
+            "0.2                  coord-bias   0.0138               0.0016               PASS",
             "all bounds hold",
         ]
 
@@ -527,7 +547,7 @@ class TestSimulate:
         path.write_text(serialize_weights(weight_distribution(rm_generator(3, 5))[0]))
         code, out, _ = run(capsys, *argv, "--weights", str(path))
         assert code == 0
-        assert "0.2         coord-bias   0.0138           0.0016           PASS" in out
+        assert "0.2                  coord-bias   0.0138               0.0016               PASS" in out
         assert out.endswith("all bounds hold\n")
 
     @pytest.mark.parametrize("seed, eps", [("5", "0.1"), ("3", "0.6"), ("4", "0.3")])
@@ -566,8 +586,8 @@ class TestSimulate:
             "samples=1000",
             "tol_coord-bias=0.157406443339",
             "alpha=0.001",
-            "eps         check        sampled          bound            status",
-            "0.1         coord-bias   0.102            0.0001           PASS",
+            "eps                  check        sampled              bound                status",
+            "0.1                  coord-bias   0.102                0.0001               PASS",
             "all bounds hold",
         ]
 
@@ -580,6 +600,24 @@ class TestSimulate:
             assert (seed, code, "FAIL" in out) == (seed, 0, False)
         assert "tol_pointwise=0.120033160036" in out.splitlines()
 
+    def test_tvd_tolerance_holds_its_false_alarm_rate(self, capsys):
+        # RM(0,4) is [16,1] with A_16 = 1, so the weight bound eps^16 is the
+        # true delta: only the tolerance keeps the sampled delta from failing
+        for seed in range(40):
+            code, out, _ = run(capsys, "simulate", "--code", "rm:0,4", "--eps", "0.3",
+                               "--blocks", "2000", "--seed", str(seed))
+            assert (seed, code) == (seed, 0)
+        assert "tol_tvd-weight=0.0910716730938" in out.splitlines()
+
+    def test_stats_lines_format(self):
+        stats = pipeline.empirical_stats(BitStream([1, 0, 1] * 50), 3)
+        lines = cli._stats_lines(stats)
+        assert "max_prob=1" in lines
+        assert "samples=50" in lines
+        assert any(l.startswith("tvd=0.875") for l in lines)
+        exact = pipeline.exact_output_pmf(rm_generator(1, 3).generator, 0.2)
+        assert not any(l.startswith("samples=") for l in cli._stats_lines(exact))
+
     def test_dimension_past_double_range(self, tmp_path):
         # k = 2036: 2.0**k overflows, and only coord-bias, which needs no
         # 2^k, is built and checked
@@ -590,21 +628,52 @@ class TestSimulate:
         assert res.stdout.splitlines()[-2].split()[1:] == ["coord-bias", "1", "0.0001", "PASS"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["code-info", "--code", "rm:1,3"],
-    ["bounds-sweep", "--code", "rm:1,3", "--eps", "0.1"],
-    ["verify", "--code", "rm:1,3", "--eps", "0.1"],
-    ["simulate", "--code", "rm:1,3", "--eps", "0.1", "--blocks", "100"],
-    ["extract", "--code", "rm:1,3", "--in", "in.bits", "--out", os.devnull],
-], ids=lambda argv: argv[0])
-def test_code_source_checked_once(capsys, monkeypatch, tmp_path, argv):
-    (tmp_path / "in.bits").write_bytes(bytes(8))
-    monkeypatch.chdir(tmp_path)
-    calls = []
-    check = cli._check_code_source
-    monkeypatch.setattr(cli, "_check_code_source", lambda args: calls.append(check(args)))
-    assert run(capsys, *argv)[0] == 0
-    assert len(calls) == 1
+class TestCodeSource:
+    """The parser owns the code-source rule: --code and --matrix are one
+    mutually exclusive group, required by verify and simulate, and extract's
+    group adds --baseline and is required too. code-info and bounds-sweep
+    also take --weights alone, so they refuse a missing source themselves. A
+    flag given an empty value is present, and the code it names is refused."""
+
+    TAIL = {
+        "code-info": [],
+        "bounds-sweep": ["--eps", "0.1"],
+        "verify": ["--eps", "0.1"],
+        "simulate": ["--eps", "0.1", "--blocks", "100"],
+        "extract": ["--in", "in.bits", "--out", "out.bits"],
+    }
+    NEITHER = {
+        "code-info": "specify a code via --code, --matrix or --weights",
+        "bounds-sweep": "specify a code via --code, --matrix or --weights",
+        "verify": "one of the arguments --code --matrix is required",
+        "simulate": "one of the arguments --code --matrix is required",
+        "extract": "one of the arguments --code --matrix --baseline is required",
+    }
+
+    @pytest.mark.parametrize("case", ["both", "neither", "empty-code", "empty-matrix"])
+    @pytest.mark.parametrize("command", list(TAIL))
+    def test_refused(self, capsys, monkeypatch, tmp_path, command, case):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.bits").write_bytes(bytes(8))
+        (tmp_path / "g.txt").write_text("1 2\n11\n")
+        source, message = {
+            "both": (["--code", "rm:1,3", "--matrix", "g.txt"],
+                     "argument --matrix: not allowed with argument --code"),
+            "neither": ([], self.NEITHER[command]),
+            "empty-code": (["--code="], "unknown code selector ''"),
+            "empty-matrix": (["--matrix="], "Is a directory"),
+        }[case]
+        argv = [command, *source, *self.TAIL[command]]
+        if message.startswith(("argument", "one of")):  # argparse's own errors
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            status = exc.value.code
+        else:
+            status = main(argv)
+        out, err = capsys.readouterr()
+        assert (status, out) == (2, "")
+        assert "Traceback" not in err and "error:" in err and message in err
+        assert not (tmp_path / "out.bits").exists()
 
 
 class TestExitCodes:
@@ -919,61 +988,61 @@ def test_extract_memory_does_not_grow_with_input(capsys, tmp_path):
 # Stdout pinned byte for byte; any change to these reports is a contract change.
 GOLDEN_VERIFY_RM13 = """\
 verify RM(1,3) [8,4,4] tol=1e-12
-eps         check        exact            bound            status
-0.05        tvd-weight   1.09375048828e-05  8.75000390625e-05  PASS
-0.05        tvd-worst    1.09375048828e-05  0.0001           PASS
-0.05        pointwise    0.0625054687524  0.06250625       PASS
-0.05        coord-bias   6.25e-06         6.25e-06         PASS
-0.05        entropy      0.999999999901   0.99996878718    PASS
-0.05        min-entropy  0.999968442413   0.999963934427   PASS
-0.1         tvd-weight   0.00017500125    0.00140001       PASS
-0.1         tvd-worst    0.00017500125    0.0016           PASS
-0.1         pointwise    0.062587500625   0.0626           PASS
-0.1         coord-bias   0.0001           0.0001           PASS
-0.1         entropy      0.999999974763   0.999588093659   PASS
-0.1         min-entropy  0.999495406265   0.999423383154   PASS
-0.15        tvd-weight   0.000885969536133  0.00708775628906  PASS
-0.15        tvd-worst    0.000885969536133  0.0081           PASS
-0.15        pointwise    0.0629429847681  0.06300625       PASS
-0.15        coord-bias   0.00050625       0.00050625       PASS
-0.15        entropy      0.999999354249   0.998173826155   PASS
-0.15        min-entropy  0.997452649162   0.997090310938   PASS
-0.2         tvd-weight   0.00280032       0.02240256       PASS
-0.2         tvd-worst    0.00280032       0.0256           PASS
-0.2         pointwise    0.06390016       0.0641           PASS
-0.2         coord-bias   0.0016           0.0016           PASS
-0.2         entropy      0.999993577638   0.994809338137   PASS
-0.2         min-entropy  0.992009161556   0.990882958233   PASS
-0.25        tvd-weight   0.00683784484863  0.0547027587891  PASS
-0.25        tvd-worst    0.00683784484863  0.0625           PASS
-0.25        pointwise    0.0659189224243  0.06640625       PASS
-0.25        coord-bias   0.00390625       0.00390625       PASS
-0.25        entropy      0.999962062034   0.988427495317   PASS
-0.25        min-entropy  0.980790882694   0.978134289687   PASS
-0.3         tvd-weight   0.01418320125    0.11346561       PASS
-0.3         tvd-worst    0.01418320125    0.1296           PASS
-0.3         pointwise    0.069591600625   0.0706           PASS
-0.3         coord-bias   0.0081           0.0081           PASS
-0.3         entropy      0.999839437854   0.977866882224   PASS
-0.3         min-entropy  0.961235749905   0.95604700157    PASS
-0.35        tvd-weight   0.0262890859424  0.210312687539   PASS
-0.35        tvd-worst    0.0262890859424  0.2401           PASS
-0.35        pointwise    0.0756445429712  0.07750625       PASS
-0.35        coord-bias   0.01500625       0.01500625       PASS
-0.35        entropy      0.999462432006   0.961915480176   PASS
-0.35        min-entropy  0.93115504505    0.922385884426   PASS
-0.4         tvd-weight   0.04488192       0.35905536       PASS
-0.4         tvd-worst    0.04488192       0.4096           PASS
-0.4         pointwise    0.08494096       0.0881           PASS
-0.4         coord-bias   0.0256           0.0256           PASS
-0.4         entropy      0.998489971319   0.939347710875   PASS
-0.4         min-entropy  0.889348943926   0.876178542657   PASS
-0.45        tvd-weight   0.0719711265674  0.575769012539   PASS
-0.45        tvd-worst    0.0719711265674  0.6561           PASS
-0.45        pointwise    0.0984855632837  0.10350625       PASS
-0.45        coord-bias   0.04100625       0.04100625       PASS
-0.45        entropy      0.996302441838   0.908958788477   PASS
-0.45        min-entropy  0.835985982559   0.818052552632   PASS
+eps                  check        exact                bound                status
+0.05                 tvd-weight   1.09375048828e-05    8.75000390625e-05    PASS
+0.05                 tvd-worst    1.09375048828e-05    0.0001               PASS
+0.05                 pointwise    0.0625054687524      0.06250625           PASS
+0.05                 coord-bias   6.25e-06             6.25e-06             PASS
+0.05                 entropy      0.999999999901       0.99996878718        PASS
+0.05                 min-entropy  0.999968442413       0.999963934427       PASS
+0.1                  tvd-weight   0.00017500125        0.00140001           PASS
+0.1                  tvd-worst    0.00017500125        0.0016               PASS
+0.1                  pointwise    0.062587500625       0.0626               PASS
+0.1                  coord-bias   0.0001               0.0001               PASS
+0.1                  entropy      0.999999974763       0.999588093659       PASS
+0.1                  min-entropy  0.999495406265       0.999423383154       PASS
+0.15                 tvd-weight   0.000885969536133    0.00708775628906     PASS
+0.15                 tvd-worst    0.000885969536133    0.0081               PASS
+0.15                 pointwise    0.0629429847681      0.06300625           PASS
+0.15                 coord-bias   0.00050625           0.00050625           PASS
+0.15                 entropy      0.999999354249       0.998173826155       PASS
+0.15                 min-entropy  0.997452649162       0.997090310938       PASS
+0.2                  tvd-weight   0.00280032           0.02240256           PASS
+0.2                  tvd-worst    0.00280032           0.0256               PASS
+0.2                  pointwise    0.06390016           0.0641               PASS
+0.2                  coord-bias   0.0016               0.0016               PASS
+0.2                  entropy      0.999993577638       0.994809338137       PASS
+0.2                  min-entropy  0.992009161556       0.990882958233       PASS
+0.25                 tvd-weight   0.00683784484863     0.0547027587891      PASS
+0.25                 tvd-worst    0.00683784484863     0.0625               PASS
+0.25                 pointwise    0.0659189224243      0.06640625           PASS
+0.25                 coord-bias   0.00390625           0.00390625           PASS
+0.25                 entropy      0.999962062034       0.988427495317       PASS
+0.25                 min-entropy  0.980790882694       0.978134289687       PASS
+0.3                  tvd-weight   0.01418320125        0.11346561           PASS
+0.3                  tvd-worst    0.01418320125        0.1296               PASS
+0.3                  pointwise    0.069591600625       0.0706               PASS
+0.3                  coord-bias   0.0081               0.0081               PASS
+0.3                  entropy      0.999839437854       0.977866882224       PASS
+0.3                  min-entropy  0.961235749905       0.95604700157        PASS
+0.35                 tvd-weight   0.0262890859424      0.210312687539       PASS
+0.35                 tvd-worst    0.0262890859424      0.2401               PASS
+0.35                 pointwise    0.0756445429712      0.07750625           PASS
+0.35                 coord-bias   0.01500625           0.01500625           PASS
+0.35                 entropy      0.999462432006       0.961915480176       PASS
+0.35                 min-entropy  0.93115504505        0.922385884426       PASS
+0.4                  tvd-weight   0.04488192           0.35905536           PASS
+0.4                  tvd-worst    0.04488192           0.4096               PASS
+0.4                  pointwise    0.08494096           0.0881               PASS
+0.4                  coord-bias   0.0256               0.0256               PASS
+0.4                  entropy      0.998489971319       0.939347710875       PASS
+0.4                  min-entropy  0.889348943926       0.876178542657       PASS
+0.45                 tvd-weight   0.0719711265674      0.575769012539       PASS
+0.45                 tvd-worst    0.0719711265674      0.6561               PASS
+0.45                 pointwise    0.0984855632837      0.10350625           PASS
+0.45                 coord-bias   0.04100625           0.04100625           PASS
+0.45                 entropy      0.996302441838       0.908958788477       PASS
+0.45                 min-entropy  0.835985982559       0.818052552632       PASS
 all bounds hold
 """
 
@@ -987,16 +1056,16 @@ min_entropy=0.893480069174
 max_prob=0.0011
 coord_biases=0.0067,0.0111,0.0019,0.0053,0.007,0.0023,0.007,0.0025,0.0082,0.0097,0.0064
 samples=20000
-tol_tvd-weight=1.92
-tol_tvd-worst=1.92
+tol_tvd-weight=0.377686798957
+tol_tvd-worst=0.377686798957
 tol_pointwise=0.00200102184241
 tol_coord-bias=0.0316208755925
 alpha=0.001
-eps         check        sampled          bound            status
-0.2         tvd-weight   0.2619109375     0.254945648647   PASS
-0.2         tvd-worst    0.2619109375     3.2768           PASS
-0.2         pointwise    0.0011           0.00208828125    PASS
-0.2         coord-bias   0.0111           0.0016           PASS
+eps                  check        sampled              bound                status
+0.2                  tvd-weight   0.2619109375         0.254945648647       PASS
+0.2                  tvd-worst    0.2619109375         3.2768               PASS
+0.2                  pointwise    0.0011               0.00208828125        PASS
+0.2                  coord-bias   0.0111               0.0016               PASS
 all bounds hold
 """
 
@@ -1009,8 +1078,8 @@ coord_biases=0.0002,0.0011,0.0025,0.0013,0.0075,0.0007,0.0087,0.0004,0.0001,0.00
 samples=20000
 tol_coord-bias=0.0329529953078
 alpha=0.001
-eps         check        sampled          bound            status
-0.2         coord-bias   0.0131           0.0016           PASS
+eps                  check        sampled              bound                status
+0.2                  coord-bias   0.0131               0.0016               PASS
 all bounds hold
 """
 
