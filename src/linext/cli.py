@@ -98,7 +98,7 @@ def cmd_bounds_sweep(args) -> int:
     # both paths are opened, which creates but truncates nothing, before
     # either file is written or anything printed: a bad path exits 2 and
     # leaves no file this run created and no old file changed
-    paths = [p for p in (args.out, args.svg) if p]
+    paths = [p for p in (args.out, args.svg) if p is not None]
     new = [p for p in paths if not os.path.exists(p)]
     try:
         for p in paths:
@@ -107,17 +107,17 @@ def cmd_bounds_sweep(args) -> int:
         for p in filter(os.path.exists, new):
             os.remove(p)
         raise
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", newline="") as fp:
             bounds.write_csv(rows, fp, comments)
-    if args.svg:
+    if args.svg is not None:
         with open(args.svg, "w") as fp:
             fp.write(_svg_chart(rows, f"[{w.n},{w.k}] entropy bounds"))
-    if args.out:
+    if args.out is not None:
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         bounds.write_csv(rows, sys.stdout, comments)
-    if args.svg:
+    if args.svg is not None:
         print(f"wrote chart to {args.svg}")
     return EXIT_OK
 
@@ -311,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="run a stream file through an extractor")
     source = _add_code_flags(p, weights=False, required=True)
+    source.add_argument("--baseline", choices=["von-neumann"], help="use a baseline instead of G")
     p.add_argument("--in", dest="infile", required=True, help="input stream file")
     p.add_argument("--out", required=True, help="output stream file")
-    source.add_argument("--baseline", choices=["von-neumann"], help="use a baseline instead of G")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="exact oracle vs every bound; exit 1 on violation")

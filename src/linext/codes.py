@@ -97,26 +97,26 @@ def rm_generator(r: int, m: int) -> LinearCode:
     return LinearCode(BitMatrix.from_dense(dense), label=f"RM({r},{m})")
 
 
-def codeword_weights(G: BitMatrix):
-    """Yield (h, weights) for every codeword uG, 2^lo messages at a time.
+def codeword_weights(rows: np.ndarray, dt):
+    """Yield (h, weights) for every codeword uR, 2^lo messages at a time.
 
-    weights[j] is the Hamming weight of uG for message u = h·2^lo + j, where
-    bit i of u selects generator row i, in min_scalar_type(n): padding bits
-    are zero, so no weight passes n. The low rows are expanded once into a
-    table of partial codewords; the high rows are walked in Gray-code order
-    (so h is not monotone), each step XORing a single row across the whole
-    table before the popcount. lo = min(k, 16) up to two words per codeword
-    (n <= 128) and shrinks as the word count W grows, so the one table holds
-    at most 2^20 bytes whatever n and k are. The table is byte-major,
-    (ceil(n/8), 2^lo) uint8, so byte c of every partial codeword is one
-    contiguous row: a step XORs each row with one scalar into a reused
-    buffer, popcounts it in place and sums the rows. np.bitwise_count is SIMD
-    on uint8, scalar on uint64 (numpy 2.4: 38 us for 2^19 bytes, 48 for 2^16 words).
+    rows is a k x m array of 0/1 values (m = 0 allowed), row i of R selected
+    by bit i of u. weights[j] is the Hamming weight of uR for message
+    u = h·2^lo + j, in dtype dt, which must hold m. The low rows are
+    expanded once into a table of partial codewords; the high rows are
+    walked in Gray-code order (so h is not monotone), each step XORing a
+    single row across the whole table before the popcount. lo = min(k, 16)
+    up to two words per codeword (m <= 128) and shrinks as the word count W
+    grows, so the one table holds at most 2^20 bytes whatever m and k are.
+    The table is byte-major, (ceil(m/8), 2^lo) uint8, so byte c of every
+    partial codeword is one contiguous row: a step XORs each row with one
+    scalar into a reused buffer, popcounts it in place and sums the rows.
+    np.bitwise_count is SIMD on uint8, scalar on uint64 (numpy 2.4: 38 us for
+    2^19 bytes, 48 for 2^16 words).
     """
-    k, W = G.words.shape
-    dt = np.min_scalar_type(G.cols)
+    rows = np.packbits(rows, axis=1, bitorder="little")
+    k, W = rows.shape[0], (rows.shape[1] + 7) // 8
     lo = min(k, _TABLE_BITS - max(0, (W - 1).bit_length() - 1))
-    rows = G.words.view(np.uint8).reshape(k, 8 * W)[:, : (G.cols + 7) // 8]
     table = subset_xor_table(rows[:lo].T[:, :, None])[:, :, 0]
     buf, cur = np.empty_like(table), np.zeros(rows.shape[1], np.uint8)
     for t in range(1 << (k - lo)):
@@ -129,15 +129,22 @@ def codeword_weights(G: BitMatrix):
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
     """Exact weight distribution by visiting all 2^k codewords.
 
-    Histograms the codeword_weights walk. For n <= 255 and k >= 1 a chunk
-    holds an even number of one-byte weights, so its uint16 view keys two
-    adjacent codewords, a + 256·b, in one bincount; the joint counts J[b, a]
-    fold once into A = J.sum(axis=1) + J[:, :n+1].sum(axis=0), the sum of
-    both marginals, so byte order does not matter. Otherwise (n > 255, or
-    k = 0: one codeword) the weights are counted one by one. On [40,28]
-    (2 cores) XOR and popcount took 0.35 s, widening weights to intp 0.28 s
-    and their bincount 0.44 s; one-byte pairs drop the widening and halve
-    the keys.
+    Row operations keep the code and column order keeps weights, so G is
+    row-reduced once. In that basis the k pivot columns of uG are u itself,
+    so wt(uG) = popcount(u) + wt(uP), where P is the k x (n-k) block of the
+    other columns, and codeword_weights walks P alone. A chunk
+    u = h·2^lo + j adds popcount(j), a vector made once, and the scalar
+    popcount(h), in min_scalar_type(n), which may be wider than P needs.
+
+    For n <= 255 and k >= 1 a chunk holds an even number of one-byte
+    weights, so its uint16 view keys two adjacent codewords, a + 256·b, in
+    one bincount; the joint counts J[b, a] fold once into
+    A = J.sum(axis=1) + J[:, :n+1].sum(axis=0), the sum of both marginals,
+    so byte order does not matter. Otherwise (n > 255, or k = 0: one
+    codeword) the weights are counted one by one. On [40,28] (2-core Xeon
+    VM, numpy 2.4) a step of 2^16 codewords spends 31 us on XOR, popcount
+    and row sum over the 2 parity bytes, against 70 us over all 5 bytes of
+    uG, and about 70 us on the bincount, now the larger part.
     """
     G = code.generator
     k, n = G.rows, G.cols
@@ -145,9 +152,13 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
         raise InfeasibleError(f"dimension {k} too large to enumerate (cap {cap}); use the "
                               f"MacWilliams route via the dual or supply an external "
                               f"weight distribution")
-    pair = k > 0 and n < 256
+    rref, pivots = row_reduce(G.to_dense())  # full rank, as LinearCode checks
+    dt, pair = np.min_scalar_type(n), k > 0 and n < 256
     counts = np.zeros(256 * (n + 1) if pair else n + 1, np.int64)
-    for _, w in codeword_weights(G):
+    low = np.bitwise_count(np.arange(1 << min(k, _TABLE_BITS))).astype(dt)  # popcount(j)
+    for h, w in codeword_weights(np.delete(rref, pivots, axis=1), dt):
+        w += low[: w.size]
+        w += h.bit_count()
         counts += np.bincount(w.view(np.uint16) if pair else w, minlength=counts.size)
     if pair:
         J = counts.reshape(n + 1, 256)

@@ -352,8 +352,9 @@ def output_weight_profile(G: BitMatrix) -> np.ndarray:
     """
     k = G.rows
     check_buckets(k)
-    w = np.empty(1 << k, np.min_scalar_type(G.cols))
-    for h, chunk in codeword_weights(G):
+    dt = np.min_scalar_type(G.cols)
+    w = np.empty(1 << k, dt)
+    for h, chunk in codeword_weights(G.to_dense(), dt):
         w[h * chunk.size : (h + 1) * chunk.size] = chunk
     return w
 

@@ -18,20 +18,22 @@ def naive_matvec(dense: np.ndarray, xbits: np.ndarray) -> np.ndarray:
     return (dense.astype(np.int64) @ xbits.astype(np.int64)) % 2
 
 
-def all_messages(k: int) -> np.ndarray:
-    """All 2^k message vectors as a (2^k, k) array, LSB-first."""
-    m = np.arange(1 << k, dtype=np.int64)
+def all_messages(k: int, start: int = 0, stop: int = None) -> np.ndarray:
+    """Message vectors start .. stop - 1 (default all 2^k) as a
+    (stop - start, k) array, LSB-first."""
+    m = np.arange(start, (1 << k) if stop is None else stop, dtype=np.int64)
     return ((m[:, None] >> np.arange(k, dtype=np.int64)) & 1).astype(np.uint8)
 
 
 def naive_codeword_weights(dense: np.ndarray) -> np.ndarray:
     """wt(uG) for every message u in 0 .. 2^k - 1, each codeword recomputed
-    from scratch as a dense product, 2^12 messages at a time. The float
-    product sums at most k ones per entry, so it is exact."""
-    messages, rows = all_messages(dense.shape[0]).astype(np.float64), dense.astype(np.float64)
+    from scratch as a dense product, 2^12 messages at a time, so memory
+    stays small at k = 20. The float product sums at most k ones per
+    entry, so it is exact."""
+    k, rows = dense.shape[0], dense.astype(np.float64)
     return np.concatenate([
-        ((messages[i : i + 4096] @ rows).astype(np.int64) & 1).sum(axis=1)
-        for i in range(0, len(messages), 4096)
+        ((all_messages(k, i, min(i + 4096, 1 << k)) @ rows).astype(np.int64) & 1).sum(axis=1)
+        for i in range(0, 1 << k, 4096)
     ])
 
 

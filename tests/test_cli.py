@@ -192,6 +192,17 @@ class TestBoundsSweep:
         assert out == ""
         assert not (tmp_path / "a.svg").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_empty_path_is_usage_error(self, capsys, tmp_path, monkeypatch, flag):
+        # an empty path is a bad path, not an absent one: no CSV on stdout
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "bounds-sweep", "--code", "rm:1,3", "--eps", "0.2",
+                             f"{flag}=")
+        assert code == 2
+        assert out == ""
+        assert "No such file" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_path_leaves_old_file_unchanged(self, capsys, tmp_path):
         (tmp_path / "a.csv").write_text("old\n")
         code, _, _ = run(
@@ -842,7 +853,7 @@ class TestCliSurface:
         "code-info": ["--code", "--matrix", "--weights", "--cap"],
         "bounds-sweep": ["--code", "--matrix", "--weights", "--cap", "--eps", "--eps-min",
                          "--eps-max", "--steps", "--h-variant", "--out", "--svg"],
-        "extract": ["--code", "--matrix", "--in", "--out", "--baseline"],
+        "extract": ["--code", "--matrix", "--baseline", "--in", "--out"],
         "verify": ["--code", "--matrix", "--eps", "--eps-min", "--eps-max", "--steps",
                    "--tol"],
         "simulate": ["--code", "--matrix", "--weights", "--cap", "--eps", "--blocks",
@@ -857,6 +868,12 @@ class TestCliSurface:
             for name, p in sub.choices.items()
         }
         assert got == self.OPTIONS
+
+    def test_extract_usage_shows_required_source(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["extract", "-h"])
+        usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+        assert "(--code CODE | --matrix MATRIX | --baseline {von-neumann})" in usage
 
     def test_readme_commands_parse(self):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"

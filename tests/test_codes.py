@@ -21,7 +21,7 @@ from linext.codes import (
     weight_distribution,
 )
 from linext.errors import InfeasibleError
-from linext.gf2 import BitMatrix, serialize_matrix
+from linext.gf2 import BitMatrix, rank, serialize_matrix
 from linext.pipeline import output_weight_profile
 
 from _naive import (
@@ -156,6 +156,51 @@ class TestEnumerateWeights:
         assert peak < 1.5 * (1 << 20)
 
 
+class TestSystematicWalk:
+    """enumerate_weights walks only the n-k non-pivot columns P of the
+    row-reduced generator and adds popcount(u): wt(uG) = popcount(u) +
+    wt(uP). Each generator holds the all-ones word, so n > 255 puts a
+    weight past uint8 while P's weights still fit it."""
+
+    @pytest.mark.parametrize(
+        "k, n",
+        [(0, 5), (5, 30), (14, 18), (18, 40), (10, 100), (17, 200),
+         (17, 255), (17, 256), (20, 270)],
+        ids=["k=0", "k<n-k", "k>n-k", "k>16", "two-word-P", "three-word-P",
+             "n=255", "n=256", "n=270"],
+    )
+    def test_matches_naive(self, k, n):
+        rng = np.random.default_rng(1000 * k + n)
+        while True:
+            dense = rng.integers(0, 2, (k, n), dtype=np.uint8)
+            dense[:1] = 1
+            if rank(BitMatrix.from_dense(dense)) == k:
+                break
+        got = enumerate_weights(LinearCode(BitMatrix.from_dense(dense)))
+        assert list(got.counts) == naive_weight_counts(dense)
+        assert got.counts[n] == (k > 0)
+
+    @pytest.mark.parametrize("n", [1, 9, 18])
+    def test_full_space_is_binomial(self, n):
+        # k = n: P has no columns and every weight is popcount(u)
+        G = random_full_rank(np.random.default_rng(n), n, n)
+        got = enumerate_weights(LinearCode(G))
+        assert list(got.counts) == [math.comb(n, l) for l in range(n + 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_basis_and_column_order_do_not_matter(self, k, extra, seed):
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        dense = random_full_rank(rng, k, n).to_dense()
+        mix = random_full_rank(rng, k, k).to_dense().astype(np.int64)
+        variants = [dense, (mix @ dense % 2).astype(np.uint8), dense[:, rng.permutation(n)]]
+        counts = [enumerate_weights(LinearCode(BitMatrix.from_dense(d))).counts
+                  for d in variants]
+        assert counts[0] == counts[1] == counts[2]
+        assert list(counts[0]) == naive_weight_counts(dense)
+
+
 class TestWideWalk:
     """Block lengths of many words: the walk's table shrinks to 2^17 words
     (RM(1,14): 256 words, so 2^9 of the 2^15 messages) and the Gray walk
@@ -210,7 +255,7 @@ class TestMultiwordGrayWalk:
         expected = naive_codeword_weights(G.to_dense())
         lo = 16 if n <= 128 else 15
         hs = []
-        for h, w in codeword_weights(G):
+        for h, w in codeword_weights(G.to_dense(), np.min_scalar_type(n)):
             assert w.size == 1 << lo and w.dtype == np.min_scalar_type(n)
             assert np.array_equal(w, expected[h << lo : (h + 1) << lo])
             hs.append(h)
