@@ -268,6 +268,15 @@ def _at_least(lo, kind=int):
     return parse
 
 
+def _cap(text: str) -> int:
+    """argparse type of --cap: an int from 0 to codes.ENUMERATION_CEILING."""
+    cap = _at_least(0)(text)
+    if cap > codes.ENUMERATION_CEILING:
+        raise argparse.ArgumentTypeError(
+            f"{cap} is over the enumeration ceiling {codes.ENUMERATION_CEILING}")
+    return cap
+
+
 def _add_code_flags(p, weights=True, required=False):
     """Add --code and --matrix as one mutually exclusive group, which is
     returned, and with weights also --weights and --cap."""
@@ -277,8 +286,9 @@ def _add_code_flags(p, weights=True, required=False):
     if weights:
         p.add_argument("--weights", help="external weight distribution file")
         p.add_argument(
-            "--cap", type=_at_least(0), default=codes.ENUMERATION_CAP,
-            help="weight enumeration cap on the code dimension (default %(default)s)",
+            "--cap", type=_cap, default=codes.ENUMERATION_CAP,
+            help="weight enumeration cap on the code dimension, at most "
+                 f"{codes.ENUMERATION_CEILING} (default %(default)s)",
         )
     return group
 

@@ -8,6 +8,7 @@ machine word for large dimensions and the MacWilliams sums cancel exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Tuple
@@ -19,7 +20,18 @@ from .gf2 import (BLOCK_LENGTH_CAP, BitMatrix, check_size, parse_header, rank, r
                   subset_xor_table)
 
 ENUMERATION_CAP = 28
+# Hard ceiling on k for any enumeration, whatever cap a caller passes. One
+# core walks about 4.5·10^8 codewords/s (2-core VM, numpy 2.4: 0.49 s for a
+# [40,28] code, 0.16 s for a [66,26] one), so 2^40 codewords take about 40
+# minutes, and each further dimension doubles that.
+ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
+# Fewest Gray-code steps a forked part of enumerate_weights walks. On the same
+# VM, with linext imported, a fork round trip (fork, pipe, exit, reap) costs
+# about 3.2 ms and a step of 2^16 codewords 120 us on [40,28], more on wider
+# P, so a part of 256 steps runs at least 30 ms and pays for its fork with at
+# most a tenth of that.
+MIN_PART_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -97,44 +109,124 @@ def rm_generator(r: int, m: int) -> LinearCode:
     return LinearCode(BitMatrix.from_dense(dense), label=f"RM({r},{m})")
 
 
-def codeword_weights(rows: np.ndarray, dt):
-    """Yield (h, weights) for every codeword uR, 2^lo messages at a time.
+def _table_bits(k: int, m: int) -> int:
+    """lo, the number of low rows codeword_weights expands into its table
+    for a k x m matrix: min(k, 16) up to two 64-bit words per codeword
+    (m <= 128), one less each time the word count doubles past that."""
+    return min(k, _TABLE_BITS - max(0, ((m + 63) // 64 - 1).bit_length() - 1))
+
+
+def codeword_weights(rows: np.ndarray, dt, start: int = 0, stop=None):
+    """Yield (h, weights) for the codewords uR, 2^lo messages at a time.
 
     rows is a k x m array of 0/1 values (m = 0 allowed), row i of R selected
     by bit i of u. weights[j] is the Hamming weight of uR for message
     u = h·2^lo + j, in dtype dt, which must hold m. The low rows are
     expanded once into a table of partial codewords; the high rows are
-    walked in Gray-code order (so h is not monotone), each step XORing a
-    single row across the whole table before the popcount. lo = min(k, 16)
-    up to two words per codeword (m <= 128) and shrinks as the word count W
-    grows, so the one table holds at most 2^20 bytes whatever m and k are.
+    walked in Gray-code order (so h is not monotone), step t having
+    h = t ^ (t >> 1) and XORing a single row across the whole table before
+    the popcount. Only steps start <= t < stop of the 2^(k-lo) are walked
+    (stop None: to the end), the first seeded with the XOR of the high rows
+    its h selects, so contiguous ranges of steps yield, joined, exactly the
+    pairs of the whole walk. lo is _table_bits(k, m), so the one table
+    holds at most 2^20 bytes whatever m and k are.
     The table is byte-major, (ceil(m/8), 2^lo) uint8, so byte c of every
     partial codeword is one contiguous row: a step XORs each row with one
     scalar into a reused buffer, popcounts it in place and sums the rows.
     np.bitwise_count is SIMD on uint8, scalar on uint64 (numpy 2.4: 38 us for
     2^19 bytes, 48 for 2^16 words).
     """
+    k, lo = rows.shape[0], _table_bits(*rows.shape)
     rows = np.packbits(rows, axis=1, bitorder="little")
-    k, W = rows.shape[0], (rows.shape[1] + 7) // 8
-    lo = min(k, _TABLE_BITS - max(0, (W - 1).bit_length() - 1))
     table = subset_xor_table(rows[:lo].T[:, :, None])[:, :, 0]
-    buf, cur = np.empty_like(table), np.zeros(rows.shape[1], np.uint8)
-    for t in range(1 << (k - lo)):
-        if t:
+    g = start ^ (start >> 1)
+    buf = np.empty_like(table)
+    cur = np.bitwise_xor.reduce(rows[[lo + i for i in range(k - lo) if g >> i & 1]], axis=0)
+    for t in range(start, 1 << (k - lo) if stop is None else stop):
+        if t > start:
             cur ^= rows[lo + (t & -t).bit_length() - 1]  # t's lowest set bit
         np.bitwise_xor(table, cur[:, None], out=buf)
         yield t ^ (t >> 1), np.bitwise_count(buf, out=buf).sum(axis=0, dtype=dt)
 
 
+def _part_count(steps: int) -> int:
+    """Processes that walk `steps` Gray-code steps: one per CPU in this
+    process's affinity set, as long as each gets MIN_PART_STEPS steps, and
+    1 where the platform has no os.fork or os.sched_getaffinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), steps // MIN_PART_STEPS))
+
+
+def _forked_sum(work, steps: int, parts: int) -> np.ndarray:
+    """Sum of the int64 arrays work(start, stop, parent) over `parts`
+    contiguous ranges that split [0, steps) as evenly as they can.
+
+    Range 0 runs in this process, with parent None. Each other range runs
+    in a child made by os.fork, with parent the pid of this process; work
+    is to raise once os.getppid() differs from it. A child writes its
+    array's bytes to a pipe and leaves through os._exit whatever happens,
+    so it never returns into the caller and never flushes the stdio
+    buffers it inherited. The finally clause reaps every child, after
+    killing them all unless each pipe was read to its end, so none is left
+    on success, on an exception or on KeyboardInterrupt. A child that did
+    not exit 0 or sent other than the array's size in bytes raises
+    RuntimeError. With parts = 1 nothing is forked.
+    """
+    edges = [steps * i // parts for i in range(parts + 1)]
+    parent, children, sent, statuses = os.getpid(), [], [], []
+    try:
+        for i in range(1, parts):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fp:
+                        fp.write(work(edges[i], edges[i + 1], parent))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r))
+        total = work(edges[0], edges[1], None)
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fp:
+                sent.append(fp.read())
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if len(sent) < len(children):
+                # SIGKILL, 9 on every POSIX system: importing the signal
+                # module for its name would cost every CLI start about 1 ms
+                os.kill(pid, 9)
+        for pid, _ in children:
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for i, ((pid, _), data, status) in enumerate(zip(children, sent, statuses), start=1):
+        if status or len(data) != total.nbytes:
+            raise RuntimeError(f"weight walk part {i} of {parts} (pid {pid}) exited with "
+                               f"{status} after sending {len(data)} of {total.nbytes} bytes")
+        total += np.frombuffer(data, np.int64)
+    return total
+
+
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
     """Exact weight distribution by visiting all 2^k codewords.
 
-    Row operations keep the code and column order keeps weights, so G is
-    row-reduced once. In that basis the k pivot columns of uG are u itself,
-    so wt(uG) = popcount(u) + wt(uP), where P is the k x (n-k) block of the
-    other columns, and codeword_weights walks P alone. A chunk
-    u = h·2^lo + j adds popcount(j), a vector made once, and the scalar
-    popcount(h), in min_scalar_type(n), which may be wider than P needs.
+    k above cap, or above ENUMERATION_CEILING whatever cap says, raises
+    InfeasibleError. Row operations keep the code and column order keeps
+    weights, so G is row-reduced once. In that basis the k pivot columns of
+    uG are u itself, so wt(uG) = popcount(u) + wt(uP), where P is the
+    k x (n-k) block of the other columns, and codeword_weights walks P
+    alone. A chunk u = h·2^lo + j adds popcount(j), a vector made once, and
+    the scalar popcount(h), in min_scalar_type(n), which may be wider than
+    P needs.
 
     For n <= 255 and k >= 1 a chunk holds an even number of one-byte
     weights, so its uint16 view keys two adjacent codewords, a + 256·b, in
@@ -145,21 +237,44 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     VM, numpy 2.4) a step of 2^16 codewords spends 31 us on XOR, popcount
     and row sum over the 2 parity bytes, against 70 us over all 5 bytes of
     uG, and about 70 us on the bincount, now the larger part.
+
+    The 2^(k-lo) steps are split into contiguous ranges, one per CPU in
+    the process's affinity set but at least MIN_PART_STEPS steps each, so
+    the split engages from k = 25 while P fits two words (lo = 16; [40,28]
+    walks 4096 steps and the [66,26] dual 1024). The first range runs here
+    and each other in a forked child (_forked_sum), whose exact int64
+    counts come back through a pipe, so the distribution is the one a
+    single process counts. A fork round trip costs about 3.2 ms and a step
+    at least 120 us (MIN_PART_STEPS). On Python 3.12 and later, os.fork
+    warns with a DeprecationWarning when the process has other threads,
+    such as a BLAS pool numpy started; the children run no BLAS and start
+    no thread.
     """
     G = code.generator
     k, n = G.rows, G.cols
+    cap = min(cap, ENUMERATION_CEILING)
     if k > cap:
         raise InfeasibleError(f"dimension {k} too large to enumerate (cap {cap}); use the "
                               f"MacWilliams route via the dual or supply an external "
                               f"weight distribution")
     rref, pivots = row_reduce(G.to_dense())  # full rank, as LinearCode checks
+    P, lo = np.delete(rref, pivots, axis=1), _table_bits(k, n - k)
     dt, pair = np.min_scalar_type(n), k > 0 and n < 256
-    counts = np.zeros(256 * (n + 1) if pair else n + 1, np.int64)
-    low = np.bitwise_count(np.arange(1 << min(k, _TABLE_BITS))).astype(dt)  # popcount(j)
-    for h, w in codeword_weights(np.delete(rref, pivots, axis=1), dt):
-        w += low[: w.size]
-        w += h.bit_count()
-        counts += np.bincount(w.view(np.uint16) if pair else w, minlength=counts.size)
+    size = 256 * (n + 1) if pair else n + 1
+    low = np.bitwise_count(np.arange(1 << lo)).astype(dt)  # popcount(j)
+
+    def count(start, stop, parent):
+        counts = np.zeros(size, np.int64)
+        for h, w in codeword_weights(P, dt, start, stop):
+            if parent is not None and os.getppid() != parent:
+                raise SystemExit(1)  # the parent is gone: stop this part
+            w += low
+            w += h.bit_count()
+            counts += np.bincount(w.view(np.uint16) if pair else w, minlength=size)
+        return counts
+
+    steps = 1 << (k - lo)
+    counts = _forked_sum(count, steps, _part_count(steps))
     if pair:
         J = counts.reshape(n + 1, 256)
         counts = J.sum(axis=1) + J[:, : n + 1].sum(axis=0)
@@ -220,9 +335,10 @@ def weight_distribution(
     """Weight distribution plus the route taken: enumerate | macwilliams.
 
     Enumerates directly when k fits the cap, goes through the dual when
-    only n-k does, and otherwise demands an externally supplied file.
+    only n-k does, and otherwise demands an externally supplied file. A
+    cap over ENUMERATION_CEILING counts as the ceiling.
     """
-    k, n = code.k, code.n
+    k, n, cap = code.k, code.n, min(cap, ENUMERATION_CEILING)
     if k <= cap:
         return enumerate_weights(code, cap), "enumerate"
     if n - k <= cap:

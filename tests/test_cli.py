@@ -17,7 +17,8 @@ import linext
 from linext import cli, pipeline
 from linext.bounds import CSV_HEADER
 from linext.cli import build_parser, main
-from linext.codes import enumerate_weights, rm_generator, serialize_weights, weight_distribution
+from linext.codes import (ENUMERATION_CEILING, enumerate_weights, rm_generator, serialize_weights,
+                          weight_distribution)
 from linext.gf2 import BitMatrix, serialize_matrix
 from linext.pipeline import BiasedSourceSpec, BitStream, generate, linear_extract, von_neumann
 
@@ -948,6 +949,22 @@ class TestSizeGates:
         res = _run_limited(tmp_path, argv)
         assert (res.returncode, res.stdout) == (code, "")
         assert "Traceback" not in res.stderr and "error:" in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["code-info", "--code", "rm:9,11", "--cap", "5000"],
+            ["bounds-sweep", "--code", "rm:3,6", "--cap", "100", "--steps", "3"],
+            ["simulate", "--code", "rm:3,6", "--eps", "0.1", "--cap", str(ENUMERATION_CEILING + 1)],
+        ],
+        ids=["code-info", "bounds-sweep", "simulate"],
+    )
+    def test_cap_over_the_ceiling_is_refused_at_parse(self, tmp_path, argv):
+        # under such a cap rm:9,11 (k = 2036) and rm:3,6 (k = 42) would be
+        # enumerated directly, a walk that outlasts any user
+        res = _run_limited(tmp_path, argv)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert f"enumeration ceiling {ENUMERATION_CEILING}" in res.stderr
 
     @pytest.mark.parametrize("selector, code", [("rm:8,10", 0), ("rm:9,11", 3)])
     def test_sweep_dimension_past_double_range(self, tmp_path, selector, code):

@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from linext import codes
 from linext.codes import (
+    ENUMERATION_CEILING,
     LinearCode,
     WeightDistribution,
     codeword_weights,
@@ -108,6 +115,12 @@ class TestEnumerateWeights:
     def test_cap_rejection(self):
         with pytest.raises(InfeasibleError, match="MacWilliams"):
             enumerate_weights(rm_generator(1, 3), cap=3)
+
+    def test_ceiling_holds_whatever_the_cap(self):
+        # k = 41 would walk 2^41 codewords, hours on one core
+        code = LinearCode(BitMatrix.from_dense(np.eye(ENUMERATION_CEILING + 1, dtype=np.uint8)))
+        with pytest.raises(InfeasibleError, match=f"cap {ENUMERATION_CEILING}\\)"):
+            enumerate_weights(code, cap=1000)
 
     def test_trivial_code(self):
         empty = LinearCode(BitMatrix.zeros(0, 4))
@@ -282,6 +295,149 @@ class TestMultiwordGrayWalk:
         assert list(via.counts) == direct.tolist()
 
 
+class TestRangeWalk:
+    """codeword_weights(rows, dt, start, stop) walks steps [start, stop) of
+    its Gray-code sequence, seeding the first with the high rows its h
+    selects, so contiguous ranges, joined, yield the pairs of the whole
+    walk. The table takes lo = 16 low rows up to two words (n <= 128) and
+    15 for three or four."""
+
+    @pytest.mark.parametrize(
+        "k, n", [(12, 20), (16, 30), (17, 30), (20, 40), (19, 150)],
+        ids=["k<16", "k=16", "k=17", "k=20", "multiword-P"],
+    )
+    def test_ranges_join_to_the_whole_walk(self, k, n):
+        rows = random_full_rank(np.random.default_rng(k * n), k, n).to_dense()
+        dt = np.min_scalar_type(n)
+        whole = list(codeword_weights(rows, dt))
+        steps = len(whole)
+        assert steps == 1 << max(0, k - (16 if n <= 128 else 15))
+        splits = [[], [0], [steps], [0, 0], [steps, steps], [steps // 3], [1, 1, steps - 1],
+                  list(range(steps + 1))]
+        for cuts in splits:
+            edges = [0, *sorted(min(c, steps) for c in cuts), steps]
+            joined = [pair for a, b in zip(edges, edges[1:])
+                      for pair in codeword_weights(rows, dt, a, b)]
+            assert [h for h, _ in joined] == [h for h, _ in whole]
+            assert all(np.array_equal(w, v) for (_, w), (_, v) in zip(joined, whole))
+        tail = list(codeword_weights(rows, dt, steps // 2))  # stop None: to the end
+        assert [h for h, _ in tail] == [h for h, _ in whole[steps // 2:]]
+        assert list(codeword_weights(rows, dt, steps, steps)) == []
+
+
+SLOW_WALK = """
+import os, sys, time
+import numpy as np
+from linext import codes
+from linext.gf2 import BitMatrix
+
+real = codes.codeword_weights
+
+def slow(rows, dt, start=0, stop=None):
+    if start:  # a forked part: report its pid, then walk 0.2 s a step
+        os.write(1, b"%d\\n" % os.getpid())
+    for pair in real(rows, dt, start, stop):
+        time.sleep(0.2)
+        yield pair
+
+codes.codeword_weights = slow
+codes._part_count = lambda steps: 2
+codes.enumerate_weights(codes.LinearCode(BitMatrix.from_dense(np.eye(22, 30, dtype=np.uint8))))
+"""
+
+
+def _exited(pid):
+    """True once pid is gone or a zombie (its parent may be gone too)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fp:
+            return fp.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestForkedWalk:
+    """enumerate_weights splits its 2^(k-lo) steps into contiguous ranges,
+    one per part, the first walked in this process and each other in a
+    forked child whose counts come back through a pipe."""
+
+    @pytest.fixture(params=[(20, 36), (18, 300)], ids=["pair-keys", "n>255"])
+    def code(self, request):
+        # 16 steps each: lo = 16 for the [20,36] code's one-word P, 14 for
+        # the [18,300] code's five-word P
+        k, n = request.param
+        return LinearCode(random_full_rank(np.random.default_rng(n), k, n))
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        made, real = [], os.fork
+        monkeypatch.setattr(codes.os, "fork", lambda: made.append(1) or real())
+        return made
+
+    @pytest.mark.parametrize("cpus, min_steps, parts", [(2, 8, 2), (3, 5, 3), (4, 9, 1)])
+    def test_parts_follow_cpus_and_min_steps(self, code, forks, monkeypatch, cpus, min_steps,
+                                             parts):
+        monkeypatch.setattr(codes.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(codes, "MIN_PART_STEPS", min_steps)
+        assert codes._part_count(16) == parts
+        one = enumerate_weights(code)
+        assert len(forks) == parts - 1
+        assert list(one.counts) == naive_weight_counts(code.generator.to_dense())
+        monkeypatch.setattr(codes, "_part_count", lambda steps: 1)
+        assert enumerate_weights(code) == one
+
+    def test_more_parts_than_steps(self, code, forks, monkeypatch):
+        # 19 parts over 16 steps: three ranges are empty, their counts zero
+        monkeypatch.setattr(codes, "_part_count", lambda steps: steps + 3)
+        got = enumerate_weights(code)
+        assert len(forks) == 18
+        assert list(got.counts) == naive_weight_counts(code.generator.to_dense())
+
+    @pytest.mark.parametrize("attr", ["fork", "sched_getaffinity"])
+    def test_one_part_without_fork_or_affinity(self, monkeypatch, attr):
+        monkeypatch.delattr(codes.os, attr, raising=False)
+        assert codes._part_count(1 << 20) == 1
+
+    @pytest.mark.parametrize("where, error", [("child", RuntimeError),
+                                              ("parent", KeyboardInterrupt)])
+    def test_failure_raises_and_leaves_no_child(self, code, monkeypatch, where, error):
+        real = codes.codeword_weights
+
+        def broken(rows, dt, start=0, stop=None):
+            if (start > 0) == (where == "child"):  # range 0 is the parent's
+                raise error("injected")
+            return real(rows, dt, start, stop)
+
+        monkeypatch.setattr(codes, "codeword_weights", broken)
+        monkeypatch.setattr(codes, "_part_count", lambda steps: 3)
+        with pytest.raises(error, match="exited with 1" if where == "child" else "injected"):
+            enumerate_weights(code)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_signal_to_the_command_leaves_no_child(self, sig):
+        # SIGINT: the parent's finally kills and reaps its children. SIGTERM
+        # ends the parent at once; each child sees os.getppid() change at its
+        # next 0.2 s step and exits. Either way both are gone within 3 s,
+        # long before the child's 32 steps are walked
+        src = os.path.dirname(os.path.dirname(codes.__file__))
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_WALK], stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=src))
+        try:
+            child = int(proc.stdout.readline())
+            proc.send_signal(sig)
+            deadline = time.monotonic() + 3
+            assert proc.wait(timeout=3) != 0
+            while not _exited(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _exited(child)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+
 class TestMinDistance:
     def test_examples(self):
         assert min_distance(enumerate_weights(code_from_rows("111"))) == 3
@@ -392,6 +548,13 @@ class TestWeightDistributionRoute:
         via, route = weight_distribution(code, cap=4)
         assert route == "macwilliams"
         assert via == direct
+
+    def test_cap_over_the_ceiling_routes_as_the_ceiling(self):
+        # RM(3,6) is [64,42]: past the ceiling its 2^42 codewords are not
+        # walked, its [64,22] dual is
+        w, route = weight_distribution(rm_generator(3, 6), cap=1000)
+        assert route == "macwilliams"
+        assert min_distance(w) == 8
 
     def test_both_directions_too_large(self):
         rng = np.random.default_rng(59)
