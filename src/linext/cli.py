@@ -88,6 +88,9 @@ def cmd_code_info(args) -> int:
 
 
 def cmd_bounds_sweep(args) -> int:
+    paths = [p for p in (args.out, args.svg) if p is not None]
+    if len(paths) == 2 and pipeline._same_file(*paths):
+        raise ValueError(f"--out and --svg both name {args.svg}; the chart would replace the CSV")
     grid = _eps_grid(args)
     _, w, route = _load_weights(args)
     rows = bounds.sweep(w, grid, args.h_variant)
@@ -98,7 +101,6 @@ def cmd_bounds_sweep(args) -> int:
     # both paths are opened, which creates but truncates nothing, before
     # either file is written or anything printed: a bad path exits 2 and
     # leaves no file this run created and no old file changed
-    paths = [p for p in (args.out, args.svg) if p is not None]
     new = [p for p in paths if not os.path.exists(p)]
     try:
         for p in paths:

@@ -8,6 +8,7 @@ machine word for large dimensions and the MacWilliams sums cancel exactly.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from itertools import combinations
@@ -27,10 +28,11 @@ ENUMERATION_CAP = 28
 ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
 # Fewest Gray-code steps a forked part of enumerate_weights walks. On the same
-# VM, with linext imported, a fork round trip (fork, pipe, exit, reap) costs
-# about 3.2 ms and a step of 2^16 codewords 120 us on [40,28], more on wider
-# P, so a part of 256 steps runs at least 30 ms and pays for its fork with at
-# most a tenth of that.
+# VM, with linext imported, a fork round trip (map the rows, fork, add to one
+# row, exit, reap, sum) costs 1.8-2.7 ms (medians of 50 in five runs) and a
+# step of 2^16 codewords 96-120 us on [40,28], more on wider P, so a part of
+# 256 steps runs at least 25 ms and pays for its fork with about a tenth of
+# that at most.
 MIN_PART_STEPS = 256
 
 
@@ -152,68 +154,71 @@ def codeword_weights(rows: np.ndarray, dt, start: int = 0, stop=None):
 def _part_count(steps: int) -> int:
     """Processes that walk `steps` Gray-code steps: one per CPU in this
     process's affinity set, as long as each gets MIN_PART_STEPS steps, and
-    1 where the platform has no os.fork or os.sched_getaffinity."""
+    1 where the platform has no os.fork or os.sched_getaffinity.
+
+    The count follows the CPUs the process may run on, not those free to
+    run it. On a 2-core VM the split cut the `weights` bench's wall time by
+    23% with the second CPU free, and with that CPU busy two parts cost
+    2-8% more than one. That trade is taken with no flag and no load probe:
+    the affinity set is the user's control (taskset -c 0 keeps the walk in
+    one process), and os.getloadavg, the one load figure to hand, averages
+    other processes over minutes, not over the walk's fraction of a second.
+    """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), steps // MIN_PART_STEPS))
 
 
-def _forked_sum(work, steps: int, parts: int) -> np.ndarray:
-    """Sum of the int64 arrays work(start, stop, parent) over `parts`
-    contiguous ranges that split [0, steps) as evenly as they can.
+def _forked_sum(work, size: int, steps: int) -> np.ndarray:
+    """Sum of the int64 counts that work(start, stop, row, parent) adds
+    into row, a zeroed array of `size`, over _part_count(steps) contiguous
+    ranges that split [0, steps) as evenly as they can.
 
-    Range 0 runs in this process, with parent None. Each other range runs
-    in a child made by os.fork, with parent the pid of this process; work
-    is to raise once os.getppid() differs from it. A child writes its
-    array's bytes to a pipe and leaves through os._exit whatever happens,
-    so it never returns into the caller and never flushes the stdio
-    buffers it inherited. The finally clause reaps every child, after
-    killing them all unless each pipe was read to its end, so none is left
-    on success, on an exception or on KeyboardInterrupt. A child that did
-    not exit 0 or sent other than the array's size in bytes raises
-    RuntimeError. With parts = 1 nothing is forked.
+    Each range has its own row of one anonymous mapping, which is
+    MAP_SHARED, so what a forked child adds to its row is in this process's
+    memory with nothing sent back. Range 0 runs in this process, with
+    parent None. Each other range runs in a child made by os.fork, with
+    parent the pid of this process; work is to raise once os.getppid()
+    differs from it. A child leaves through os._exit whatever happens, so
+    it never returns into the caller and never flushes the stdio buffers it
+    inherited. The finally clause reaps every child, after killing them
+    all unless range 0 was walked to its end, so none is left on success,
+    on an exception or on KeyboardInterrupt. A failed os.fork, or a child
+    that did not exit 0 (one killed from outside too), raises
+    InfeasibleError once every child is reaped, so the rows are summed only
+    when each was walked to its end. With parts = 1 nothing is forked.
     """
+    parts = _part_count(steps)
     edges = [steps * i // parts for i in range(parts + 1)]
-    parent, children, sent, statuses = os.getpid(), [], [], []
+    rows = np.frombuffer(mmap.mmap(-1, 8 * parts * size), np.int64).reshape(parts, size)
+    parent, children, finished = os.getpid(), [], False
     try:
         for i in range(1, parts):
-            r, w = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
+            except OSError as exc:
+                raise InfeasibleError(f"weight walk part {i}/{parts} could not fork: {exc}")
             if pid == 0:
                 status = 1
                 try:
-                    os.close(r)
-                    with open(w, "wb") as fp:
-                        fp.write(work(edges[i], edges[i + 1], parent))
+                    work(edges[i], edges[i + 1], rows[i], parent)
                     status = 0
                 finally:
                     os._exit(status)
-            os.close(w)
-            children.append((pid, r))
-        total = work(edges[0], edges[1], None)
-        for _, r in children:
-            with open(r, "rb", closefd=False) as fp:
-                sent.append(fp.read())
+            children.append(pid)
+        work(edges[0], edges[1], rows[0], None)
+        finished = True
     finally:
-        for pid, r in children:
-            os.close(r)
-            if len(sent) < len(children):
+        if not finished:
+            for pid in children:
                 # SIGKILL, 9 on every POSIX system: importing the signal
                 # module for its name would cost every CLI start about 1 ms
                 os.kill(pid, 9)
-        for pid, _ in children:
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for i, ((pid, _), data, status) in enumerate(zip(children, sent, statuses), start=1):
-        if status or len(data) != total.nbytes:
-            raise RuntimeError(f"weight walk part {i} of {parts} (pid {pid}) exited with "
-                               f"{status} after sending {len(data)} of {total.nbytes} bytes")
-        total += np.frombuffer(data, np.int64)
-    return total
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for i, (pid, status) in enumerate(zip(children, statuses), start=1):
+        if status:
+            raise InfeasibleError(f"weight walk part {i}/{parts} (pid {pid}) exited with {status}")
+    return rows.sum(axis=0)
 
 
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
@@ -242,10 +247,11 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     the process's affinity set but at least MIN_PART_STEPS steps each, so
     the split engages from k = 25 while P fits two words (lo = 16; [40,28]
     walks 4096 steps and the [66,26] dual 1024). The first range runs here
-    and each other in a forked child (_forked_sum), whose exact int64
-    counts come back through a pipe, so the distribution is the one a
-    single process counts. A fork round trip costs about 3.2 ms and a step
-    at least 120 us (MIN_PART_STEPS). On Python 3.12 and later, os.fork
+    and each other in a forked child (_forked_sum). Each adds its exact
+    int64 counts into its own row of one shared mapping, and the rows are
+    summed once every child has exited 0, so the distribution is the one a
+    single process counts. A fork round trip costs about 2 ms and a step
+    about 0.1 ms (MIN_PART_STEPS). On Python 3.12 and later, os.fork
     warns with a DeprecationWarning when the process has other threads,
     such as a BLAS pool numpy started; the children run no BLAS and start
     no thread.
@@ -263,18 +269,15 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     size = 256 * (n + 1) if pair else n + 1
     low = np.bitwise_count(np.arange(1 << lo)).astype(dt)  # popcount(j)
 
-    def count(start, stop, parent):
-        counts = np.zeros(size, np.int64)
+    def count(start, stop, row, parent):
         for h, w in codeword_weights(P, dt, start, stop):
             if parent is not None and os.getppid() != parent:
                 raise SystemExit(1)  # the parent is gone: stop this part
             w += low
             w += h.bit_count()
-            counts += np.bincount(w.view(np.uint16) if pair else w, minlength=size)
-        return counts
+            row += np.bincount(w.view(np.uint16) if pair else w, minlength=size)
 
-    steps = 1 << (k - lo)
-    counts = _forked_sum(count, steps, _part_count(steps))
+    counts = _forked_sum(count, size, 1 << (k - lo))
     if pair:
         J = counts.reshape(n + 1, 256)
         counts = J.sum(axis=1) + J[:, : n + 1].sum(axis=0)
@@ -285,10 +288,7 @@ def min_distance(w: WeightDistribution) -> int:
     """Smallest nonzero weight with a codeword; needs k >= 1."""
     if w.k < 1:
         raise ValueError("minimum distance is undefined for the trivial code")
-    for l in range(1, w.n + 1):
-        if w.counts[l]:
-            return l
-    raise AssertionError("unreachable: sum invariant guarantees a nonzero codeword")
+    return next(l for l in range(1, w.n + 1) if w.counts[l])  # counts sum to 2^k > 1
 
 
 def dual_generator(code: LinearCode) -> LinearCode:
@@ -358,11 +358,8 @@ def parse_weights(text: str) -> WeightDistribution:
     check_size(n)
     counts = [0] * (n + 1)
     for idx, line in enumerate(lines[1:], start=2):
-        parts = line.split()
         try:
-            if len(parts) != 2:
-                raise ValueError
-            l, c = int(parts[0]), int(parts[1])
+            l, c = map(int, line.split())
         except ValueError:
             raise ValueError(f"line {idx}: expected 'weight count', got {line!r}") from None
         if not 0 <= l <= n:

@@ -213,6 +213,29 @@ class TestBoundsSweep:
         assert code == 2
         assert (tmp_path / "a.csv").read_text() == "old\n"
 
+    @pytest.mark.parametrize("alias, old", [(None, None), (None, "old\n"), ("symlink", None),
+                                            ("symlink", "old\n"), ("hardlink", "old\n")],
+                             ids=["same-new", "same-old", "symlink-new", "symlink-old",
+                                  "hardlink-old"])
+    def test_out_and_svg_one_file_is_usage_error(self, capsys, tmp_path, alias, old):
+        # the chart would replace the CSV: refused before either is opened
+        csv, svg = tmp_path / "a.csv", tmp_path / "b.svg"
+        if old is not None:
+            csv.write_text(old)
+        if alias == "symlink":
+            svg.symlink_to(csv)  # dangling while a.csv does not exist
+        elif alias == "hardlink":
+            os.link(csv, svg)
+        else:
+            svg = csv
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, "bounds-sweep", "--code", "rm:1,3", "--eps", "0.2",
+                             "--out", str(csv), "--svg", str(svg))
+        assert (code, out) == (2, "")
+        assert "the chart would replace the CSV" in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert (csv.read_text() if csv.exists() else None) == old
+
     def test_weights_only_source(self, capsys, tmp_path):
         wfile = tmp_path / "w.txt"
         wfile.write_text(serialize_weights(enumerate_weights(rm_generator(1, 3))))
@@ -975,6 +998,65 @@ class TestSizeGates:
         assert "Traceback" not in res.stderr
         wrote = (tmp_path / "s.csv").exists(), (tmp_path / "s.svg").exists()
         assert (bool(res.stdout), *wrote) == (code == 0,) * 3
+
+
+# Runs the CLI with its weight walk split into parts, one of which fails as
+# argv[1] says: "killed", part 1 of 2 sends itself SIGKILL, as the OOM killer
+# would end it; "fork", the second os.fork of three parts fails, after the
+# first child has started. The exit status is the CLI's, or 99 when a child
+# is still there to be reaped afterwards.
+PART_FAILURE = """
+import errno, os, sys
+from linext import cli, codes
+
+real_fork, real_walk, forks = os.fork, codes.codeword_weights, []
+
+def killed(rows, dt, start=0, stop=None):
+    if start:
+        os.kill(os.getpid(), 9)
+    return real_walk(rows, dt, start, stop)
+
+def fork():
+    forks.append(1)
+    if len(forks) == 2:
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    return real_fork()
+
+if sys.argv[1] == "killed":
+    codes.codeword_weights, codes._part_count = killed, lambda steps: 2
+else:
+    os.fork, codes._part_count = fork, lambda steps: 3
+status = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(status)
+print("a walk part is left", file=sys.stderr)
+sys.exit(99)
+"""
+
+
+class TestWalkPartFailure:
+    """A weight walk part that cannot be forked or does not exit 0 ends the
+    command with exit 3 and an error line, never a traceback, and leaves no
+    child process behind."""
+
+    @pytest.mark.parametrize("how, message", [("killed", "part 1/2 (pid "),
+                                              ("fork", "part 2/3 could not fork")],
+                             ids=["killed", "fork"])
+    def test_exit_3_and_no_child(self, tmp_path, how, message):
+        src = str(pathlib.Path(linext.__file__).resolve().parents[1])
+        res = subprocess.run(
+            # RM(2,6) is [64,22]: its walk has 64 steps to split
+            [sys.executable, "-c", PART_FAILURE, how, "code-info", "--code", "rm:2,6"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert (res.returncode, res.stdout) == (3, "")
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: weight walk ") and message in res.stderr
+        if how == "killed":
+            assert "exited with -9" in res.stderr
 
 
 @pytest.mark.parametrize("selector", ["rm:2,4", "rm:3,5"], ids=["full", "marginal"])

@@ -358,7 +358,8 @@ def _exited(pid):
 class TestForkedWalk:
     """enumerate_weights splits its 2^(k-lo) steps into contiguous ranges,
     one per part, the first walked in this process and each other in a
-    forked child whose counts come back through a pipe."""
+    forked child, each adding its counts into its own row of one shared
+    mapping."""
 
     @pytest.fixture(params=[(20, 36), (18, 300)], ids=["pair-keys", "n>255"])
     def code(self, request):
@@ -409,7 +410,10 @@ class TestForkedWalk:
 
         monkeypatch.setattr(codes, "codeword_weights", broken)
         monkeypatch.setattr(codes, "_part_count", lambda steps: 3)
-        with pytest.raises(error, match="exited with 1" if where == "child" else "injected"):
+        # a child's error stays in the child, which exits 1: the parent
+        # reports that as InfeasibleError, the CLI's exit 3
+        expected = InfeasibleError if where == "child" else error
+        with pytest.raises(expected, match="exited with 1" if where == "child" else "injected"):
             enumerate_weights(code)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
