@@ -92,29 +92,31 @@ def cmd_bounds_sweep(args) -> int:
     if len(paths) == 2 and pipeline._same_file(*paths):
         raise ValueError(f"--out and --svg both name {args.svg}; the chart would replace the CSV")
     grid = _eps_grid(args)
-    _, w, route = _load_weights(args)
-    rows = bounds.sweep(w, grid, args.h_variant)
-    comments = [
-        f"source: {args.code or args.matrix or args.weights} (weights via {route})",
-        f"code: [{w.n},{w.k},{codes.min_distance(w)}]",
-    ]
-    # both paths are opened, which creates but truncates nothing, before
-    # either file is written or anything printed: a bad path exits 2 and
-    # leaves no file this run created and no old file changed
+    # both paths are opened, which creates but truncates nothing, before the
+    # weights are counted: a bad path exits 2 without that walk. Whatever
+    # ends the run before the files are written (exit 2 or 3, or
+    # KeyboardInterrupt) removes each file this run created and changes no
+    # old file
     new = [p for p in paths if not os.path.exists(p)]
     try:
         for p in paths:
             open(p, "a").close()
-    except OSError:
+        _, w, route = _load_weights(args)
+        rows = bounds.sweep(w, grid, args.h_variant)
+        comments = [
+            f"source: {args.code or args.matrix or args.weights} (weights via {route})",
+            f"code: [{w.n},{w.k},{codes.min_distance(w)}]",
+        ]
+        if args.out is not None:
+            with open(args.out, "w", newline="") as fp:
+                bounds.write_csv(rows, fp, comments)
+        if args.svg is not None:
+            with open(args.svg, "w") as fp:
+                fp.write(_svg_chart(rows, f"[{w.n},{w.k}] entropy bounds"))
+    except BaseException:
         for p in filter(os.path.exists, new):
             os.remove(p)
         raise
-    if args.out is not None:
-        with open(args.out, "w", newline="") as fp:
-            bounds.write_csv(rows, fp, comments)
-    if args.svg is not None:
-        with open(args.svg, "w") as fp:
-            fp.write(_svg_chart(rows, f"[{w.n},{w.k}] entropy bounds"))
     if args.out is not None:
         print(f"wrote {len(rows)} rows to {args.out}")
     else:

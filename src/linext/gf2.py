@@ -1,9 +1,8 @@
-"""Bit-packed linear algebra over GF(2).
+"""Linear algebra over GF(2).
 
-Matrix rows keep their bits in little-endian 64-bit words: bit j lives in
-word j // 64 at position j % 64 (LSB first). Padding bits past the logical
-width are always zero. Everything here is immutable after
-construction and safe to share across threads; all operations are pure.
+A matrix holds its entries as a read-only uint8 array of 0/1 values, one
+byte per entry. Everything here is immutable after construction and safe
+to share across threads; all operations are pure.
 """
 
 from __future__ import annotations
@@ -12,25 +11,19 @@ import numpy as np
 
 from .errors import InfeasibleError
 
-WORD_BITS = 64
-_U64 = np.dtype("<u8")
 # Caps on input sizes, checked before anything of that size is allocated:
 # the block length n of a code and the k·n entries of a generator matrix.
 BLOCK_LENGTH_CAP = 1 << 16
 MATRIX_BITS_CAP = 1 << 24
 
 
-def _word_count(nbits: int) -> int:
-    return (nbits + WORD_BITS - 1) // WORD_BITS
-
-
 def pack_bits(bits) -> np.ndarray:
-    """Pack an array of 0/1 values along its last axis into <u8 words."""
+    """Pack an array of 0/1 values along its last axis into little-endian
+    uint64 words: bit j goes to word j // 64 at position j % 64."""
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    nwords = _word_count(bits.shape[-1])
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = [(0, 0)] * (bits.ndim - 1) + [(0, nwords * 8 - packed.shape[-1])]
-    return np.pad(packed, pad).view(_U64)
+    pad = [(0, 0)] * (bits.ndim - 1) + [(0, -packed.shape[-1] % 8)]
+    return np.pad(packed, pad).view("<u8")
 
 
 def subset_xor_table(vectors: np.ndarray) -> np.ndarray:
@@ -56,36 +49,33 @@ def check_size(n: int, k: int = 0) -> None:
 
 
 class BitMatrix:
-    """A rows x cols binary matrix, one bit per entry, rows packed in words.
+    """A rows x cols binary matrix, held as a read-only rows x cols uint8
+    array of its 0/1 entries.
 
     rows == 0 is allowed (the generator of the trivial code, e.g. the dual
     of the full space); cols must be positive and rows <= cols.
     """
 
-    __slots__ = ("rows", "cols", "words")
-
-    def __init__(self, rows: int, cols: int, words: np.ndarray):
-        if cols < 1:
-            raise ValueError("matrix needs at least one column")
-        if rows < 0 or rows > cols:
-            raise ValueError(f"need 0 <= rows <= cols, got {rows}x{cols}")
-        words = np.array(words, dtype=_U64, copy=True)
-        if words.shape != (rows, _word_count(cols)):
-            raise ValueError(f"word array shape {words.shape} does not match {rows}x{cols} matrix")
-        tail = cols % WORD_BITS
-        if tail and rows:
-            words[:, -1] &= np.uint64((1 << tail) - 1)
-        words.setflags(write=False)
-        self.rows = rows
-        self.cols = cols
-        self.words = words
+    __slots__ = ("rows", "cols", "_bits")
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
-        dense = np.asarray(dense, dtype=np.uint8)
+        """The matrix of a two-dimensional array; any nonzero entry counts
+        as 1. The entries are copied, so the caller's array stays its own."""
+        dense = np.ascontiguousarray(dense, dtype=np.uint8)
         if dense.ndim != 2:
             raise ValueError("dense matrix must be two-dimensional")
-        return cls(dense.shape[0], dense.shape[1], pack_bits(dense))
+        rows, cols = dense.shape
+        if cols < 1:
+            raise ValueError("matrix needs at least one column")
+        if rows > cols:
+            raise ValueError(f"need 0 <= rows <= cols, got {rows}x{cols}")
+        self = cls.__new__(cls)
+        self._bits = (dense != 0).view(np.uint8)
+        self._bits.setflags(write=False)
+        self.rows = rows
+        self.cols = cols
+        return self
 
     @classmethod
     def from_rows(cls, rows) -> "BitMatrix":
@@ -102,29 +92,16 @@ class BitMatrix:
     def identity(cls, k: int) -> "BitMatrix":
         return cls.from_dense(np.eye(k, dtype=np.uint8))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, np.zeros((rows, _word_count(cols)), _U64))
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
-        return int(self.words[i, j // WORD_BITS] >> np.uint64(j % WORD_BITS)) & 1
-
     def to_dense(self) -> np.ndarray:
-        """A fresh rows x cols uint8 array of 0/1 values."""
-        return np.unpackbits(self.words.view(np.uint8), axis=1, count=self.cols, bitorder="little")
+        """The rows x cols uint8 array of 0/1 entries itself: read-only,
+        not a copy."""
+        return self._bits
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self.words, other.words))
-        )
+        return isinstance(other, BitMatrix) and bool(np.array_equal(self._bits, other._bits))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.words.tobytes()))
+        return hash((self._bits.shape, self._bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"

@@ -213,6 +213,42 @@ class TestBoundsSweep:
         assert code == 2
         assert (tmp_path / "a.csv").read_text() == "old\n"
 
+    def test_bad_path_is_refused_before_the_weights_are_counted(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.setattr(cli.codes, "weight_distribution",
+                            lambda *_: pytest.fail("weights counted before the paths were opened"))
+        code, out, err = run(capsys, "bounds-sweep", "--code", "rm:1,3", "--eps", "0.2",
+                             "--out", str(tmp_path / "a.csv"),
+                             "--svg", str(tmp_path / "no" / "a.svg"))
+        assert (code, out) == (2, "")
+        assert "No such file" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, status", [
+        (["--code", "rm:3,7", "--cap", "10"], 3),  # neither k = 64 nor n - k = 64 within the cap
+        (["--code", "rm:1,3", "--weights", "w.txt"], 2),  # RM(2,4)'s [16,11] weights
+        (["--code", "rm:1,3"], None),  # KeyboardInterrupt during the walk
+    ], ids=["infeasible", "weights-mismatch", "interrupt"])
+    def test_failed_run_removes_new_files_and_keeps_old(self, capsys, tmp_path, monkeypatch,
+                                                        argv, status):
+        (tmp_path / "w.txt").write_text(serialize_weights(enumerate_weights(rm_generator(2, 4))))
+        old = tmp_path / "old.svg"
+        old.write_bytes(b"<svg>old</svg>\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["bounds-sweep", *argv, "--eps", "0.2", "--out", "new.csv", "--svg", "old.svg"]
+        if status is None:
+            def interrupt(*_):
+                raise KeyboardInterrupt
+            monkeypatch.setattr(cli.codes, "weight_distribution", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (status, "")
+            assert err.startswith("error:")
+        assert not (tmp_path / "new.csv").exists()
+        assert old.read_bytes() == b"<svg>old</svg>\n"
+
     @pytest.mark.parametrize("alias, old", [(None, None), (None, "old\n"), ("symlink", None),
                                             ("symlink", "old\n"), ("hardlink", "old\n")],
                              ids=["same-new", "same-old", "symlink-new", "symlink-old",
@@ -867,6 +903,61 @@ class TestGridFlagFuzz:
         argv = [command, "--code", "rm:1,3", *(x for item in flags.items() for x in item)]
         status = _fuzzed_status(capsys, argv)
         assert status != 1 or command == "verify"  # exit 1 means a violated bound
+
+
+_BAD_DIMENSIONS = ["0", "-1", "-9", str(2**64), "1" * 30, "1.5", "1e3", "0x8", "x", "4 5",
+                   "\u0663"]
+_BAD_CHARACTERS = ["2", " ", "\t", "a", "\u00e9", "\x00", "\uff11", "\u2028", "\x0c"]
+_BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
+
+
+@st.composite
+def matrix_files(draw):
+    """The bytes of a matrix file for a k x n generator, 1 <= k <= 8 and n <= 12,
+    with any of six faults: a header dimension that is negative, huge or not
+    an integer; rows missing, extra or ragged; a character other than 0 or 1
+    (some of them end a line for str.splitlines); CRLF line ends; trailing
+    blank lines; bytes that are not UTF-8."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(8, n)))
+    # each fault in about one file of four, so about a third of the runs exit 0
+    faults = {f for f in ("header", "rows", "char", "crlf", "blank", "bytes")
+              if draw(st.integers(0, 3)) == 3}
+    header = [str(k), str(n)]
+    if "header" in faults:
+        header[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_DIMENSIONS))
+    if "rows" in faults:
+        rows = draw(st.lists(st.text("01", max_size=n + 2), max_size=k + 2))
+    else:  # numpy's rows, which are mostly of full rank, unlike hypothesis's runs of one bit
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = ["".join(map(str, row)) for row in rng.integers(0, 2, (k, n))]
+    if "char" in faults and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i])))
+        rows[i] = rows[i][:j] + draw(st.sampled_from(_BAD_CHARACTERS)) + rows[i][j + 1 :]
+    blank = draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=1, max_size=3))
+    lines = [" ".join(header), *rows, *(blank if "blank" in faults else [])]
+    data = ("\r\n" if "crlf" in faults else "\n").join(lines).encode() + b"\n"
+    if "bytes" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_BAD_BYTES)) + data[at:]
+    return data
+
+
+class TestMatrixFileFuzz:
+    """Matrix-file contents through --matrix, in process: every command that
+    reads one ends in a known status, never in a traceback."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=matrix_files())
+    def test_no_traceback(self, capsys, tmp_path, data):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        for argv in (["code-info"], ["verify", "--steps", "3"],
+                     ["simulate", "--eps", "0.2", "--blocks", "50"]):
+            status = _fuzzed_status(capsys, [*argv, "--matrix", str(path)])
+            assert status != 1 or argv[0] != "code-info"  # exit 1 means a violated bound
 
 
 class TestCliSurface:

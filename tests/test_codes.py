@@ -123,7 +123,7 @@ class TestEnumerateWeights:
             enumerate_weights(code, cap=1000)
 
     def test_trivial_code(self):
-        empty = LinearCode(BitMatrix.zeros(0, 4))
+        empty = LinearCode(BitMatrix.from_dense(np.zeros((0, 4))))
         w = enumerate_weights(empty)
         assert (w.n, w.k) == (4, 0)
         assert w.nonzero() == [(0, 1)]
@@ -464,7 +464,7 @@ class TestDual:
         assert (d.n, d.k) == (3, 0)
 
     def test_dual_of_empty_is_full_space(self):
-        d = dual_generator(LinearCode(BitMatrix.zeros(0, 3)))
+        d = dual_generator(LinearCode(BitMatrix.from_dense(np.zeros((0, 3)))))
         assert d.generator == BitMatrix.identity(3)
 
     def test_rm_1_3_dual(self):

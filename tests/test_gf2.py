@@ -50,22 +50,32 @@ def naive_extract(dense, bits):
 
 
 class TestBitContainers:
-    def test_padding_bits_are_masked(self):
-        m = BitMatrix(1, 3, np.array([[0xFF]], dtype="<u8"))
-        assert m.to_dense().tolist() == [[1, 1, 1]]
-        assert int(m.words[0, 0]) == 0b111
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_dense_is_the_nonzero_entries_read_only(self, data):
+        cols = data.draw(st.integers(1, 130))
+        d = data.draw(arrays(np.uint8, (data.draw(st.integers(0, min(3, cols))), cols)))
+        dense = BitMatrix.from_dense(d).to_dense()
+        assert dense.dtype == np.uint8
+        assert np.array_equal(dense, d != 0)
+        with pytest.raises(ValueError):
+            dense[...] = 0
 
-    def test_get_matches_dense(self):
-        rng = np.random.default_rng(7)
-        dense = rng.integers(0, 2, (5, 70), dtype=np.uint8)
-        m = BitMatrix.from_dense(dense)
-        for i in range(5):
-            for j in range(0, 70, 7):
-                assert m.get(i, j) == dense[i, j]
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equal_and_hash_equal_exactly_when_entries_match(self, data):
+        # (1, 4) and (2, 2) hold the same number of entries, in different shapes
+        shapes = st.sampled_from([(0, 1), (0, 4), (1, 1), (1, 4), (2, 2), (2, 3)])
+        a, b = (data.draw(arrays(np.uint8, data.draw(shapes), elements=st.integers(0, 2)))
+                for _ in range(2))
+        A, B = BitMatrix.from_dense(a), BitMatrix.from_dense(b)
+        same = bool(np.array_equal(a != 0, b != 0))
+        assert (A == B) is same
+        assert (hash(A) == hash(B)) is same
 
-    def test_get_out_of_range(self):
-        with pytest.raises(IndexError):
-            bm("10").get(0, 2)
+    def test_empty_matrices_of_different_widths_differ(self):
+        a, b = BitMatrix.from_dense(np.zeros((0, 3))), BitMatrix.from_dense(np.zeros((0, 4)))
+        assert a != b and hash(a) != hash(b)
 
     def test_rows_cols_validation(self):
         with pytest.raises(ValueError):
@@ -74,9 +84,13 @@ class TestBitContainers:
             BitMatrix.from_rows(["10", "110"])
 
     def test_immutability(self):
-        m = bm("101")
+        # the entries are a copy: writing into the caller's array later changes nothing
+        d = np.array([[1, 0, 1]], np.uint8)
+        m = BitMatrix.from_dense(d)
+        d[0, 0] = 0
+        assert m.to_dense().tolist() == [[1, 0, 1]]
         with pytest.raises(ValueError):
-            m.words[0, 0] = np.uint64(0)
+            m.to_dense()[0, 0] = 0
 
 
 class TestMatvec:
@@ -131,13 +145,13 @@ class TestRank:
         assert rank(BitMatrix.identity(4)) == 4
 
     def test_all_zero(self):
-        assert rank(BitMatrix.zeros(3, 5)) == 0
+        assert rank(BitMatrix.from_dense(np.zeros((3, 5)))) == 0
 
     def test_dependent_rows(self):
         assert rank(bm("110", "011", "101")) == 2
 
     def test_empty(self):
-        assert rank(BitMatrix.zeros(0, 4)) == 0
+        assert rank(BitMatrix.from_dense(np.zeros((0, 4)))) == 0
 
 
 class TestMatrixText:
