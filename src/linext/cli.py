@@ -53,11 +53,13 @@ def _eps_grid(args):
     return bounds.linear_grid(args.eps_min, args.eps_max, args.steps)
 
 
-def _load_weights(args):
+def _load_weights(args, blocks=None):
     """(code, weights, route) for code-info, bounds-sweep and simulate.
 
     --weights wins over enumeration and must match the generator's [n,k].
     It is parsed before the code is built. --weights alone gives code None.
+    With blocks, simulate's source of blocks·n bits is checked against its
+    cap once the code is built, before any weight is counted.
     """
     w = None if args.weights is None else codes.parse_weights(Path(args.weights).read_text())
     if args.code is None and args.matrix is None:
@@ -65,6 +67,8 @@ def _load_weights(args):
             raise ValueError("specify a code via --code, --matrix or --weights")
         return None, w, "external"
     code = _load_code(args)
+    if blocks is not None:
+        pipeline.check_source(blocks, code.n)
     if w is not None and (w.n, w.k) != (code.n, code.k):
         raise ValueError(f"{args.weights} holds the weights of an [{w.n},{w.k}] code, "
                          f"not of the [{code.n},{code.k}] generator")
@@ -189,7 +193,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = pipeline.BiasedSourceSpec(args.eps, args.seed)
-    code, w, _ = _load_weights(args)
+    code, w, _ = _load_weights(args, args.blocks)
     codes.min_distance(w)  # the trivial code has none: exit 2 before any draw
     stats = pipeline.simulated_stats(code.generator, spec, args.blocks)
     results = bounds.checks(w, args.eps, stats)

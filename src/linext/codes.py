@@ -187,6 +187,13 @@ def _forked_sum(work, size: int, steps: int) -> np.ndarray:
     that did not exit 0 (one killed from outside too), raises
     InfeasibleError once every child is reaped, so the rows are summed only
     when each was walked to its end. With parts = 1 nothing is forked.
+
+    The parts are processes, not threads: a step is a few short numpy
+    calls, which hold the interpreter lock for much of their time, so
+    threads overlap little. On the benchmark's [40,28] shape in process
+    (2-core Xeon VM, Python 3.11, numpy 2.4), one part took 0.37-0.51 s,
+    two threads 0.37-0.57 s with 0.55-0.79 s of CPU, and two forked parts,
+    once a first fork had warmed the process, 0.20-0.27 s.
     """
     parts = _part_count(steps)
     edges = [steps * i // parts for i in range(parts + 1)]

@@ -60,9 +60,14 @@ class BitMatrix:
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
-        """The matrix of a two-dimensional array; any nonzero entry counts
-        as 1. The entries are copied, so the caller's array stays its own."""
-        dense = np.ascontiguousarray(dense, dtype=np.uint8)
+        """The matrix of a two-dimensional array of bool or numeric dtype;
+        any nonzero entry counts as 1, tested on the caller's values before
+        they are narrowed to uint8, so 256 and 0.5 are 1. Any other dtype,
+        such as strings, raises ValueError. The entries are copied, so the
+        caller's array stays its own."""
+        dense = np.asarray(dense)
+        if dense.dtype.kind not in "biufc":
+            raise ValueError(f"matrix entries must be bool or numeric, got dtype {dense.dtype}")
         if dense.ndim != 2:
             raise ValueError("dense matrix must be two-dimensional")
         rows, cols = dense.shape
@@ -71,22 +76,11 @@ class BitMatrix:
         if rows > cols:
             raise ValueError(f"need 0 <= rows <= cols, got {rows}x{cols}")
         self = cls.__new__(cls)
-        self._bits = (dense != 0).view(np.uint8)
+        self._bits = np.ascontiguousarray(dense != 0).view(np.uint8)
         self._bits.setflags(write=False)
         self.rows = rows
         self.cols = cols
         return self
-
-    @classmethod
-    def from_rows(cls, rows) -> "BitMatrix":
-        """Build from row strings like "0110" or sequences of 0/1."""
-        parsed = [
-            [int(c) for c in r] if isinstance(r, str) else list(r) for r in rows
-        ]
-        widths = {len(r) for r in parsed}
-        if len(widths) > 1:
-            raise ValueError(f"rows have differing lengths: {sorted(widths)}")
-        return cls.from_dense(np.array(parsed, dtype=np.uint8))
 
     @classmethod
     def identity(cls, k: int) -> "BitMatrix":

@@ -431,8 +431,8 @@ class TestExtract:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_file_to_file_matches_in_memory(self, capsys, tmp_path, baseline, data):
-        # 64-bit draws make chunks of max(8, 64 // (8n) · 8) blocks, so a few
-        # hundred bits cross several chunk boundaries
+        # chunks of max(8, 64 // (8n) · 8) blocks, a multiple of 8 as the
+        # chunk rule's are, so a few hundred bits cross several boundaries
         if baseline:
             n, argv, extract = 2, ["--baseline", "von-neumann"], von_neumann
         else:
@@ -452,7 +452,7 @@ class TestExtract:
             sidecar.write_text(f"{nbits}\n")
         want = extract(BitStream.read(src))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "DRAW_BITS", 64)
+            mp.setattr(pipeline, "_chunk_blocks", lambda n: chunk // n)
             code, out, _ = run(capsys, "extract", *argv, "--in", str(src), "--out", str(dst))
         assert code == 0
         assert f"bits_in: {nbits}" in out.splitlines()
@@ -596,6 +596,15 @@ class TestSimulate:
             "0.2                  coord-bias   0.0138               0.0016               PASS",
             "all bounds hold",
         ]
+
+    def test_source_over_the_cap_is_refused_before_the_weights_are_counted(self, capsys,
+                                                                              monkeypatch):
+        monkeypatch.setattr(cli.codes, "weight_distribution",
+                            lambda *_: pytest.fail("weights counted before the source cap"))
+        code, out, err = run(capsys, "simulate", "--code", "rm:3,5", "--eps", "0.2",
+                             "--blocks", "100000000000000")
+        assert (code, out) == (3, "")
+        assert "3200000000000000 source bits, over the cap" in err
 
     @pytest.mark.parametrize("blocks", ["0", "-3"])
     def test_nonpositive_blocks_is_usage_error(self, capsys, blocks):

@@ -40,7 +40,8 @@ RM24_WEIGHTS = {0: 1, 4: 140, 6: 448, 8: 870, 10: 448, 12: 140, 16: 1}
 
 
 def code_from_rows(*rows, label=""):
-    return LinearCode(BitMatrix.from_rows(rows), label=label)
+    """The code generated by the 0/1 strings rows."""
+    return LinearCode(BitMatrix.from_dense([[int(c) for c in r] for r in rows]), label=label)
 
 
 class TestWeightDistribution:
@@ -457,7 +458,7 @@ class TestMinDistance:
 class TestDual:
     def test_self_dual_pair(self):
         d = dual_generator(code_from_rows("11"))
-        assert d.generator == BitMatrix.from_rows(["11"])
+        assert d.generator == BitMatrix.from_dense([[1, 1]])
 
     def test_dual_of_full_space_is_empty(self):
         d = dual_generator(LinearCode(BitMatrix.identity(3)))

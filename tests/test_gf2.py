@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, from_dtype
 
 from linext.gf2 import (
     BitMatrix,
@@ -17,7 +17,8 @@ from _naive import naive_matvec
 
 
 def bm(*rows):
-    return BitMatrix.from_rows(rows)
+    """The matrix whose rows are the 0/1 strings rows."""
+    return BitMatrix.from_dense([[int(c) for c in r] for r in rows])
 
 
 def matvec(G, x):
@@ -49,7 +50,64 @@ def naive_extract(dense, bits):
     return np.concatenate([np.zeros(0, int)] + [naive_matvec(dense, x) for x in blocks])
 
 
+# Values a uint8 cast changes (256 -> 0, 257 -> 1, 0.5 -> 0, 1.5 -> 1,
+# -1 -> 255), each under the dtypes that hold it, beside 0 and 1
+CALLER_VALUES = {
+    np.bool_: [False, True],
+    np.int8: [0, 1, -1, 127, -128],
+    np.int16: [0, 1, -1, 256, 257],
+    np.int64: [0, 1, -1, 256, 257, 1 << 40],
+    np.uint16: [0, 1, 256, 257, 65535],
+    np.float64: [0, 1, -1, 256, 257, 0.5, 1.5, -0.0, 5e-324],
+}
+# arrays of these dtypes are refused, not converted by numpy's cast
+OTHER_DTYPE_ARRAYS = [
+    np.array([["1", "0"]]),
+    np.array([[b"1", b"0"]]),
+    np.array([[1, 0]], dtype=object),
+    np.array([["2020-01-01", "2020-01-02"]], dtype="datetime64[D]"),
+]
+
+
+@st.composite
+def caller_arrays(draw, shape, bits_only=False):
+    """An array of a dtype in CALLER_VALUES and the given shape; its values
+    are that dtype's listed ones or any it holds, or with bits_only only 0
+    and 1."""
+    dtype = draw(st.sampled_from(list(CALLER_VALUES)))
+    listed = st.sampled_from([0, 1] if bits_only else CALLER_VALUES[dtype])
+    values = listed if bits_only else listed | from_dtype(np.dtype(dtype))
+    return draw(arrays(dtype, shape, elements=values))
+
+
 class TestBitContainers:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matrix_tests_the_callers_values_for_nonzero(self, data):
+        cols = data.draw(st.integers(1, 10))
+        a = data.draw(caller_arrays((data.draw(st.integers(0, min(3, cols))), cols)))
+        dense = BitMatrix.from_dense(a).to_dense()
+        assert dense.dtype == np.uint8
+        assert np.array_equal(dense, (a != 0).astype(np.uint8))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stream_tests_the_callers_values_for_bits(self, data):
+        a = data.draw(caller_arrays(data.draw(st.integers(0, 20)), data.draw(st.booleans())))
+        if ((a == 0) | (a == 1)).all():
+            s = BitStream(a)
+            assert len(s) == a.size and s.bits.tolist() == (a == 1).astype(np.uint8).tolist()
+        else:
+            with pytest.raises(ValueError, match="0 or 1"):
+                BitStream(a)
+
+    @pytest.mark.parametrize("a", OTHER_DTYPE_ARRAYS, ids=lambda a: a.dtype.kind)
+    def test_other_dtypes_are_refused(self, a):
+        with pytest.raises(ValueError, match="bool or numeric"):
+            BitMatrix.from_dense(a)
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitStream(a)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_dense_is_the_nonzero_entries_read_only(self, data):
@@ -81,7 +139,7 @@ class TestBitContainers:
         with pytest.raises(ValueError):
             BitMatrix.from_dense(np.ones((3, 2), np.uint8))  # rows > cols
         with pytest.raises(ValueError):
-            BitMatrix.from_rows(["10", "110"])
+            BitMatrix.from_dense([[1, 0], [1, 1, 0]])  # ragged rows
 
     def test_immutability(self):
         # the entries are a copy: writing into the caller's array later changes nothing

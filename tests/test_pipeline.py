@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from linext import pipeline
 from linext.bounds import ALPHA, coord_bias_tolerance
 from linext.codes import rm_generator
 from linext.errors import InfeasibleError
-from linext.gf2 import BitMatrix, rank
+from linext.gf2 import BLOCK_LENGTH_CAP, BitMatrix, rank
 from linext.pipeline import (
     DRAW_BITS,
     PIECE_BITS,
@@ -53,7 +54,8 @@ def full_rank_matrices(draw):
 
 
 def bm(*rows):
-    return BitMatrix.from_rows(rows)
+    """The matrix whose rows are the 0/1 strings rows."""
+    return BitMatrix.from_dense([[int(c) for c in r] for r in rows])
 
 
 def bit_arrays(tail):
@@ -269,6 +271,25 @@ class TestLinearExtract:
         second = linear_extract(G, BitStream(s.bits[half:]))
         assert np.concatenate([first.bits, second.bits]).tolist() == whole.bits.tolist()
 
+    def test_chunk_rule(self):
+        # whole bytes in every chunk but the last, and at least 256 blocks in
+        # each of the p = 8/gcd(n, 8) byte-offset classes, whose tables each
+        # chunk builds; up to n = 512 the chunk is DRAW_BITS bits as before
+        for n in range(1, BLOCK_LENGTH_CAP + 1):
+            blocks = _chunk_blocks(n)
+            assert blocks % 8 == 0 and blocks >= 256 * 8 // math.gcd(n, 8), n
+            assert n > 512 or blocks == DRAW_BITS // (8 * n) * 8, n
+
+    def test_chunked_file_extraction_matches_whole_stream(self, tmp_path):
+        # a [1031,9] matrix (p = 8) over about 2.5 chunks and a ragged block
+        G, n = _seeded_matrix(9, 1031, 6), 1031
+        s = generate(BiasedSourceSpec(0.2, 6), 5 * _chunk_blocks(n) // 2 * n + 77)
+        s.write(tmp_path / "in.bits")
+        whole = linear_extract(G, s)
+        assert extract_file(functools.partial(linear_extract, G), n, tmp_path / "in.bits",
+                            tmp_path / "out.bits") == (len(s), len(whole))
+        assert BitStream.read(tmp_path / "out.bits") == whole
+
 
 def _seeded_matrix(k, n, seed):
     return BitMatrix.from_dense(
@@ -301,6 +322,28 @@ def test_extract_output_bytes_pinned(make, seed, blocks, tail, digest):
     out = linear_extract(G, generate(BiasedSourceSpec(0.3, seed), blocks * G.cols + tail))
     assert len(out) == blocks * G.rows
     assert hashlib.sha256(out.to_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt], ids=["error", "interrupt"])
+def test_stopped_extraction_leaves_no_stale_sidecar(tmp_path, stop):
+    # the output held a 13-bit stream; the run stops at its third chunk,
+    # after two chunks' bytes are written, and leaves no length beside them
+    src, dst = tmp_path / "in.bits", tmp_path / "out.bits"
+    generate(BiasedSourceSpec(0.2, 1), 3 * DRAW_BITS + 5).write(src)
+    BitStream([1] * 13).write(dst)
+    G, calls = rm_generator(2, 4).generator, []
+
+    def extract(stream):
+        calls.append(len(stream))
+        if len(calls) == 3:
+            raise stop
+        return linear_extract(G, stream)
+
+    with pytest.raises(stop):
+        extract_file(extract, G.cols, src, dst)
+    assert dst.stat().st_size == 2 * DRAW_BITS * 11 // 16 // 8
+    assert not (tmp_path / "out.bits.len").exists()
+    assert len(BitStream.read(dst)) == 8 * dst.stat().st_size
 
 
 class TestVonNeumann:
@@ -337,7 +380,8 @@ class TestVonNeumann:
         src, dst = tmp_path / "in.bits", tmp_path / "out.bits"
         BitStream(bits).write(src)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "DRAW_BITS", 64)  # 64-bit chunks: the tail carry runs
+            # chunks of 32 blocks (64 bits): the tail carry runs
+            mp.setattr(pipeline, "_chunk_blocks", lambda n: 32)
             assert extract_file(von_neumann, 2, src, dst) == (len(bits), len(want))
         assert BitStream.read(dst).bits.tolist() == want
 
@@ -615,9 +659,10 @@ class TestEmpirical:
 class TestSimulatedTally:
     """simulate's chunked tally against the materialized output stream.
 
-    A source chunk holds max(8, DRAW_BITS // (8n) · 8) blocks: 65536 at
-    n = 16, 5240 at n = 25, 1952 at n = 67 and 10480 at n = 100, so every
-    case below spans several chunks and ends in a ragged one.
+    A source chunk holds _chunk_blocks(n) blocks: 65536 at n = 16, 41936 at
+    n = 25, 15648 at n = 67 and 10480 at n = 100. So the n = 16 and n = 100
+    cases below span several chunks and end in a ragged one, and the n = 25
+    and n = 67 cases fit in one.
     """
 
     @pytest.mark.parametrize(
