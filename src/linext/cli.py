@@ -151,8 +151,8 @@ def cmd_extract(args) -> int:
 
 def _stats_lines(stats) -> list:
     """The measured stats of an ExactStats as key=value lines."""
-    reals = ("delta", "tvd", "shannon", "min_entropy", "max_prob")
-    lines = [f"{f}={_fmt(getattr(stats, f))}" for f in reals if getattr(stats, f) is not None]
+    lines = [f"{f}={_fmt(getattr(stats, f))}" for f in pipeline._REAL_FIELDS
+             if getattr(stats, f) is not None]
     lines.append("coord_biases=" + ",".join(map(_fmt, stats.coord_biases)))
     if stats.samples is not None:
         lines.append(f"samples={stats.samples}")
@@ -184,11 +184,13 @@ def cmd_verify(args) -> int:
     # A_l = #{u : wt(uG) = l}: G's own weights, counted from the oracle's walk
     counts = np.bincount(profile, minlength=code.n + 1).tolist()
     w = codes.WeightDistribution(code.n, code.k, tuple(counts))
-    print(f"verify {code.label} [{code.n},{code.k},{codes.min_distance(w)}] "
-          f"tol={_fmt(args.tol)}")
-    # stats (a 2^k pmf) is not bound to a name, so it is freed before the next eps
-    return _check_table("exact", ((eps, c) for eps in grid for c in bounds.checks(
-        w, eps, pipeline.stats_from_profile(profile, eps), args.tol)))
+    d = codes.min_distance(w)
+    # every eps's stats before any output: a grid part that fails exits 3
+    # with stdout empty
+    stats = pipeline.grid_stats(profile, grid)
+    print(f"verify {code.label} [{code.n},{code.k},{d}] tol={_fmt(args.tol)}")
+    return _check_table("exact", ((eps, c) for eps, s in zip(grid, stats)
+                                  for c in bounds.checks(w, eps, s, args.tol)))
 
 
 def cmd_simulate(args) -> int:

@@ -12,7 +12,7 @@ import mmap
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +27,16 @@ ENUMERATION_CAP = 28
 # minutes, and each further dimension doubles that.
 ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
-# Fewest Gray-code steps a forked part of enumerate_weights walks. On the same
-# VM, with linext imported, a fork round trip (map the rows, fork, add to one
-# row, exit, reap, sum) costs 1.8-2.7 ms (medians of 50 in five runs) and a
-# step of 2^16 codewords 96-120 us on [40,28], more on wider P, so a part of
-# 256 steps runs at least 25 ms and pays for its fork with about a tenth of
-# that at most.
+# Fewest Gray-code steps a forked part of enumerate_weights walks, and the
+# unit in which pipeline.grid_stats measures its eps. On the same VM, with
+# linext imported, a fork round trip (map the rows, fork, add to one row,
+# exit, reap, sum) costs 1.8-2.7 ms (medians of 50 in five runs) and a step
+# of 2^16 codewords 93-120 us on [40,28], more on wider P, so a part of 256
+# steps runs at least 25 ms and pays for its fork with about a tenth of
+# that at most. One eps of the exact oracle at dimension k >= 13 took
+# 0.11-0.22 ms per 2^(k-12) (medians of 25 eps: 1.8-2.5 ms at k = 16,
+# 8.9-9.8 ms at k = 18, 52-57 ms at k = 20), so it is counted as 2^(k-12)
+# steps: 64 at k = 18, where 25 eps make 1600 steps and two parts.
 MIN_PART_STEPS = 256
 
 
@@ -151,69 +155,114 @@ def codeword_weights(rows: np.ndarray, dt, start: int = 0, stop=None):
         yield t ^ (t >> 1), np.bitwise_count(buf, out=buf).sum(axis=0, dtype=dt)
 
 
-def _part_count(steps: int) -> int:
-    """Processes that walk `steps` Gray-code steps: one per CPU in this
-    process's affinity set, as long as each gets MIN_PART_STEPS steps, and
-    1 where the platform has no os.fork or os.sched_getaffinity.
+def _part_count(steps: int, most: Optional[int] = None) -> int:
+    """Processes that share work worth `steps` Gray-code steps of the
+    weight walk: one per CPU in this process's affinity set, as long as
+    each gets MIN_PART_STEPS steps, and no more than `most` (None: no
+    further limit); 1 where the platform has no os.fork or
+    os.sched_getaffinity. The walk passes its own step count.
+    pipeline.grid_stats passes 2^(k-12) steps an eps, as MIN_PART_STEPS
+    calibrates, and its eps count as `most`: 25 eps at k = 18 make 1600
+    steps, so two parts on two CPUs, and up to 50 eps at k <= 13 make at
+    most 100, so one.
 
     The count follows the CPUs the process may run on, not those free to
     run it. On a 2-core VM the split cut the `weights` bench's wall time by
     23% with the second CPU free, and with that CPU busy two parts cost
     2-8% more than one. That trade is taken with no flag and no load probe:
-    the affinity set is the user's control (taskset -c 0 keeps the walk in
-    one process), and os.getloadavg, the one load figure to hand, averages
-    other processes over minutes, not over the walk's fraction of a second.
+    the affinity set is the user's control (taskset -c 0 keeps the walk, or
+    verify, in one process), and os.getloadavg, the one load figure to
+    hand, averages other processes over minutes, not over the work's
+    fraction of a second.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), steps // MIN_PART_STEPS))
+    return max(1, min(len(os.sched_getaffinity(0)), steps // MIN_PART_STEPS,
+                      steps if most is None else most))
 
 
-def _forked_sum(work, size: int, steps: int) -> np.ndarray:
-    """Sum of the int64 counts that work(start, stop, row, parent) adds
-    into row, a zeroed array of `size`, over _part_count(steps) contiguous
-    ranges that split [0, steps) as evenly as they can.
+def _shared_zeros(shape, dtype) -> np.ndarray:
+    """A zeroed array in one anonymous mapping, which is MAP_SHARED: what
+    a child made by os.fork writes into it is in this process's memory,
+    with nothing sent back."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
 
-    Each range has its own row of one anonymous mapping, which is
-    MAP_SHARED, so what a forked child adds to its row is in this process's
-    memory with nothing sent back. Range 0 runs in this process, with
-    parent None. Each other range runs in a child made by os.fork, with
-    parent the pid of this process; work is to raise once os.getppid()
-    differs from it. A child leaves through os._exit whatever happens, so
-    it never returns into the caller and never flushes the stdio buffers it
+
+def _forked_parts(work, parts: int, steps: int, what: str) -> None:
+    """Exhaust the iterator work(i, start, stop) for each of `parts`
+    contiguous ranges [start, stop) that split [0, steps) as evenly as they
+    can, range i being part i's; ranges are empty when parts > steps.
+
+    Range 0 runs in this process. Each other range runs in a child made by
+    os.fork, which stops with exit 1 at the first item it gets after
+    os.getppid() has changed (this process is gone), so work yields once
+    per step or so. A part hands its results back through memory shared
+    with this process (_shared_zeros), each part writing only its own
+    slots. A child leaves through os._exit whatever happens, so it never
+    returns into the caller and never flushes the stdio buffers it
     inherited. The finally clause reaps every child, after killing them
-    all unless range 0 was walked to its end, so none is left on success,
-    on an exception or on KeyboardInterrupt. A failed os.fork, or a child
-    that did not exit 0 (one killed from outside too), raises
-    InfeasibleError once every child is reaped, so the rows are summed only
-    when each was walked to its end. With parts = 1 nothing is forked.
+    all unless range 0 was run to its end, so none is left on success, on
+    an exception or on KeyboardInterrupt. A failed os.fork, or a child that
+    did not exit 0 (one killed from outside too), raises InfeasibleError
+    ("<what> part i/parts ...") once every child is reaped, so the caller
+    reads the shared memory only when each part ran to its end. With
+    parts = 1 nothing is forked. Callers take parts from _part_count: the
+    walk counts its Gray-code steps, grid_stats 2^(k-12) steps an eps.
 
-    The parts are processes, not threads: a step is a few short numpy
-    calls, which hold the interpreter lock for much of their time, so
-    threads overlap little. On the benchmark's [40,28] shape in process
-    (2-core Xeon VM, Python 3.11, numpy 2.4), one part took 0.37-0.51 s,
-    two threads 0.37-0.57 s with 0.55-0.79 s of CPU, and two forked parts,
-    once a first fork had warmed the process, 0.20-0.27 s.
+    Part i starts on CPU i (mod their count) of the affinity set, through
+    a pin that is lifted at once, so no two parts share a CPU at the start
+    when there are enough, and the scheduler may move it from there. The
+    kernel's own placement often left a forked child on its parent's CPU
+    with the other CPU idle: on a 2-core VM (Linux 6.18), run under
+    bench/run.py, both parts of verify's eps grid stayed on one CPU for the
+    whole grid in all 65 commands of four runs (read from /proc/self/stat),
+    so the grid took as long as in one process; started apart, they ran on
+    two CPUs in 31 of 31, and the `exact` workload's wall time fell from
+    0.38-0.41 s to 0.30-0.31 s.
+
+    The parts are processes, not threads: a weight-walk step, or an eps of
+    the exact oracle, is a few numpy calls on buffers of up to 2^k
+    entries, which hold the interpreter lock for much of their time, and a
+    thread per part would hold its own buffers in the one process. On the
+    benchmark's [40,28] walk in process (2-core Xeon VM, Python 3.11,
+    numpy 2.4), one part took 0.37-0.51 s, two threads 0.37-0.57 s with
+    0.55-0.79 s of CPU, and two forked parts, once a first fork had warmed
+    the process, 0.20-0.27 s.
     """
-    parts = _part_count(steps)
     edges = [steps * i // parts for i in range(parts + 1)]
-    rows = np.frombuffer(mmap.mmap(-1, 8 * parts * size), np.int64).reshape(parts, size)
     parent, children, finished = os.getpid(), [], False
+    cpus = sorted(os.sched_getaffinity(0)) if parts > 1 else []
+
+    def start_on_own_cpu(i):
+        try:  # placement only: a refused move changes no result
+            os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
     try:
         for i in range(1, parts):
             try:
                 pid = os.fork()
             except OSError as exc:
-                raise InfeasibleError(f"weight walk part {i}/{parts} could not fork: {exc}")
+                raise InfeasibleError(f"{what} part {i}/{parts} could not fork: {exc}")
             if pid == 0:
                 status = 1
                 try:
-                    work(edges[i], edges[i + 1], rows[i], parent)
-                    status = 0
+                    start_on_own_cpu(i)
+                    for _ in work(i, edges[i], edges[i + 1]):
+                        if os.getppid() != parent:
+                            break  # the parent is gone: stop this part
+                    else:
+                        status = 0
                 finally:
                     os._exit(status)
             children.append(pid)
-        work(edges[0], edges[1], rows[0], None)
+        if cpus:
+            start_on_own_cpu(0)
+        for _ in work(0, edges[0], edges[1]):
+            pass
         finished = True
     finally:
         if not finished:
@@ -224,8 +273,7 @@ def _forked_sum(work, size: int, steps: int) -> np.ndarray:
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
     for i, (pid, status) in enumerate(zip(children, statuses), start=1):
         if status:
-            raise InfeasibleError(f"weight walk part {i}/{parts} (pid {pid}) exited with {status}")
-    return rows.sum(axis=0)
+            raise InfeasibleError(f"{what} part {i}/{parts} (pid {pid}) exited with {status}")
 
 
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
@@ -254,7 +302,7 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     the process's affinity set but at least MIN_PART_STEPS steps each, so
     the split engages from k = 25 while P fits two words (lo = 16; [40,28]
     walks 4096 steps and the [66,26] dual 1024). The first range runs here
-    and each other in a forked child (_forked_sum). Each adds its exact
+    and each other in a forked child (_forked_parts). Each adds its exact
     int64 counts into its own row of one shared mapping, and the rows are
     summed once every child has exited 0, so the distribution is the one a
     single process counts. A fork round trip costs about 2 ms and a step
@@ -275,16 +323,19 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     dt, pair = np.min_scalar_type(n), k > 0 and n < 256
     size = 256 * (n + 1) if pair else n + 1
     low = np.bitwise_count(np.arange(1 << lo)).astype(dt)  # popcount(j)
+    steps = 1 << (k - lo)
+    parts = _part_count(steps)
+    rows = _shared_zeros((parts, size), np.int64)
 
-    def count(start, stop, row, parent):
+    def count(i, start, stop):
         for h, w in codeword_weights(P, dt, start, stop):
-            if parent is not None and os.getppid() != parent:
-                raise SystemExit(1)  # the parent is gone: stop this part
             w += low
             w += h.bit_count()
-            row += np.bincount(w.view(np.uint16) if pair else w, minlength=size)
+            rows[i] += np.bincount(w.view(np.uint16) if pair else w, minlength=size)
+            yield
 
-    counts = _forked_sum(count, size, 1 << (k - lo))
+    _forked_parts(count, parts, steps, "weight walk")
+    counts = rows.sum(axis=0)
     if pair:
         J = counts.reshape(n + 1, 256)
         counts = J.sum(axis=1) + J[:, : n + 1].sum(axis=0)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import codeword_weights
+from .codes import _forked_parts, _part_count, _shared_zeros, codeword_weights
 from .errors import InfeasibleError
 from .gf2 import BitMatrix, pack_bits, subset_xor_table
 
@@ -448,6 +448,47 @@ def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
     chi *= 2.0**-k
     np.maximum(chi, 0.0, out=chi)
     return _stats_from_pmf(chi, k, biases)
+
+
+# The float fields of ExactStats, in the order simulate prints them and
+# grid_stats lays out each eps's slots
+_REAL_FIELDS = ("delta", "tvd", "shannon", "min_entropy", "max_prob")
+
+
+def grid_stats(profile: np.ndarray, grid) -> list:
+    """stats_from_profile(profile, eps) for each eps of grid, in order,
+    each with pmf None and every other field bit for bit the same.
+
+    The eps are independent, so they run as contiguous ranges, one per
+    part, split by codes._forked_parts: the first range in this process
+    and each other in a forked child. Parts are sized by codes._part_count
+    with an eps at dimension k counted as 2^(k-12) weight-walk steps
+    (MIN_PART_STEPS has the measurements), and never outnumber the eps:
+    the benchmark's 25 eps at k = 18 make two parts on two CPUs, and k <= 13
+    over up to 50 eps makes one. Each part writes an eps's floats and its
+    k coordinate biases into that eps's row of one shared float64 mapping,
+    and drops the eps's ExactStats, whose 2^k pmf is the largest array,
+    before the next eps makes its own. A part that cannot be forked or
+    does not finish raises InfeasibleError, before any result is read. A
+    thread per part would hold a second set of 2^k buffers in one process;
+    a forked part keeps each process's peak that of one eps.
+    """
+    k = profile.size.bit_length() - 1
+    rows = _shared_zeros((len(grid), len(_REAL_FIELDS) + k), np.float64)
+
+    def run(i, start, stop):
+        for j in range(start, stop):
+            stats = stats_from_profile(profile, grid[j])
+            rows[j, : len(_REAL_FIELDS)] = [getattr(stats, f) for f in _REAL_FIELDS]
+            rows[j, len(_REAL_FIELDS) :] = stats.coord_biases
+            del stats
+            yield
+
+    parts = _part_count(len(grid) << max(0, k - 12), len(grid))
+    _forked_parts(run, parts, len(grid), "eps grid")
+    rows.setflags(write=False)
+    return [ExactStats(coord_biases=row[len(_REAL_FIELDS) :],
+                       **{f: float(x) for f, x in zip(_REAL_FIELDS, row)}) for row in rows]
 
 
 def exact_output_pmf(G: BitMatrix, eps: float) -> ExactStats:

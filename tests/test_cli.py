@@ -1100,21 +1100,23 @@ class TestSizeGates:
         assert (bool(res.stdout), *wrote) == (code == 0,) * 3
 
 
-# Runs the CLI with its weight walk split into parts, one of which fails as
-# argv[1] says: "killed", part 1 of 2 sends itself SIGKILL, as the OOM killer
-# would end it; "fork", the second os.fork of three parts fails, after the
-# first child has started. The exit status is the CLI's, or 99 when a child
-# is still there to be reaped afterwards.
+# Runs the CLI with its weight walk, or verify's eps grid, split into parts,
+# one of which fails as argv[1] says: "killed", part 1 of 2 sends itself
+# SIGKILL, as the OOM killer would end it; "fork", the second os.fork of
+# three parts fails, after the first child has started. The exit status is
+# the CLI's, or 99 when a child is still there to be reaped afterwards.
 PART_FAILURE = """
 import errno, os, sys
-from linext import cli, codes
+from linext import cli, codes, pipeline
 
-real_fork, real_walk, forks = os.fork, codes.codeword_weights, []
+real_fork, forks, main_pid = os.fork, [], os.getpid()
 
-def killed(rows, dt, start=0, stop=None):
-    if start:
-        os.kill(os.getpid(), 9)
-    return real_walk(rows, dt, start, stop)
+def killed(real):
+    def part(*args):
+        if os.getpid() != main_pid:
+            os.kill(os.getpid(), 9)
+        return real(*args)
+    return part
 
 def fork():
     forks.append(1)
@@ -1123,17 +1125,29 @@ def fork():
     return real_fork()
 
 if sys.argv[1] == "killed":
-    codes.codeword_weights, codes._part_count = killed, lambda steps: 2
+    codes.codeword_weights = killed(codes.codeword_weights)
+    pipeline.stats_from_profile = killed(pipeline.stats_from_profile)
+    parts = 2
 else:
-    os.fork, codes._part_count = fork, lambda steps: 3
+    os.fork, parts = fork, 3
+codes._part_count = pipeline._part_count = lambda *args: parts
 status = cli.main(sys.argv[2:])
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
     sys.exit(status)
-print("a walk part is left", file=sys.stderr)
+print("a part is left", file=sys.stderr)
 sys.exit(99)
 """
+
+
+def _part_failure(tmp_path, how, *argv):
+    src = str(pathlib.Path(linext.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", PART_FAILURE, how, *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+    )
 
 
 class TestWalkPartFailure:
@@ -1145,18 +1159,62 @@ class TestWalkPartFailure:
                                               ("fork", "part 2/3 could not fork")],
                              ids=["killed", "fork"])
     def test_exit_3_and_no_child(self, tmp_path, how, message):
-        src = str(pathlib.Path(linext.__file__).resolve().parents[1])
-        res = subprocess.run(
-            # RM(2,6) is [64,22]: its walk has 64 steps to split
-            [sys.executable, "-c", PART_FAILURE, how, "code-info", "--code", "rm:2,6"],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-            timeout=120,
-        )
+        # RM(2,6) is [64,22]: its walk has 64 steps to split
+        res = _part_failure(tmp_path, how, "code-info", "--code", "rm:2,6")
         assert (res.returncode, res.stdout) == (3, "")
         assert "Traceback" not in res.stderr
         assert res.stderr.startswith("error: weight walk ") and message in res.stderr
         if how == "killed":
             assert "exited with -9" in res.stderr
+
+
+class TestGridPartFailure:
+    """So does a part of verify's eps grid, and verify prints nothing
+    before every part has finished: stdout stays empty."""
+
+    @pytest.mark.parametrize("how, message", [("killed", "part 1/2 (pid "),
+                                              ("fork", "part 2/3 could not fork")],
+                             ids=["killed", "fork"])
+    def test_exit_3_and_no_child(self, tmp_path, how, message):
+        res = _part_failure(tmp_path, how, "verify", "--code", "rm:2,4")
+        assert (res.returncode, res.stdout) == (3, "")
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: eps grid ") and message in res.stderr
+        if how == "killed":
+            assert "exited with -9" in res.stderr
+
+
+class TestVerifyParts:
+    """verify's eps grid runs in parts (pipeline.grid_stats); its stdout is
+    the same whatever the split."""
+
+    @pytest.fixture(params=["rm:2,4", "rm:1,5", "g25x18"])
+    def source(self, request, tmp_path):
+        if request.param != "g25x18":
+            return ["--code", request.param]
+        mfile = tmp_path / "g25x18.txt"
+        mfile.write_text(serialize_matrix(random_full_rank(np.random.default_rng(25), 18, 25)))
+        return ["--matrix", str(mfile)]
+
+    @pytest.mark.parametrize("parts", [2, 3, 10], ids=["two", "three", "more-than-eps"])
+    def test_stdout_same_as_one_part(self, capsys, monkeypatch, source, parts):
+        # 7 eps: ten parts leave three ranges empty
+        grid = ["--eps-min", "0.02", "--eps-max", "0.5", "--steps", "7"]
+        outs = []
+        for count in (1, parts):
+            monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: count)
+            outs.append(run(capsys, "verify", *source, *grid))
+        assert outs[0][0] == 0 and outs[0][1].endswith("all bounds hold\n")
+        assert outs[1] == outs[0]
+
+    def test_default_grid_at_k11_never_forks(self, capsys, monkeypatch):
+        # RM(2,4) has k = 11: its 50 eps count 50 walk steps, fewer than
+        # MIN_PART_STEPS, however many CPUs there are
+        made, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or real())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        code, _, _ = run(capsys, "verify", "--code", "rm:2,4")
+        assert (code, made) == (0, [])
 
 
 @pytest.mark.parametrize("selector", ["rm:2,4", "rm:3,5"], ids=["full", "marginal"])

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import signal
@@ -441,6 +442,37 @@ class TestForkedWalk:
             proc.kill()
             proc.wait()
             proc.stdout.close()
+
+
+class TestPartPlacement:
+    """_forked_parts starts part i on CPU i (mod their count) of the
+    affinity set, then allows the whole set again; a refused move changes
+    nothing else."""
+
+    def test_each_part_starts_on_its_own_cpu(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {8, 3, 5})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(sorted(cpus)))
+        seen = codes._shared_zeros((4, 4), np.int64)
+
+        def work(i, start, stop):
+            # each process's own calls, made before its part starts
+            (first,), whole = calls
+            seen[i] = [first, *whole]
+            yield
+
+        codes._forked_parts(work, 4, 4, "test")
+        assert seen.tolist() == [[3, 3, 5, 8], [5, 3, 5, 8], [8, 3, 5, 8], [3, 3, 5, 8]]
+
+    def test_refused_move_is_ignored(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        monkeypatch.setattr(codes, "_part_count", lambda steps: 2)
+        code = LinearCode(random_full_rank(np.random.default_rng(36), 20, 36))
+        assert list(enumerate_weights(code).counts) == naive_weight_counts(
+            code.generator.to_dense())
 
 
 class TestMinDistance:

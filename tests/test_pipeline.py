@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from linext import pipeline
+from linext import codes, pipeline
 from linext.bounds import ALPHA, coord_bias_tolerance
 from linext.codes import rm_generator
 from linext.errors import InfeasibleError
@@ -27,6 +28,7 @@ from linext.pipeline import (
     exact_output_pmf,
     extract_file,
     generate,
+    grid_stats,
     linear_extract,
     output_weight_profile,
     simulated_stats,
@@ -595,6 +597,75 @@ class TestExactOracle:
         np.testing.assert_allclose(stats.coord_biases, row_biases, rtol=0, atol=1e-12)
 
 
+class TestGridStats:
+    """grid_stats splits its eps into contiguous ranges, one per part, the
+    first run in this process and each other in a forked child, and gives
+    stats_from_profile's stats, bit for bit, pmf aside."""
+
+    GRID = [0.0, 0.02, 0.2, 0.35, 0.5, 0.99, 1.0]
+
+    @pytest.fixture(params=["rm24", "rm15", "g25x18"])
+    def profile(self, request):
+        if request.param == "g25x18":
+            return output_weight_profile(random_full_rank(np.random.default_rng(25), 18, 25))
+        r, m = int(request.param[2]), int(request.param[3])
+        return output_weight_profile(rm_generator(r, m).generator)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        made, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or real())
+        return made
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, len(GRID) + 3],
+                             ids=["one", "two", "three", "more-than-eps"])
+    def test_equals_stats_from_profile(self, profile, forks, monkeypatch, parts):
+        # more parts than eps: three ranges are empty and their parts idle
+        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: parts)
+        got = grid_stats(profile, self.GRID)
+        assert len(forks) == parts - 1
+        assert len(got) == len(self.GRID)
+        for eps, stats in zip(self.GRID, got):
+            want = stats_from_profile(profile, eps)
+            assert (stats.pmf, stats.samples) == (None, None)
+            for f in ("delta", "tvd", "shannon", "min_entropy", "max_prob"):
+                assert type(getattr(stats, f)) is float
+                assert getattr(stats, f).hex() == getattr(want, f).hex(), (eps, f)
+            assert stats.coord_biases.dtype == want.coord_biases.dtype
+            assert stats.coord_biases.tobytes() == want.coord_biases.tobytes()
+            assert not stats.coord_biases.flags.writeable
+
+    @pytest.mark.parametrize("k, eps, cpus, parts", [
+        (18, 25, 2, 2),  # the exact benchmark: 25 eps of 64 steps each
+        (13, 50, 64, 1),  # 50 eps of 2 steps: no fork at k <= 13
+        (11, 50, 64, 1),
+        (20, 3, 64, 3),  # 768 steps, but no more parts than eps
+        (20, 1, 64, 1),
+    ])
+    def test_parts_from_eps_cost(self, monkeypatch, k, eps, cpus, parts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        counted = []
+        monkeypatch.setattr(pipeline, "_part_count",
+                            lambda *args: counted.append(codes._part_count(*args)) or 1)
+        grid_stats(np.zeros(1 << k, np.uint8), [0.5] * eps)
+        assert counted == [parts]
+
+    def test_peak_is_one_eps(self, monkeypatch):
+        # an eps holds at most two 2^k arrays, as stats_from_profile does;
+        # keeping the last eps's stats while the next is made would be three
+        k = 20
+        profile = output_weight_profile(random_full_rank(np.random.default_rng(24), k, k + 4))
+        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 1)
+        tracemalloc.start()
+        try:
+            stats = grid_stats(profile, [0.1, 0.2, 0.3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stats) == 3
+        assert peak < 2.25 * (8 << k)
+
+
 class TestEmpirical:
     def test_point_mass(self):
         stats = empirical_stats(BitStream([1, 0, 1] * 50), 3)
@@ -660,13 +731,13 @@ class TestSimulatedTally:
     """simulate's chunked tally against the materialized output stream.
 
     A source chunk holds _chunk_blocks(n) blocks: 65536 at n = 16, 41936 at
-    n = 25, 15648 at n = 67 and 10480 at n = 100. So the n = 16 and n = 100
-    cases below span several chunks and end in a ragged one, and the n = 25
-    and n = 67 cases fit in one.
+    n = 25, 15648 at n = 67 and 10480 at n = 100. Every case below spans at
+    least two chunks and ends in a ragged one.
     """
 
     @pytest.mark.parametrize(
-        "k, n, blocks", [(11, 16, 3 * 65536 + 5), (11, 25, 2 * 5240 + 777), (7, 67, 3 * 1952 + 1)]
+        "k, n, blocks",
+        [(11, 16, 3 * 65536 + 5), (11, 25, 2 * 41936 + 777), (7, 67, 3 * 15648 + 1)],
     )
     def test_stats_match_materialized_stream(self, k, n, blocks):
         G = random_full_rank(np.random.default_rng(n), k, n)
@@ -686,7 +757,7 @@ class TestSimulatedTally:
         assert got.coord_biases.tolist() == [abs(2 * int(c) - blocks) / blocks for c in ones]
 
     @pytest.mark.parametrize(
-        "k, n, blocks", [(11, 25, 2 * 5240 + 3), (64, 67, 2 * 1952 + 9), (80, 100, 10480 + 77)]
+        "k, n, blocks", [(11, 25, 2 * 41936 + 3), (64, 67, 2 * 15648 + 9), (80, 100, 10480 + 77)]
     )
     def test_biases_match_materialized_stream(self, k, n, blocks):
         # k = 64 and k = 80 give words of one and two 64-bit words, past the
