@@ -333,6 +333,7 @@ class ExactStats:
     The rest come from the 2^k-bucket pmf, and are None past EMPIRICAL_K_CAP
     in simulate's tally: delta is the L1 distance from uniform (twice the
     TVD); shannon and min_entropy are base-2^k entropy rates in [0, 1].
+    Construction makes coord_biases and pmf read-only.
     """
 
     coord_biases: np.ndarray
@@ -344,10 +345,18 @@ class ExactStats:
     min_entropy: Optional[float] = None
     max_prob: Optional[float] = None
 
+    def __post_init__(self):
+        self.coord_biases.setflags(write=False)
+        if self.pmf is not None:
+            self.pmf.setflags(write=False)
 
-def _stats_from_pmf(pmf: np.ndarray, k: int, biases: np.ndarray, samples=None) -> ExactStats:
-    pmf = np.asarray(pmf, np.float64)
-    t = pmf - 2.0**-k  # the one full-size temporary, reused for p·log2(p)
+
+def _stats_from_pmf(pmf: np.ndarray, k: int, biases: np.ndarray, spare: np.ndarray,
+                    samples=None) -> ExactStats:
+    """ExactStats of a float64 pmf over 2^k buckets. spare is the caller's
+    2^k float64 buffer, overwritten as the one temporary: pmf - 2^-k, then
+    p·log2(p)."""
+    t = np.subtract(pmf, 2.0**-k, out=spare)
     delta = float(np.abs(t, out=t).sum())
     # 0·log2(0) = 0: a zero cell's log2 is taken at the smallest subnormal,
     # which is finite, and then multiplied by 0; every other cell is unchanged
@@ -357,8 +366,6 @@ def _stats_from_pmf(pmf: np.ndarray, k: int, biases: np.ndarray, samples=None) -
     shannon = float(-t.sum() / k) + 0.0  # +0.0 normalizes -0.0
     max_prob = float(pmf.max())
     min_entropy = float(-math.log2(max_prob) / k) + 0.0
-    pmf.setflags(write=False)
-    biases.setflags(write=False)
     return ExactStats(pmf=pmf, delta=delta, tvd=delta / 2.0, shannon=shannon,
                       min_entropy=min_entropy, coord_biases=biases, max_prob=max_prob,
                       samples=samples)
@@ -388,8 +395,13 @@ def output_weight_profile(G: BitMatrix) -> np.ndarray:
     return w
 
 
-def _fwht(a: np.ndarray) -> None:
-    """In-place unnormalized Walsh-Hadamard transform of a length-2^k array.
+def _fwht(src: np.ndarray, dst: np.ndarray) -> tuple:
+    """Unnormalized Walsh-Hadamard transform of a length-2^k float64 array.
+
+    The caller owns both buffers: src holds the input and dst, of the same
+    shape and dtype, is scratch; the transform alternates between them and
+    returns (result, spare), which are src and dst in some order, both
+    overwritten.
 
     A butterfly level on index bit p pairs entries 2^p apart, so numpy runs
     it as inner loops of 2^p elements; below about 2^12 the per-loop
@@ -397,12 +409,11 @@ def _fwht(a: np.ndarray) -> None:
     VM: 4.6 ms a level at 2^p = 2 against 0.2 ms at 2^p >= 2^12). So no
     level runs on a low bit. The transform is three passes over
     c = k//3, (k+1)//3, (k+2)//3 bits: each pass runs the levels of the top
-    c index bits in place, then one transposing copy into a second 2^k
-    buffer rotates those bits to the bottom. The three rotations sum to k
-    bits and restore the index order, and the result is copied back into a.
+    c index bits in place, then one transposing copy into the other buffer
+    rotates those bits to the bottom. The three rotations sum to k bits and
+    restore the index order.
     """
-    k = a.size.bit_length() - 1
-    src, dst = a, np.empty_like(a)
+    k = src.size.bit_length() - 1
     for c in (k // 3, (k + 1) // 3, (k + 2) // 3):
         for p in range(k - c, k):
             v = src.reshape(-1, 2, 1 << p)
@@ -413,7 +424,7 @@ def _fwht(a: np.ndarray) -> None:
         top = src.reshape(1 << c, 1 << (k - c))  # row = the top c bits
         np.copyto(dst.reshape(1 << (k - c), 1 << c), top.T)
         src, dst = dst, src
-    np.copyto(a, src)
+    return src, dst
 
 
 def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
@@ -444,10 +455,10 @@ def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
     k = profile.size.bit_length() - 1
     chi = (eps ** np.arange(int(profile.max()) + 1))[profile]
     biases = np.abs(chi[1 << np.arange(k)])
-    _fwht(chi)
-    chi *= 2.0**-k
-    np.maximum(chi, 0.0, out=chi)
-    return _stats_from_pmf(chi, k, biases)
+    pmf, spare = _fwht(chi, np.empty_like(chi))
+    pmf *= 2.0**-k
+    np.maximum(pmf, 0.0, out=pmf)
+    return _stats_from_pmf(pmf, k, biases, spare)
 
 
 # The float fields of ExactStats, in the order simulate prints them and
@@ -486,7 +497,6 @@ def grid_stats(profile: np.ndarray, grid) -> list:
 
     parts = _part_count(len(grid) << max(0, k - 12), len(grid))
     _forked_parts(run, parts, len(grid), "eps grid")
-    rows.setflags(write=False)
     return [ExactStats(coord_biases=row[len(_REAL_FIELDS) :],
                        **{f: float(x) for f, x in zip(_REAL_FIELDS, row)}) for row in rows]
 
@@ -544,8 +554,5 @@ def _tally(G: BitMatrix, streams) -> ExactStats:
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     biases = np.abs(2 * (byte_counts @ byte_bits).reshape(-1)[:k] - m) / m
     if not histogram:
-        biases.setflags(write=False)
         return ExactStats(coord_biases=biases, samples=m)
-    pmf = counts / m
-    del counts
-    return _stats_from_pmf(pmf, k, biases, samples=m)
+    return _stats_from_pmf(counts / m, k, biases, counts.view(np.float64), samples=m)

@@ -969,6 +969,100 @@ class TestMatrixFileFuzz:
             assert status != 1 or argv[0] != "code-info"  # exit 1 means a violated bound
 
 
+_BAD_WEIGHT_HEADER_FIELDS = ["0", "-1", "-9", str(2**64), "1" * 30, "1.5", "x", "4 5"]
+
+
+@st.composite
+def weights_files(draw):
+    """The bytes of a weights file for an [n,k] code, 1 <= k <= 8 and
+    k <= n <= 12, about half of them of RM(1,3)'s shape [8,4] so that
+    simulate runs, with any of seven faults: a header field that is zero, negative, huge, not an
+    integer or one too many, k > n, or n over the block-length cap; a count
+    line with a missing count, a third field, a repeated or too large
+    weight or a negative count; totals with A_0 != 1, a sum other than 2^k
+    or a count of 5,000 digits; a NUL; CRLF line ends; trailing blank lines;
+    bytes that are not UTF-8."""
+    n, k = draw(st.one_of(st.just((8, 4)), st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, min(8, n))))))
+    # a systematic generator [I | R] has full rank, so the base file is valid
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, 2, (k, n - k))])
+    u = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    counts = np.bincount((u @ G % 2).sum(axis=1), minlength=n + 1)
+    lines = [f"{l} {c}" for l, c in enumerate(counts) if c]
+    faults = {f for f in ("header", "count", "total", "nul", "crlf", "blank", "bytes")
+              if draw(st.integers(0, 4)) == 4}
+    header = [str(n), str(k)]
+    if "header" in faults:
+        kind = draw(st.sampled_from(["field", "k>n", "cap"]))
+        if kind == "field":
+            header[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_WEIGHT_HEADER_FIELDS))
+        elif kind == "k>n":
+            header[1] = str(n + draw(st.integers(1, 3)))
+        else:
+            header[0] = str(draw(st.sampled_from([65537, 10**5])))
+    i = draw(st.integers(0, len(lines) - 1))
+    l, c = lines[i].split()
+    if "count" in faults:
+        kind = draw(st.sampled_from(["missing", "three", "duplicate", "above", "negative"]))
+        if kind == "missing":
+            lines[i] = l
+        elif kind == "three":
+            lines[i] += " 0"
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "above":
+            lines.insert(draw(st.integers(0, len(lines))), f"{n + draw(st.integers(1, 3))} 1")
+        else:
+            lines[i] = f"{l} -{c}"
+    if "total" in faults:
+        kind = draw(st.sampled_from(["a0", "sum", "digits"]))
+        if kind == "a0":
+            lines[0] = f"0 {draw(st.sampled_from([0, 2]))}"
+        elif kind == "sum":
+            lines[-1] = lines[-1].rsplit(" ", 1)[0] + f" {int(counts.max()) + 1}"
+        else:
+            lines[i] = f"{l} {draw(st.sampled_from('19')) * 5000}"
+    blank = draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=1, max_size=3))
+    text = ("\r\n" if "crlf" in faults else "\n").join(
+        [" ".join(header), *lines, *(blank if "blank" in faults else [])]) + "\n"
+    if "nul" in faults:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\x00" + text[at:]
+    data = text.encode()
+    if "bytes" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_BAD_BYTES)) + data[at:]
+    return data
+
+
+class TestWeightsFileFuzz:
+    """Weights-file contents through --weights, in process: every command
+    that reads one ends in a known status, never in a traceback, and a
+    refused bounds-sweep leaves no CSV behind."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=weights_files())
+    def test_no_traceback(self, capsys, tmp_path, data):
+        path, csv = tmp_path / "w.txt", tmp_path / "new.csv"
+        path.write_bytes(data)
+        for argv in (["code-info"], ["bounds-sweep", "--steps", "3", "--out", str(csv)],
+                     ["simulate", "--code", "rm:1,3", "--eps", "0.2", "--blocks", "50"]):
+            status = _fuzzed_status(capsys, [*argv, "--weights", str(path)])
+            assert status != 1 or argv[0] == "simulate"  # exit 1 means a violated bound
+            assert csv.exists() == (argv[0] == "bounds-sweep" and status == 0)
+            csv.unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("data", [b"8 4\n0 1\n4 14\n8 1\xff\n",
+                                      b"8 4\n0 1\n4 14\n8 " + b"1" * 5000 + b"\n"],
+                             ids=["non-utf8", "5000-digit-count"])
+    def test_refused_file_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "w.txt"
+        path.write_bytes(data)
+        assert _fuzzed_status(capsys, ["code-info", "--weights", str(path)]) == 2
+
+
 class TestCliSurface:
     """verify takes its weights from its own oracle walk and extract needs
     none, so only the weight-resolving subcommands take --weights and --cap."""

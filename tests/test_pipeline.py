@@ -22,8 +22,10 @@ from linext.pipeline import (
     _chunk_blocks,
     _source_chunks,
     _fwht,
+    _stats_from_pmf,
     BiasedSourceSpec,
     BitStream,
+    ExactStats,
     empirical_stats,
     exact_output_pmf,
     extract_file,
@@ -531,9 +533,29 @@ class TestExactOracle:
         a, b = k - k // 2, k // 2
         x = np.random.default_rng(k).integers(-(1 << 20), 1 << 20, 1 << k)
         expect = sylvester(a) @ x.reshape(1 << a, 1 << b) @ sylvester(b).T
-        got = x.astype(np.float64)
-        _fwht(got)
+        src, dst = x.astype(np.float64), np.empty(1 << k)
+        got, spare = _fwht(src, dst)
+        assert {id(got), id(spare)} == {id(src), id(dst)}
         assert np.array_equal(got, expect.ravel())
+
+    def test_statistics_allocate_no_2k_array(self):
+        # the transform alternates between the caller's two buffers, and
+        # _stats_from_pmf's temporary is the caller's spare: neither makes
+        # a 2^k-element array of its own (numpy's buffering stays below)
+        k = 16
+        rng = np.random.default_rng(k)
+        src, dst = rng.random(1 << k), np.empty(1 << k)
+        pmf = rng.random(1 << k)
+        pmf /= pmf.sum()
+        biases = np.zeros(k)
+        for run in (lambda: _fwht(src, dst), lambda: _stats_from_pmf(pmf, k, biases, dst)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * (8 << k)
 
     def test_profile_dtype_is_smallest_holding_n(self):
         rng = np.random.default_rng(7)
@@ -595,6 +617,26 @@ class TestExactOracle:
             float(np.abs(expect - 2.0**-20).sum()), abs=1e-12
         )
         np.testing.assert_allclose(stats.coord_biases, row_biases, rtol=0, atol=1e-12)
+
+
+class TestExactStats:
+    def test_construction_freezes_arrays(self):
+        # a directly built ExactStats owns read-only arrays, as the oracle's
+        # and the tally's do
+        biases, pmf = np.zeros(3), np.full(8, 0.125)
+        stats = ExactStats(coord_biases=biases, pmf=pmf)
+        assert not stats.coord_biases.flags.writeable
+        assert not stats.pmf.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            biases[0] = 1.0
+        assert not ExactStats(coord_biases=np.ones(2), samples=5).coord_biases.flags.writeable
+
+    def test_oracle_and_tally_arrays_are_read_only(self):
+        G = rm_generator(1, 3).generator
+        tally = simulated_stats(G, BiasedSourceSpec(0.2, seed=3), 100)
+        for stats in (exact_output_pmf(G, 0.2), tally):
+            assert not stats.coord_biases.flags.writeable
+            assert not stats.pmf.flags.writeable
 
 
 class TestGridStats:
