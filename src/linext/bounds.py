@@ -61,20 +61,27 @@ def _xlog(a: float, b: float) -> float:
 
 
 def entropy_lower_bound(delta: float, k: int, variant: str = "standard") -> float:
-    """Entropy-rate lower bound 1 - (δ/2)·log_M(M-1) - h(δ/2) with M = 2^k.
+    """Entropy-rate lower bound f(δ) = 1 - (δ/2)·log_M(M-1) - h(δ/2) with
+    M = 2^k.
 
-    delta is clamped to [0, 2] before use; the returned value is raw and
-    may be negative (clamp01 for plotting). "standard" uses the base-M
-    binary entropy h(x) = -x log_M x - (1-x) log_M(1-x) at x = δ/2 and is
-    the provably sound choice; "as-printed" replaces log_M(δ/2) with
-    log_M(δ) in the first term, which makes the bound strictly larger for
-    δ in (0, 1).
+    "standard" uses the base-M binary entropy h(x) = -x log_M x -
+    (1-x) log_M(1-x) at x = δ/2 and is the provably sound choice;
+    "as-printed" replaces log_M(δ/2) with log_M(δ) in the first term, which
+    makes the bound strictly larger for δ in (0, 1), and is not a lower
+    bound even at the exact delta. The standard f falls from 1 at δ = 0 to
+    0 at δ = 2(1 - 1/M), the delta of a point mass, and rises after it, so
+    both forms are exactly 0 from that point on. Below it f is
+    non-increasing, so it takes any upper bound on delta to a lower bound
+    on the entropy rate: f(bound) <= f(exact δ) <= H. The returned value is
+    raw and may be negative (clamp01 for plotting).
     """
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if variant not in H_VARIANTS:
         raise ValueError(f"unknown h variant {variant!r}; use one of {H_VARIANTS}")
-    d = min(float(delta), 2.0)
+    if delta >= 2.0 - 2.0 ** (1 - k):
+        return 0.0
+    d = float(delta)
     x = d / 2.0
     scale = 1.0 / (k * math.log(2.0))  # ln -> log base 2^k
     first = _xlog(x, 2.0**k - 1.0) * scale

@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .gf2 import (BLOCK_LENGTH_CAP, BitMatrix, check_size, parse_header, rank, row_reduce,
-                  subset_xor_table)
+from .gf2 import (BLOCK_LENGTH_CAP, BitMatrix, check_size, parse_header, parse_pair, rank,
+                  row_reduce, subset_xor_table)
 
 ENUMERATION_CAP = 28
 # Hard ceiling on k for any enumeration, whatever cap a caller passes. One
@@ -28,15 +28,21 @@ ENUMERATION_CAP = 28
 ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
 # Fewest Gray-code steps a forked part of enumerate_weights walks, and the
-# unit in which pipeline.grid_stats measures its eps. On the same VM, with
-# linext imported, a fork round trip (map the rows, fork, add to one row,
-# exit, reap, sum) costs 1.8-2.7 ms (medians of 50 in five runs) and a step
-# of 2^16 codewords 93-120 us on [40,28], more on wider P, so a part of 256
+# unit in which pipeline.grid_stats measures its eps and
+# pipeline.simulated_stats its source. On the same VM, with linext
+# imported, a fork round trip (map the rows, fork, add to one row, exit,
+# reap, sum) costs 1.8-2.7 ms (medians of 50 in five runs) and a step of
+# 2^16 codewords 93-120 us on [40,28], more on wider P, so a part of 256
 # steps runs at least 25 ms and pays for its fork with about a tenth of
 # that at most. One eps of the exact oracle at dimension k >= 13 took
 # 0.11-0.22 ms per 2^(k-12) (medians of 25 eps: 1.8-2.5 ms at k = 16,
 # 8.9-9.8 ms at k = 18, 52-57 ms at k = 20), so it is counted as 2^(k-12)
 # steps: 64 at k = 18, where 25 eps make 1600 steps and two parts.
+# simulate's source, drawn, extracted and tallied in one process, took the
+# time of 1.6-2.3 steps (119 us each) per 2^15 bits on [16,11], [25,18],
+# [67,7], RM(3,5) and RM(1,16) (5.9 on a [30,24], past the split's k cap),
+# so 2^14 source bits count as a step (pipeline.SOURCE_BITS_PER_STEP): a
+# 2^20-bit chunk is 64 steps, and at least 4 Mbit make two parts.
 MIN_PART_STEPS = 256
 
 
@@ -164,16 +170,20 @@ def _part_count(steps: int, most: Optional[int] = None) -> int:
     pipeline.grid_stats passes 2^(k-12) steps an eps, as MIN_PART_STEPS
     calibrates, and its eps count as `most`: 25 eps at k = 18 make 1600
     steps, so two parts on two CPUs, and up to 50 eps at k <= 13 make at
-    most 100, so one.
+    most 100, so one. pipeline.simulated_stats passes a step per
+    SOURCE_BITS_PER_STEP = 2^14 source bits, as MIN_PART_STEPS also
+    calibrates, and its chunk count as `most`: the benchmark's 4·10^6
+    [16,11] blocks make 3906 steps, so two parts on two CPUs, and the
+    default 10^5 blocks at n <= 40 make at most 244, so one.
 
     The count follows the CPUs the process may run on, not those free to
     run it. On a 2-core VM the split cut the `weights` bench's wall time by
     23% with the second CPU free, and with that CPU busy two parts cost
     2-8% more than one. That trade is taken with no flag and no load probe:
-    the affinity set is the user's control (taskset -c 0 keeps the walk, or
-    verify, in one process), and os.getloadavg, the one load figure to
-    hand, averages other processes over minutes, not over the work's
-    fraction of a second.
+    the affinity set is the user's control (taskset -c 0 keeps the walk,
+    verify or simulate in one process), and os.getloadavg, the one load
+    figure to hand, averages other processes over minutes, not over the
+    work's fraction of a second.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
@@ -208,7 +218,8 @@ def _forked_parts(work, parts: int, steps: int, what: str) -> None:
     ("<what> part i/parts ...") once every child is reaped, so the caller
     reads the shared memory only when each part ran to its end. With
     parts = 1 nothing is forked. Callers take parts from _part_count: the
-    walk counts its Gray-code steps, grid_stats 2^(k-12) steps an eps.
+    walk counts its Gray-code steps, grid_stats 2^(k-12) steps an eps and
+    simulated_stats a step per 2^14 source bits.
 
     Part i starts on CPU i (mod their count) of the affinity set, through
     a pin that is lifted at once, so no two parts share a CPU at the start
@@ -416,10 +427,7 @@ def parse_weights(text: str) -> WeightDistribution:
     check_size(n)
     counts = [0] * (n + 1)
     for idx, line in enumerate(lines[1:], start=2):
-        try:
-            l, c = map(int, line.split())
-        except ValueError:
-            raise ValueError(f"line {idx}: expected 'weight count', got {line!r}") from None
+        l, c = parse_pair(line, idx, "'weight count'")
         if not 0 <= l <= n:
             raise ValueError(f"line {idx}: weight {l} outside 0..{n}")
         if c < 0:

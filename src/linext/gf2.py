@@ -7,6 +7,8 @@ to share across threads; all operations are pure.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import InfeasibleError
@@ -15,6 +17,8 @@ from .errors import InfeasibleError
 # the block length n of a code and the k·n entries of a generator matrix.
 BLOCK_LENGTH_CAP = 1 << 16
 MATRIX_BITS_CAP = 1 << 24
+# Characters of a refused input line that its error message quotes
+QUOTED_CHARS = 40
 
 
 def pack_bits(bits) -> np.ndarray:
@@ -139,11 +143,27 @@ def parse_header(text: str, names: str):
         lines.pop()
     if not lines:
         raise ValueError(f"line 1: missing header '{names}'")
+    return (lines, *parse_pair(lines[0], 1, f"header '{names}'"))
+
+
+def parse_pair(line: str, idx: int, what: str):
+    """The two integers of line idx of an input file, which errors call
+    what. A refused line is quoted up to QUOTED_CHARS characters, and a
+    decimal integer too long for int (past Python's digit limit) is
+    reported as such, so the message stays short whatever the line."""
+    fields = line.split()
     try:
-        a, b = map(int, lines[0].split())
+        a, b = map(int, fields)
     except ValueError:
-        raise ValueError(f"line 1: expected header '{names}', got {lines[0]!r}") from None
-    return lines, a, b
+        if len(fields) == 2 and all(re.fullmatch(r"[+-]?\d+", f) for f in fields):
+            # int refuses two decimal fields only past its digit limit
+            raise ValueError(f"line {idx}: an integer of {max(map(len, fields))} digits "
+                             f"is too long") from None
+        quoted = repr(line[:QUOTED_CHARS])
+        if len(line) > QUOTED_CHARS:
+            quoted += f"... ({len(line)} characters)"
+        raise ValueError(f"line {idx}: expected {what}, got {quoted}") from None
+    return a, b
 
 
 def parse_matrix(text: str) -> BitMatrix:

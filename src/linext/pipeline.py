@@ -35,6 +35,23 @@ DRAW_BITS = 1 << 20
 # with 2^18 and 45.5 MB with 2^20 (2-core VM, glibc); at 2^16 it also took
 # 27,620 minor faults against 377, refaulting the tally's arrays each chunk.
 PIECE_BITS = 1 << 17
+# Largest k at which simulate's tally splits over the CPUs; past it the
+# tally runs as one part. A part's row holds 8·2^k bytes of bucket counts,
+# which the parent sums, so each part adds that to the peak. A seeded
+# [k+6,k] matrix at 2·10^6 blocks, one part against two (2-core VM, Python
+# 3.11, numpy 2.4, 3 runs each, wall / peak RSS of the process tree):
+#   k = 16: 0.21-0.31 s / 37 MB against 0.12-0.17 s / 38 MB
+#   k = 18: 0.30-0.34 s / 41 MB against 0.17-0.19 s / 43 MB
+#   k = 20: 0.27-0.29 s / 53 MB against 0.23 s / 61 MB
+#   k = 22: 0.39-0.50 s / 101 MB against 0.31-0.33 s / 133 MB
+#   k = 24: 0.80-0.90 s / 293 MB against 0.69-0.76 s / 421 MB
+# Up to k = 20 a row is at most 8 MB, and a second part adds 15% or less
+# to the peak; at k = 22 and 24 it adds a third or more for 13-30% of the
+# time.
+SPLIT_K_CAP = 20
+# Source bits that simulate draws, extracts and tallies in about the time
+# of one weight-walk step (codes.MIN_PART_STEPS has the measurements).
+SOURCE_BITS_PER_STEP = 1 << 14
 
 
 class BitStream:
@@ -213,16 +230,19 @@ def check_source(blocks: int, n: int) -> None:
         raise InfeasibleError(f"blocks·n = {blocks * n} source bits, over the cap {SOURCE_BITS_CAP}")
 
 
-def _source_chunks(spec: BiasedSourceSpec, blocks: int, n: int = 1):
+def _source_chunks(spec: BiasedSourceSpec, blocks: int, n: int = 1, start: int = 0,
+                   stop: Optional[int] = None):
     """generate(spec, blocks·n) as consecutive streams of _chunk_blocks(n)
-    whole n-bit blocks, and the rest. The chunks draw on from one PCG64, so
-    they join to the stream of one draw, and memory holds one chunk's bytes
-    and one piece of raw words at a time. Past SOURCE_BITS_CAP it raises
-    InfeasibleError at the call, before any draw."""
-    check_source(blocks, n)
-    step, bitgen = _chunk_blocks(n), np.random.PCG64(spec.seed)
-    return (_draw(bitgen, spec, min(step, blocks - start) * n)
-            for start in range(0, blocks, step))
+    whole n-bit blocks, and the rest; only chunks start <= c < stop of them
+    (stop None: to the end). A range draws on from one PCG64(spec.seed),
+    advanced past the start·_chunk_blocks(n)·n raw words, one a bit, that
+    the chunks before it take (PCG64.advance jumps in O(log) steps), so
+    contiguous ranges join to the stream of one draw, and memory holds one
+    chunk's bytes and one piece of raw words at a time."""
+    step = _chunk_blocks(n)
+    bitgen = np.random.PCG64(spec.seed).advance(start * step * n)
+    for c in range(start, -(-blocks // step) if stop is None else stop):
+        yield _draw(bitgen, spec, min(step, blocks - c * step) * n)
 
 
 def _words(G: BitMatrix, stream: BitStream) -> np.ndarray:
@@ -522,37 +542,79 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
     if len(stream) == 0 or len(stream) % k:
         raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
     check_buckets(k)  # before the k x k identity
-    return _tally(BitMatrix.identity(k), [stream])
+    row = np.zeros(_tally_width(k), np.int64)
+    _tally(BitMatrix.identity(k), stream, row)
+    return _tally_stats(row, k, len(stream) // k)
 
 
 def simulated_stats(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> ExactStats:
     """empirical_stats(linear_extract(G, generate(spec, blocks·n)), k), bit
     for bit, in one pass over the source: memory holds one draw and the
-    2^k buckets, whatever blocks is. Past EMPIRICAL_K_CAP it holds no
-    buckets and measures only coord_biases and samples, at any k."""
-    return _tally(G, _source_chunks(spec, blocks, G.cols))
+    2^k buckets a part, whatever blocks is. Past EMPIRICAL_K_CAP it holds
+    no buckets and measures only coord_biases and samples, at any k. Past
+    SOURCE_BITS_CAP it raises InfeasibleError before any draw or fork.
+
+    The source chunks run as contiguous ranges, one per part, split by
+    codes._forked_parts: the first range in this process and each other in
+    a forked child, which draws its own chunks (_source_chunks) and adds
+    their counts into its own row of one shared int64 mapping. Once every
+    part has exited 0 the rows are summed in place; the counts are
+    integers, so the stats are those of one process, bit for bit. Parts
+    are sized by codes._part_count, with SOURCE_BITS_PER_STEP source bits
+    counted as a weight-walk step, and never outnumber the chunks. From
+    k = SPLIT_K_CAP + 1 to EMPIRICAL_K_CAP, where each row would hold
+    16 MB of buckets or more, the tally runs as one part. A part that
+    cannot be forked or does not finish raises InfeasibleError, before any
+    count is read.
+    """
+    k, n = G.rows, G.cols
+    check_source(blocks, n)
+    chunks = -(-blocks // _chunk_blocks(n))
+    parts = 1
+    if not SPLIT_K_CAP < k <= EMPIRICAL_K_CAP:
+        parts = _part_count(blocks * n // SOURCE_BITS_PER_STEP, chunks)
+    rows = _shared_zeros((parts, _tally_width(k)), np.int64)
+
+    def run(i, start, stop):
+        for stream in _source_chunks(spec, blocks, n, start, stop):
+            _tally(G, stream, rows[i])
+            yield
+
+    _forked_parts(run, parts, chunks, "source")
+    for row in rows[1:]:
+        rows[0] += row
+    return _tally_stats(rows[0], k, blocks)
 
 
-def _tally(G: BitMatrix, streams) -> ExactStats:
-    """The stats of the words G·x over the whole blocks of each stream in
-    turn: the coordinate biases |2·ones_i - m| / m, exact but for one
-    rounding, and up to k = EMPIRICAL_K_CAP the 2^k-bucket histogram's.
-    One-counts come from how often each value of each word byte occurs;
-    byte c holds coordinates 8c .. 8c + 7."""
-    k, m = G.rows, 0
-    histogram = k <= EMPIRICAL_K_CAP
-    if histogram:
-        counts = np.zeros(1 << k, np.int64)
-    byte_counts = np.zeros(((k + 7) // 8, 256), np.int64)
-    for stream in streams:
-        words = _words(G, stream)
-        m += len(words)
-        for c, column in enumerate(words.view(np.uint8).T[: len(byte_counts)]):
-            byte_counts[c] += np.bincount(column, minlength=256)
-        if histogram:
-            np.add.at(counts, words[:, 0].view(np.int64), 1)
+def _tally_width(k: int) -> int:
+    """Counts in a tally row of k-bit words: ceil(k/8)·256 byte-value
+    counts, then 2^k bucket counts up to k = EMPIRICAL_K_CAP."""
+    return (k + 7) // 8 * 256 + ((1 << k) if k <= EMPIRICAL_K_CAP else 0)
+
+
+def _tally(G: BitMatrix, stream: BitStream, row: np.ndarray) -> None:
+    """Add the words G·x over the whole blocks of stream into the int64
+    tally row of _tally_width(k) counts: how often each value of each word
+    byte occurs (byte c holds coordinates 8c .. 8c + 7), then, up to
+    k = EMPIRICAL_K_CAP, how often each word does."""
+    k = G.rows
+    words = _words(G, stream)
+    byte_counts = row[: (k + 7) // 8 * 256].reshape(-1, 256)
+    for c, column in enumerate(words.view(np.uint8).T[: len(byte_counts)]):
+        byte_counts[c] += np.bincount(column, minlength=256)
+    if k <= EMPIRICAL_K_CAP:
+        np.add.at(row[byte_counts.size :], words[:, 0].view(np.int64), 1)
+
+
+def _tally_stats(row: np.ndarray, k: int, m: int) -> ExactStats:
+    """The stats of m words tallied into row (_tally): the coordinate
+    biases |2·ones_i - m| / m, exact but for one rounding, and up to
+    k = EMPIRICAL_K_CAP the 2^k-bucket histogram's, whose counts the pmf's
+    temporary then overwrites."""
+    byte_counts = row[: (k + 7) // 8 * 256].reshape(-1, 256)
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     biases = np.abs(2 * (byte_counts @ byte_bits).reshape(-1)[:k] - m) / m
-    if not histogram:
+    if k > EMPIRICAL_K_CAP:
         return ExactStats(coord_biases=biases, samples=m)
+    counts = row[byte_counts.size :]
     return _stats_from_pmf(counts / m, k, biases, counts.view(np.float64), samples=m)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from linext.bounds import (
     ALPHA,
@@ -26,6 +28,7 @@ from linext.bounds import (
     write_csv,
 )
 from linext.codes import LinearCode, WeightDistribution, enumerate_weights, rm_generator
+from linext.gf2 import BitMatrix, rank
 from linext.pipeline import ExactStats, exact_output_pmf
 
 from _naive import random_full_rank
@@ -105,8 +108,17 @@ class TestEntropyLowerBound:
             ENTROPY_RM24_AS_PRINTED, abs=1e-12
         )
 
-    def test_delta_clamped_to_two(self):
-        assert entropy_lower_bound(5.0, 4) == entropy_lower_bound(2.0, 4)
+    def test_zero_from_the_point_mass_delta_on(self):
+        # f reaches 0 at delta = 2(1 - 2^-k), a point mass's, and would rise
+        # after it; from there on the bound is exactly 0
+        assert entropy_lower_bound(5.0, 4) == entropy_lower_bound(2.0, 4) == 0.0
+        for k in (1, 2, 4, 11, 24):
+            top = 2.0 - 2.0 ** (1 - k)
+            for variant in ("standard", "as-printed"):
+                for delta in (top, math.nextafter(top, 3.0), 2.0, 5.0, 2.0**k):
+                    assert entropy_lower_bound(delta, k, variant) == 0.0
+            # one ulp below, f is 0 but for rounding
+            assert abs(entropy_lower_bound(math.nextafter(top, 0.0), k)) < 1e-12
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -114,13 +126,14 @@ class TestEntropyLowerBound:
         with pytest.raises(ValueError, match="variant"):
             entropy_lower_bound(0.5, 4, "fancy")
 
-    def test_nonincreasing_in_delta_up_to_one(self):
-        for k in (1, 3, 11):
+    def test_nonincreasing_in_delta_up_to_two(self):
+        for k in (1, 2, 3, 11):
             values = [
                 entropy_lower_bound(d, k, "standard")
-                for d in np.linspace(0.0, 1.0, 101)
+                for d in np.linspace(0.0, 2.0, 201)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+            assert values[-1] == 0.0
 
     def test_as_printed_at_least_standard_inside_unit_delta(self):
         for k in (1, 2, 5, 11):
@@ -128,6 +141,57 @@ class TestEntropyLowerBound:
                 std = entropy_lower_bound(float(d), k, "standard")
                 ap = entropy_lower_bound(float(d), k, "as-printed")
                 assert ap >= std - 1e-15
+
+
+@st.composite
+def small_codes(draw):
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(k, 16))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+    G = BitMatrix.from_dense(((np.array(rows)[:, None] >> np.arange(n)) & 1).astype(np.uint8))
+    assume(rank(G) == k)
+    return G
+
+
+class TestSweepAgainstOracle:
+    """Every sweep column that claims a bound holds against the exact
+    oracle's statistics (stats_from_profile), within 1e-12 of rounding."""
+
+    @given(G=small_codes(), eps=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    def test_standard_columns_hold(self, G, eps):
+        stats = exact_output_pmf(G, eps)
+        row = sweep(enumerate_weights(LinearCode(G)), [eps])[0]
+        tol = 1e-12
+        assert row.bias_bound >= float(stats.coord_biases.max()) - tol
+        assert row.pointwise_bound >= stats.max_prob - tol
+        assert min(row.tvd_weight, row.tvd_worst) >= stats.delta - tol
+        assert row.hmin_bound <= stats.min_entropy + tol
+        assert max(row.entropy_weight_raw, row.entropy_worst_raw) <= stats.shannon + tol
+
+    @pytest.mark.parametrize("rows, eps, shannon", [
+        (["110", "011"], 0.99, 0.0678),  # [3,2,2]: the weight bound 2.94 is past 1.5
+        ("rm:2,4", 1.0, 0.0),  # every output is 0: delta bound 2047
+    ], ids=["3-2-2", "rm24"])
+    def test_entropy_columns_past_the_point_mass_delta(self, rows, eps, shannon):
+        # with delta clamped at 2 these printed 0.2075 and 6.41e-05, above
+        # the exact rate
+        code = rm_generator(2, 4) if rows == "rm:2,4" else LinearCode(
+            BitMatrix.from_dense([[int(c) for c in r] for r in rows]))
+        stats = exact_output_pmf(code.generator, eps)
+        assert stats.shannon == pytest.approx(shannon, abs=1e-4)
+        row = sweep(enumerate_weights(code), [eps])[0]
+        assert (row.entropy_weight_raw, row.entropy_worst_raw) == (0.0, 0.0)
+        assert max(row.entropy_weight, row.entropy_worst) <= stats.shannon
+
+    def test_as_printed_is_not_a_lower_bound(self):
+        # the [2,1] repetition code at eps 0.91: exact delta 0.8281, where the
+        # as-printed form exceeds the exact rate and the standard one does not
+        stats = exact_output_pmf(BitMatrix.from_dense([[1, 1]]), 0.91)
+        assert stats.delta == pytest.approx(0.8281)
+        assert stats.shannon == pytest.approx(0.4228, abs=1e-4)
+        assert entropy_lower_bound(stats.delta, 1, "as-printed") == pytest.approx(0.4355,
+                                                                                  abs=1e-4)
+        assert entropy_lower_bound(stats.delta, 1, "standard") <= stats.shannon
 
 
 class TestOrderingInvariants:

@@ -850,10 +850,16 @@ def _flag_values(valid):
     return st.one_of(valid.map(str), st.sampled_from(bad))
 
 
+# Most bytes of stderr a fuzzed command line may write: argparse's usage
+# and error lines, or one error line, which quotes at most
+# gf2.QUOTED_CHARS characters of a refused input line
+STDERR_BYTES = 1024
+
+
 def _fuzzed_status(capsys, argv):
     """Exit status of one fuzzed command line, after the checks every
-    command line must pass: a known status, no traceback, and nothing on
-    stdout when the run is refused."""
+    command line must pass: a known status, no traceback, stderr under
+    STDERR_BYTES, and nothing on stdout when the run is refused."""
     try:
         status = main(argv)
     except SystemExit as exc:  # argparse's usage errors
@@ -861,6 +867,7 @@ def _fuzzed_status(capsys, argv):
     out, err = capsys.readouterr()
     assert status in (0, 1, 2, 3)
     assert "Traceback" not in err
+    assert len(err.encode()) < STDERR_BYTES
     if status in (2, 3):
         assert out == "" and err.startswith(("usage:", "error:"))
     return status
@@ -1062,6 +1069,22 @@ class TestWeightsFileFuzz:
         path.write_bytes(data)
         assert _fuzzed_status(capsys, ["code-info", "--weights", str(path)]) == 2
 
+    @pytest.mark.parametrize("data, message", [
+        ("8 4\n0 1\n4 14\n8 " + "1" * 5000 + "\n",
+         "line 4: an integer of 5000 digits is too long"),
+        ("1" * 5000 + " 4\n0 1\n", "line 1: an integer of 5000 digits is too long"),
+        ("8 4\n0 1\n4 " + "x" * 5000 + "\n",
+         "line 3: expected 'weight count', got '4 " + "x" * 38 + "'... (5002 characters)"),
+    ], ids=["long-count", "long-header", "long-garbage"])
+    def test_refused_line_is_quoted_short(self, capsys, tmp_path, data, message):
+        # the error line quotes at most QUOTED_CHARS characters of the bad line,
+        # where it once echoed all 5,000
+        path = tmp_path / "w.txt"
+        path.write_text(data)
+        code, out, err = run(capsys, "code-info", "--weights", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err) < 120
+
 
 class TestCliSurface:
     """verify takes its weights from its own oracle walk and extract needs
@@ -1194,7 +1217,8 @@ class TestSizeGates:
         assert (bool(res.stdout), *wrote) == (code == 0,) * 3
 
 
-# Runs the CLI with its weight walk, or verify's eps grid, split into parts,
+# Runs the CLI with its weight walk, verify's eps grid or simulate's source
+# split into parts,
 # one of which fails as argv[1] says: "killed", part 1 of 2 sends itself
 # SIGKILL, as the OOM killer would end it; "fork", the second os.fork of
 # three parts fails, after the first child has started. The exit status is
@@ -1221,6 +1245,7 @@ def fork():
 if sys.argv[1] == "killed":
     codes.codeword_weights = killed(codes.codeword_weights)
     pipeline.stats_from_profile = killed(pipeline.stats_from_profile)
+    pipeline._tally = killed(pipeline._tally)
     parts = 2
 else:
     os.fork, parts = fork, 3
@@ -1276,6 +1301,50 @@ class TestGridPartFailure:
         assert res.stderr.startswith("error: eps grid ") and message in res.stderr
         if how == "killed":
             assert "exited with -9" in res.stderr
+
+
+class TestSourcePartFailure:
+    """So does a part of simulate's source, and simulate prints nothing
+    before every part has finished. The weights come from a file, so no
+    weight walk runs before the source."""
+
+    @pytest.mark.parametrize("how, message", [("killed", "part 1/2 (pid "),
+                                              ("fork", "part 2/3 could not fork")],
+                             ids=["killed", "fork"])
+    def test_exit_3_and_no_child(self, tmp_path, how, message):
+        (tmp_path / "w.txt").write_text(serialize_weights(enumerate_weights(rm_generator(2, 4))))
+        res = _part_failure(tmp_path, how, "simulate", "--code", "rm:2,4", "--weights", "w.txt",
+                            "--eps", "0.2", "--blocks", str(3 * 65536 + 5))
+        assert (res.returncode, res.stdout) == (3, "")
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: source ") and message in res.stderr
+        if how == "killed":
+            assert "exited with -9" in res.stderr
+
+    def test_source_over_the_cap_exits_before_any_fork(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the source cap"))
+        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 2)
+        code, out, err = run(capsys, "simulate", "--code", "rm:3,5", "--eps", "0.2",
+                             "--blocks", str(10**20))
+        assert (code, out) == (3, "")
+        assert "source bits, over the cap" in err
+
+
+class TestSimulateParts:
+    """simulate's source runs in parts (pipeline.simulated_stats); its
+    stdout is the same whatever the split, histogram or byte counts only."""
+
+    @pytest.mark.parametrize("code, blocks", [("rm:2,4", 3 * 65536 + 5),
+                                              ("rm:3,5", 3 * 32768 + 5)])
+    @pytest.mark.parametrize("parts", [2, 3], ids=["two", "three"])
+    def test_stdout_same_as_one_part(self, capsys, monkeypatch, code, blocks, parts):
+        outs = []
+        for count in (1, parts):
+            monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: count)
+            outs.append(run(capsys, "simulate", "--code", code, "--eps", "0.2",
+                            "--blocks", str(blocks), "--seed", "5"))
+        assert outs[0][0] == 0 and outs[0][1].endswith("all bounds hold\n")
+        assert outs[1] == outs[0]
 
 
 class TestVerifyParts:
@@ -1473,9 +1542,9 @@ GOLDEN_BOUNDS_SWEEP_RM24 = """\
 eps,bias_bound,pointwise_bound,tvd_weight,tvd_worst,hmin_bound,entropy_weight_raw,entropy_weight,entropy_worst_raw,entropy_worst,h_variant
 0.05,6.25e-06,0.00049453125,0.000882034028159,0.0128,0.99833188092,0.999054277088,0.999054277088,0.988523591969,0.988523591969,standard
 0.15,0.00050625,0.00099453125,0.0762035730427,1.0368,0.906699606877,0.940671543793,0.940671543793,0.390812942695,0.390812942695,standard
-0.25,0.00390625,0.00439453125,0.669960737461,8,0.711824999869,0.581410718589,0.581410718589,6.40557251446e-05,6.40557251446e-05,standard
-0.35,0.01500625,0.01549453125,3.13316259271,30.7328,0.546554279953,6.40557251446e-05,6.40557251446e-05,6.40557251446e-05,6.40557251446e-05,standard
-0.45,0.04100625,0.04149453125,11.0860809073,83.9808,0.417357725457,6.40557251446e-05,6.40557251446e-05,6.40557251446e-05,6.40557251446e-05,standard
+0.25,0.00390625,0.00439453125,0.669960737461,8,0.711824999869,0.581410718589,0.581410718589,0,0,standard
+0.35,0.01500625,0.01549453125,3.13316259271,30.7328,0.546554279953,0,0,0,0,standard
+0.45,0.04100625,0.04149453125,11.0860809073,83.9808,0.417357725457,0,0,0,0,standard
 """
 
 

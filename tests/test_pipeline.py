@@ -854,6 +854,99 @@ class TestSimulatedTally:
         assert peak < 2.25 * (8 << k)
 
 
+class TestSimulatedSplit:
+    """simulated_stats splits its source chunks into contiguous ranges, one
+    per part, the first run in this process and each other in a forked
+    child on a PCG64 jumped past the chunks before its range, and gives the
+    stats of one part, bit for bit. Each case spans several chunks and ends
+    in a ragged one; k = 30 tallies byte counts only."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        made, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or real())
+        return made
+
+    @staticmethod
+    def fields(stats):
+        pmf = None if stats.pmf is None else stats.pmf.tobytes()
+        floats = [None if getattr(stats, f) is None else getattr(stats, f).hex()
+                  for f in ("delta", "tvd", "shannon", "min_entropy", "max_prob")]
+        return pmf, stats.coord_biases.tobytes(), floats, stats.samples
+
+    @pytest.mark.parametrize("k, n, blocks", [
+        (11, 16, 3 * 65536 + 5), (11, 25, 2 * 41936 + 777), (7, 67, 3 * 15648 + 1),
+        (30, 67, 2 * 15648 + 9)])
+    def test_equals_one_part(self, forks, monkeypatch, k, n, blocks):
+        G = random_full_rank(np.random.default_rng(n + k), k, n)
+        spec = BiasedSourceSpec(0.2, seed=n)
+        got = []
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: parts)
+            del forks[:]
+            got.append(self.fields(simulated_stats(G, spec, blocks)))
+            assert len(forks) == parts - 1
+        assert got[1] == got[0] and got[2] == got[0]
+        assert (got[0][0] is None) == (k > pipeline.EMPIRICAL_K_CAP)
+
+    def test_each_part_counts_into_its_own_row(self, monkeypatch):
+        # six chunks over three parts, two chunks each: row i holds part i's
+        # words alone, and row 0, once summed, every word; a word adds one
+        # to each of its ceil(11/8) = 2 byte-count rows of 256
+        shared, real = [], pipeline._shared_zeros
+        monkeypatch.setattr(pipeline, "_shared_zeros",
+                            lambda *args: shared.append(real(*args)) or shared[-1])
+        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 3)
+        G = random_full_rank(np.random.default_rng(16), 11, 16)
+        simulated_stats(G, BiasedSourceSpec(0.2, seed=1), 5 * 65536 + 5)
+        words = [int(row[:512].sum()) // 2 for row in shared[0]]
+        assert words == [5 * 65536 + 5, 2 * 65536, 65536 + 5]
+
+    def test_more_parts_than_chunks(self, forks, monkeypatch):
+        # two chunks and five parts: three ranges are empty and their parts idle
+        G = random_full_rank(np.random.default_rng(16), 11, 16)
+        spec = BiasedSourceSpec(0.3, seed=2)
+        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 1)
+        want = self.fields(simulated_stats(G, spec, 65536 + 3))
+        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 5)
+        assert self.fields(simulated_stats(G, spec, 65536 + 3)) == want
+        assert len(forks) == 4
+
+    def test_over_the_cap_raises_before_any_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the source cap"))
+        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 2)
+        with pytest.raises(InfeasibleError, match="source bits, over the cap"):
+            simulated_stats(rm_generator(1, 3).generator, BiasedSourceSpec(0.2), 10**20)
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 3])
+    def test_chunk_range_starts_on_its_own_bits(self, start):
+        # a range from chunk start on draws the bits the whole stream holds there
+        n, blocks = 25, 3 * _chunk_blocks(25) + 7
+        spec = BiasedSourceSpec(0.2, seed=6)
+        whole = [c.to_bytes() for c in _source_chunks(spec, blocks, n)]
+        assert [c.to_bytes() for c in _source_chunks(spec, blocks, n, start)] == whole[start:]
+        assert [c.to_bytes() for c in _source_chunks(spec, blocks, n, start, start + 1)] == (
+            whole[start : start + 1])
+
+    @pytest.mark.parametrize("k, n, blocks, cpus, parts", [
+        (11, 16, 4_000_000, 2, 2),  # the stream benchmark: 3906 steps
+        (11, 16, 100_000, 64, 1),  # simulate's default blocks: 97 steps
+        (20, 26, 400_000, 64, 2),  # at SPLIT_K_CAP: 634 steps
+        (22, 28, 400_000, 64, None),  # past SPLIT_K_CAP: one part, nothing counted
+        (26, 32, 1_000_000, 64, 7),  # byte counts only: 1953 steps
+        (17, 1 << 16, 600, 64, 3),  # RM(1,16): 2400 steps, but only 3 chunks of 256 blocks
+    ])
+    def test_parts_from_source_bits(self, monkeypatch, k, n, blocks, cpus, parts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        counted = []
+        monkeypatch.setattr(pipeline, "_part_count",
+                            lambda *args: counted.append(codes._part_count(*args)) or 1)
+        G = (rm_generator(1, 16).generator if n == 1 << 16
+             else random_full_rank(np.random.default_rng(k), k, n))
+        simulated_stats(G, BiasedSourceSpec(0.2, seed=1), blocks)
+        assert counted == ([] if parts is None else [parts])
+
+
 def test_one_bucket_gate_for_oracle_and_histograms():
     # the exact oracle and a stream's histogram share one 2^k-bucket gate:
     # the same message, raised before any 2^k allocation
