@@ -12,12 +12,12 @@ import mmap
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .gf2 import (BLOCK_LENGTH_CAP, BitMatrix, check_size, parse_header, parse_pair, rank,
+from .gf2 import (BLOCK_LENGTH_CAP, BitMatrix, check_size, parse_header, parse_ints, rank,
                   row_reduce, subset_xor_table)
 
 ENUMERATION_CAP = 28
@@ -27,9 +27,9 @@ ENUMERATION_CAP = 28
 # minutes, and each further dimension doubles that.
 ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
-# Fewest Gray-code steps a forked part of enumerate_weights walks, and the
-# unit in which pipeline.grid_stats measures its eps and
-# pipeline.simulated_stats its source. On the same VM, with linext
+# Fewest steps a part of split_sum gets, counted in Gray-code steps of the
+# weight walk, the unit in which pipeline.grid_stats also measures its eps
+# and pipeline.simulated_stats its source. On the same VM, with linext
 # imported, a fork round trip (map the rows, fork, add to one row, exit,
 # reap, sum) costs 1.8-2.7 ms (medians of 50 in five runs) and a step of
 # 2^16 codewords 93-120 us on [40,28], more on wider P, so a part of 256
@@ -40,10 +40,29 @@ _TABLE_BITS = 16
 # steps: 64 at k = 18, where 25 eps make 1600 steps and two parts.
 # simulate's source, drawn, extracted and tallied in one process, took the
 # time of 1.6-2.3 steps (119 us each) per 2^15 bits on [16,11], [25,18],
-# [67,7], RM(3,5) and RM(1,16) (5.9 on a [30,24], past the split's k cap),
+# [67,7], RM(3,5) and RM(1,16) (5.9 on a [30,24], whose tally is one part),
 # so 2^14 source bits count as a step (pipeline.SOURCE_BITS_PER_STEP): a
 # 2^20-bit chunk is 64 steps, and at least 4 Mbit make two parts.
 MIN_PART_STEPS = 256
+# Bytes of one part's row from which split_sum runs the work as one part:
+# each further part adds its row to the peak. Only simulate's tally gets
+# there, whose row holds ceil(k/8)·256 byte counts and, up to k = 24,
+# 2^k bucket counts, int64: 8,394,752 bytes at k = 20, 16,783,360 at
+# k = 21, so from k = 21 to 24 the tally is one part, and past k = 24 a
+# row holds 8 KB at most and splits again. The weight walk's row holds at
+# most 0.6 MB, and verify's grid row, 8·(5+k) bytes an eps, gets there
+# only past 72,000 eps at k = 24, a grid of about 36 hours. simulate on a
+# seeded [k+6,k] matrix at 2·10^6 blocks, one part against two (2-core VM,
+# Python 3.11, numpy 2.4, 3 runs each, wall / peak RSS of the process tree):
+#   k = 16: 0.21-0.31 s / 37 MB against 0.12-0.17 s / 38 MB
+#   k = 18: 0.30-0.34 s / 41 MB against 0.17-0.19 s / 43 MB
+#   k = 20: 0.27-0.29 s / 53 MB against 0.23 s / 61 MB
+#   k = 22: 0.39-0.50 s / 101 MB against 0.31-0.33 s / 133 MB
+#   k = 24: 0.80-0.90 s / 293 MB against 0.69-0.76 s / 421 MB
+# Up to k = 20 a row is at most 8 MB, and a second part adds 15% or less
+# to the peak; at k = 22 and 24 it adds a third or more for 13-30% of the
+# time.
+SPLIT_ROW_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -161,34 +180,14 @@ def codeword_weights(rows: np.ndarray, dt, start: int = 0, stop=None):
         yield t ^ (t >> 1), np.bitwise_count(buf, out=buf).sum(axis=0, dtype=dt)
 
 
-def _part_count(steps: int, most: Optional[int] = None) -> int:
-    """Processes that share work worth `steps` Gray-code steps of the
-    weight walk: one per CPU in this process's affinity set, as long as
-    each gets MIN_PART_STEPS steps, and no more than `most` (None: no
-    further limit); 1 where the platform has no os.fork or
-    os.sched_getaffinity. The walk passes its own step count.
-    pipeline.grid_stats passes 2^(k-12) steps an eps, as MIN_PART_STEPS
-    calibrates, and its eps count as `most`: 25 eps at k = 18 make 1600
-    steps, so two parts on two CPUs, and up to 50 eps at k <= 13 make at
-    most 100, so one. pipeline.simulated_stats passes a step per
-    SOURCE_BITS_PER_STEP = 2^14 source bits, as MIN_PART_STEPS also
-    calibrates, and its chunk count as `most`: the benchmark's 4·10^6
-    [16,11] blocks make 3906 steps, so two parts on two CPUs, and the
-    default 10^5 blocks at n <= 40 make at most 244, so one.
-
-    The count follows the CPUs the process may run on, not those free to
-    run it. On a 2-core VM the split cut the `weights` bench's wall time by
-    23% with the second CPU free, and with that CPU busy two parts cost
-    2-8% more than one. That trade is taken with no flag and no load probe:
-    the affinity set is the user's control (taskset -c 0 keeps the walk,
-    verify or simulate in one process), and os.getloadavg, the one load
-    figure to hand, averages other processes over minutes, not over the
-    work's fraction of a second.
-    """
+def _part_count(items: int, steps: int) -> int:
+    """Parts for work of `items` items worth `steps` weight-walk steps, as
+    split_sum states the rule: one per CPU in this process's affinity set,
+    each with at least MIN_PART_STEPS steps and at most `items` parts; 1
+    where the platform has no os.fork or os.sched_getaffinity."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), steps // MIN_PART_STEPS,
-                      steps if most is None else most))
+    return max(1, min(len(os.sched_getaffinity(0)), steps // MIN_PART_STEPS, items))
 
 
 def _shared_zeros(shape, dtype) -> np.ndarray:
@@ -199,27 +198,61 @@ def _shared_zeros(shape, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
 
 
-def _forked_parts(work, parts: int, steps: int, what: str) -> None:
-    """Exhaust the iterator work(i, start, stop) for each of `parts`
-    contiguous ranges [start, stop) that split [0, steps) as evenly as they
-    can, range i being part i's; ranges are empty when parts > steps.
+def split_sum(work, items: int, steps: int, shape, dtype, what: str) -> np.ndarray:
+    """The sum of the rows that work fills over [0, items), split over the
+    CPUs: the one way the weight walk, verify's eps grid and simulate's
+    source use more than one process.
+
+    [0, items) is split into contiguous ranges [start, stop), one per part,
+    as evenly as they go (some are empty when parts outnumber the items),
+    and the iterator work(row, start, stop) is exhausted for each, row
+    being the part's own zeroed array of `shape` and `dtype` in one
+    (parts, *shape) shared mapping (_shared_zeros). Once every part has
+    exited 0, rows 1.. are added into row 0 in place and row 0 is
+    returned. A part writes only its own row, so integer counts sum to
+    what one process counts; a part that writes floats into slots of its
+    own items leaves +0.0 in every other row there, so the sum is exact
+    as long as no value is -0.0.
+
+    The part count (_part_count) is one per CPU in the affinity set, as
+    long as each part gets MIN_PART_STEPS of the `steps` that the whole
+    work is worth, and at most `items`; the work runs as one part when a
+    row would hold SPLIT_ROW_BYTES or more, since every further part adds
+    its row to the peak. The weight walk passes its Gray-code steps as
+    both items and steps, so it splits from k = 25 while P fits two words
+    ([40,28] walks 4096 steps and the [66,26] dual 1024). grid_stats
+    passes its eps, each worth 2^(k-12) steps: 25 eps at k = 18 make 1600
+    steps, so two parts on two CPUs, and up to 50 eps at k <= 13 make at
+    most 100, so one. simulated_stats passes its source chunks, worth a
+    step per SOURCE_BITS_PER_STEP = 2^14 source bits: the benchmark's
+    4·10^6 [16,11] blocks make 3906 steps, so two parts on two CPUs, and
+    the default 10^5 blocks at n <= 40 make at most 244, so one; its row
+    of 2^k bucket counts reaches SPLIT_ROW_BYTES at k = 21, so from there
+    to EMPIRICAL_K_CAP its tally runs as one part.
+
+    The count follows the CPUs the process may run on, not those free to
+    run it. On a 2-core VM the split cut the `weights` bench's wall time by
+    23% with the second CPU free, and with that CPU busy two parts cost
+    2-8% more than one. That trade is taken with no flag and no load probe:
+    the affinity set is the user's control (taskset -c 0 keeps the walk,
+    verify or simulate in one process), and os.getloadavg, the one load
+    figure to hand, averages other processes over minutes, not over the
+    work's fraction of a second.
 
     Range 0 runs in this process. Each other range runs in a child made by
     os.fork, which stops with exit 1 at the first item it gets after
     os.getppid() has changed (this process is gone), so work yields once
-    per step or so. A part hands its results back through memory shared
-    with this process (_shared_zeros), each part writing only its own
-    slots. A child leaves through os._exit whatever happens, so it never
-    returns into the caller and never flushes the stdio buffers it
+    per step or so. A child leaves through os._exit whatever happens, so it
+    never returns into the caller and never flushes the stdio buffers it
     inherited. The finally clause reaps every child, after killing them
     all unless range 0 was run to its end, so none is left on success, on
     an exception or on KeyboardInterrupt. A failed os.fork, or a child that
     did not exit 0 (one killed from outside too), raises InfeasibleError
-    ("<what> part i/parts ...") once every child is reaped, so the caller
-    reads the shared memory only when each part ran to its end. With
-    parts = 1 nothing is forked. Callers take parts from _part_count: the
-    walk counts its Gray-code steps, grid_stats 2^(k-12) steps an eps and
-    simulated_stats a step per 2^14 source bits.
+    ("<what> part i/parts ...") once every child is reaped, so no row is
+    read unless each part ran to its end. With one part nothing is forked.
+    On Python 3.12 and later, os.fork warns with a DeprecationWarning when
+    the process has other threads, such as a BLAS pool numpy started; the
+    children run no BLAS and start no thread.
 
     Part i starts on CPU i (mod their count) of the affinity set, through
     a pin that is lifted at once, so no two parts share a CPU at the start
@@ -241,7 +274,10 @@ def _forked_parts(work, parts: int, steps: int, what: str) -> None:
     0.55-0.79 s of CPU, and two forked parts, once a first fork had warmed
     the process, 0.20-0.27 s.
     """
-    edges = [steps * i // parts for i in range(parts + 1)]
+    row_bytes = np.dtype(dtype).itemsize * math.prod(shape)
+    parts = 1 if row_bytes >= SPLIT_ROW_BYTES else _part_count(items, steps)
+    rows = _shared_zeros((parts, *shape), dtype)
+    edges = [items * i // parts for i in range(parts + 1)]
     parent, children, finished = os.getpid(), [], False
     cpus = sorted(os.sched_getaffinity(0)) if parts > 1 else []
 
@@ -262,7 +298,7 @@ def _forked_parts(work, parts: int, steps: int, what: str) -> None:
                 status = 1
                 try:
                     start_on_own_cpu(i)
-                    for _ in work(i, edges[i], edges[i + 1]):
+                    for _ in work(rows[i], edges[i], edges[i + 1]):
                         if os.getppid() != parent:
                             break  # the parent is gone: stop this part
                     else:
@@ -272,7 +308,7 @@ def _forked_parts(work, parts: int, steps: int, what: str) -> None:
             children.append(pid)
         if cpus:
             start_on_own_cpu(0)
-        for _ in work(0, edges[0], edges[1]):
+        for _ in work(rows[0], edges[0], edges[1]):
             pass
         finished = True
     finally:
@@ -285,6 +321,9 @@ def _forked_parts(work, parts: int, steps: int, what: str) -> None:
     for i, (pid, status) in enumerate(zip(children, statuses), start=1):
         if status:
             raise InfeasibleError(f"{what} part {i}/{parts} (pid {pid}) exited with {status}")
+    for row in rows[1:]:
+        rows[0] += row
+    return rows[0]
 
 
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
@@ -309,18 +348,9 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     and row sum over the 2 parity bytes, against 70 us over all 5 bytes of
     uG, and about 70 us on the bincount, now the larger part.
 
-    The 2^(k-lo) steps are split into contiguous ranges, one per CPU in
-    the process's affinity set but at least MIN_PART_STEPS steps each, so
-    the split engages from k = 25 while P fits two words (lo = 16; [40,28]
-    walks 4096 steps and the [66,26] dual 1024). The first range runs here
-    and each other in a forked child (_forked_parts). Each adds its exact
-    int64 counts into its own row of one shared mapping, and the rows are
-    summed once every child has exited 0, so the distribution is the one a
-    single process counts. A fork round trip costs about 2 ms and a step
-    about 0.1 ms (MIN_PART_STEPS). On Python 3.12 and later, os.fork
-    warns with a DeprecationWarning when the process has other threads,
-    such as a BLAS pool numpy started; the children run no BLAS and start
-    no thread.
+    The 2^(k-lo) steps run split over the CPUs (split_sum), each part
+    adding its exact int64 counts into its own row, so the distribution is
+    the one a single process counts.
     """
     G = code.generator
     k, n = G.rows, G.cols
@@ -335,18 +365,15 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     size = 256 * (n + 1) if pair else n + 1
     low = np.bitwise_count(np.arange(1 << lo)).astype(dt)  # popcount(j)
     steps = 1 << (k - lo)
-    parts = _part_count(steps)
-    rows = _shared_zeros((parts, size), np.int64)
 
-    def count(i, start, stop):
+    def count(row, start, stop):
         for h, w in codeword_weights(P, dt, start, stop):
             w += low
             w += h.bit_count()
-            rows[i] += np.bincount(w.view(np.uint16) if pair else w, minlength=size)
+            row += np.bincount(w.view(np.uint16) if pair else w, minlength=size)
             yield
 
-    _forked_parts(count, parts, steps, "weight walk")
-    counts = rows.sum(axis=0)
+    counts = split_sum(count, steps, steps, (size,), np.int64, "weight walk")
     if pair:
         J = counts.reshape(n + 1, 256)
         counts = J.sum(axis=1) + J[:, : n + 1].sum(axis=0)
@@ -427,7 +454,7 @@ def parse_weights(text: str) -> WeightDistribution:
     check_size(n)
     counts = [0] * (n + 1)
     for idx, line in enumerate(lines[1:], start=2):
-        l, c = parse_pair(line, idx, "'weight count'")
+        l, c = parse_ints(line, 2, f"line {idx}", "'weight count'")
         if not 0 <= l <= n:
             raise ValueError(f"line {idx}: weight {l} outside 0..{n}")
         if c < 0:

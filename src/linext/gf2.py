@@ -143,27 +143,28 @@ def parse_header(text: str, names: str):
         lines.pop()
     if not lines:
         raise ValueError(f"line 1: missing header '{names}'")
-    return (lines, *parse_pair(lines[0], 1, f"header '{names}'"))
+    return (lines, *parse_ints(lines[0], 2, "line 1", f"header '{names}'"))
 
 
-def parse_pair(line: str, idx: int, what: str):
-    """The two integers of line idx of an input file, which errors call
-    what. A refused line is quoted up to QUOTED_CHARS characters, and a
-    decimal integer too long for int (past Python's digit limit) is
-    reported as such, so the message stays short whatever the line."""
-    fields = line.split()
+def parse_ints(text: str, count: int, where: str, what: str) -> tuple:
+    """The count integers of text, which errors place at where (a line or
+    a file) and call what. Refused text is quoted up to QUOTED_CHARS
+    characters, and a decimal integer too long for int (past Python's
+    digit limit) is reported as such, so the message stays short whatever
+    the text."""
+    fields = text.split()
     try:
-        a, b = map(int, fields)
+        if len(fields) == count:
+            return tuple(map(int, fields))
     except ValueError:
-        if len(fields) == 2 and all(re.fullmatch(r"[+-]?\d+", f) for f in fields):
-            # int refuses two decimal fields only past its digit limit
-            raise ValueError(f"line {idx}: an integer of {max(map(len, fields))} digits "
+        if all(re.fullmatch(r"[+-]?\d+", f) for f in fields):
+            # int refuses decimal fields only past its digit limit
+            raise ValueError(f"{where}: an integer of {max(map(len, fields))} digits "
                              f"is too long") from None
-        quoted = repr(line[:QUOTED_CHARS])
-        if len(line) > QUOTED_CHARS:
-            quoted += f"... ({len(line)} characters)"
-        raise ValueError(f"line {idx}: expected {what}, got {quoted}") from None
-    return a, b
+    quoted = repr(text[:QUOTED_CHARS])
+    if len(text) > QUOTED_CHARS:
+        quoted += f"... ({len(text)} characters)"
+    raise ValueError(f"{where}: expected {what}, got {quoted}")
 
 
 def parse_matrix(text: str) -> BitMatrix:

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import _forked_parts, _part_count, _shared_zeros, codeword_weights
+from .codes import codeword_weights, split_sum
 from .errors import InfeasibleError
-from .gf2 import BitMatrix, pack_bits, subset_xor_table
+from .gf2 import BitMatrix, pack_bits, parse_ints, subset_xor_table
 
 # Cap on k for anything holding 2^k buckets: the empirical histogram and
 # the exact oracle.
@@ -35,20 +35,6 @@ DRAW_BITS = 1 << 20
 # with 2^18 and 45.5 MB with 2^20 (2-core VM, glibc); at 2^16 it also took
 # 27,620 minor faults against 377, refaulting the tally's arrays each chunk.
 PIECE_BITS = 1 << 17
-# Largest k at which simulate's tally splits over the CPUs; past it the
-# tally runs as one part. A part's row holds 8·2^k bytes of bucket counts,
-# which the parent sums, so each part adds that to the peak. A seeded
-# [k+6,k] matrix at 2·10^6 blocks, one part against two (2-core VM, Python
-# 3.11, numpy 2.4, 3 runs each, wall / peak RSS of the process tree):
-#   k = 16: 0.21-0.31 s / 37 MB against 0.12-0.17 s / 38 MB
-#   k = 18: 0.30-0.34 s / 41 MB against 0.17-0.19 s / 43 MB
-#   k = 20: 0.27-0.29 s / 53 MB against 0.23 s / 61 MB
-#   k = 22: 0.39-0.50 s / 101 MB against 0.31-0.33 s / 133 MB
-#   k = 24: 0.80-0.90 s / 293 MB against 0.69-0.76 s / 421 MB
-# Up to k = 20 a row is at most 8 MB, and a second part adds 15% or less
-# to the peak; at k = 22 and 24 it adds a third or more for 13-30% of the
-# time.
-SPLIT_K_CAP = 20
 # Source bits that simulate draws, extracts and tallies in about the time
 # of one weight-walk step (codes.MIN_PART_STEPS has the measurements).
 SOURCE_BITS_PER_STEP = 1 << 14
@@ -134,8 +120,8 @@ def _read_length(path) -> Optional[int]:
     sidecar = str(path) + ".len"
     if not os.path.exists(sidecar):
         return None
-    with open(sidecar) as fp:
-        nbits = int(fp.read())
+    with open(sidecar, "rb") as fp:
+        nbits, = parse_ints(fp.read().decode(errors="replace"), 1, sidecar, "'bit length'")
     size = os.path.getsize(path)
     if not max(0, 8 * size - 7) <= nbits <= 8 * size:
         raise ValueError(f"{sidecar}: bit length {nbits} does not fit {size} bytes")
@@ -490,24 +476,20 @@ def grid_stats(profile: np.ndarray, grid) -> list:
     """stats_from_profile(profile, eps) for each eps of grid, in order,
     each with pmf None and every other field bit for bit the same.
 
-    The eps are independent, so they run as contiguous ranges, one per
-    part, split by codes._forked_parts: the first range in this process
-    and each other in a forked child. Parts are sized by codes._part_count
-    with an eps at dimension k counted as 2^(k-12) weight-walk steps
-    (MIN_PART_STEPS has the measurements), and never outnumber the eps:
-    the benchmark's 25 eps at k = 18 make two parts on two CPUs, and k <= 13
-    over up to 50 eps makes one. Each part writes an eps's floats and its
-    k coordinate biases into that eps's row of one shared float64 mapping,
-    and drops the eps's ExactStats, whose 2^k pmf is the largest array,
-    before the next eps makes its own. A part that cannot be forked or
-    does not finish raises InfeasibleError, before any result is read. A
-    thread per part would hold a second set of 2^k buffers in one process;
-    a forked part keeps each process's peak that of one eps.
+    The eps run split over the CPUs (codes.split_sum), an eps at dimension
+    k counted as 2^(k-12) weight-walk steps (MIN_PART_STEPS has the
+    measurements). A part writes an eps's floats and its k coordinate
+    biases into that eps's row of its own (len(grid), 5 + k) float64
+    array, and drops the eps's ExactStats, whose 2^k pmf is the largest
+    array, before the next eps makes its own. No field is -0.0 (the
+    entropies add +0.0, the rest are absolute values or probabilities), so
+    the sum over the parts is exact. A thread per part would hold a second
+    set of 2^k buffers in one process; a forked part keeps each process's
+    peak that of one eps.
     """
     k = profile.size.bit_length() - 1
-    rows = _shared_zeros((len(grid), len(_REAL_FIELDS) + k), np.float64)
 
-    def run(i, start, stop):
+    def run(rows, start, stop):
         for j in range(start, stop):
             stats = stats_from_profile(profile, grid[j])
             rows[j, : len(_REAL_FIELDS)] = [getattr(stats, f) for f in _REAL_FIELDS]
@@ -515,8 +497,8 @@ def grid_stats(profile: np.ndarray, grid) -> list:
             del stats
             yield
 
-    parts = _part_count(len(grid) << max(0, k - 12), len(grid))
-    _forked_parts(run, parts, len(grid), "eps grid")
+    rows = split_sum(run, len(grid), len(grid) << max(0, k - 12),
+                     (len(grid), len(_REAL_FIELDS) + k), np.float64, "eps grid")
     return [ExactStats(coord_biases=row[len(_REAL_FIELDS) :],
                        **{f: float(x) for f, x in zip(_REAL_FIELDS, row)}) for row in rows]
 
@@ -554,36 +536,22 @@ def simulated_stats(G: BitMatrix, spec: BiasedSourceSpec, blocks: int) -> ExactS
     no buckets and measures only coord_biases and samples, at any k. Past
     SOURCE_BITS_CAP it raises InfeasibleError before any draw or fork.
 
-    The source chunks run as contiguous ranges, one per part, split by
-    codes._forked_parts: the first range in this process and each other in
-    a forked child, which draws its own chunks (_source_chunks) and adds
-    their counts into its own row of one shared int64 mapping. Once every
-    part has exited 0 the rows are summed in place; the counts are
-    integers, so the stats are those of one process, bit for bit. Parts
-    are sized by codes._part_count, with SOURCE_BITS_PER_STEP source bits
-    counted as a weight-walk step, and never outnumber the chunks. From
-    k = SPLIT_K_CAP + 1 to EMPIRICAL_K_CAP, where each row would hold
-    16 MB of buckets or more, the tally runs as one part. A part that
-    cannot be forked or does not finish raises InfeasibleError, before any
-    count is read.
+    The source chunks run split over the CPUs (codes.split_sum), a step
+    per SOURCE_BITS_PER_STEP source bits. Each part draws its own chunks
+    (_source_chunks) and adds their counts into its own row; the counts
+    are integers, so the stats are those of one process, bit for bit.
     """
     k, n = G.rows, G.cols
     check_source(blocks, n)
-    chunks = -(-blocks // _chunk_blocks(n))
-    parts = 1
-    if not SPLIT_K_CAP < k <= EMPIRICAL_K_CAP:
-        parts = _part_count(blocks * n // SOURCE_BITS_PER_STEP, chunks)
-    rows = _shared_zeros((parts, _tally_width(k)), np.int64)
 
-    def run(i, start, stop):
+    def run(row, start, stop):
         for stream in _source_chunks(spec, blocks, n, start, stop):
-            _tally(G, stream, rows[i])
+            _tally(G, stream, row)
             yield
 
-    _forked_parts(run, parts, chunks, "source")
-    for row in rows[1:]:
-        rows[0] += row
-    return _tally_stats(rows[0], k, blocks)
+    row = split_sum(run, -(-blocks // _chunk_blocks(n)), blocks * n // SOURCE_BITS_PER_STEP,
+                    (_tally_width(k),), np.int64, "source")
+    return _tally_stats(row, k, blocks)
 
 
 def _tally_width(k: int) -> int:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import linext
-from linext import cli, pipeline
+from linext import cli, codes, pipeline
 from linext.bounds import CSV_HEADER
 from linext.cli import build_parser, main
 from linext.codes import (ENUMERATION_CEILING, enumerate_weights, rm_generator, serialize_weights,
@@ -409,16 +409,19 @@ class TestExtract:
 
     @pytest.mark.parametrize(
         "data, sidecar",
-        [(b"\xff\x80", "abc"), (b"", "-5"), (b"\xff\x80", "17"), (b"\xff\x80", "8")],
-        ids=["garbage", "negative", "too-long", "too-short"],
+        [(b"\xff\x80", b"abc"), (b"", b"-5"), (b"\xff\x80", b"17"), (b"\xff\x80", b"8"),
+         (b"\xff\x80", b"1" * 5000), (b"\xff\x80", b""), (b"\xff\x80", b"1\xff")],
+        ids=["garbage", "negative", "too-long", "too-short", "huge-digits", "empty",
+             "non-utf8"],
     )
     def test_bad_sidecar_leaves_output_alone(self, capsys, tmp_path, data, sidecar):
         src, dst = tmp_path / "in.bits", tmp_path / "out.bits"
         src.write_bytes(data)
-        (tmp_path / "in.bits.len").write_text(sidecar + "\n")
+        (tmp_path / "in.bits.len").write_bytes(sidecar + b"\n")
         argv = ["extract", "--code", "rm:1,3", "--in", str(src), "--out", str(dst)]
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and "error:" in err
+        assert (code, out) == (2, "") and err.startswith(f"error: {src}.len: ")
+        assert len(err) < 200  # a 5,000-digit length is named, not echoed
         assert not dst.exists() and not (tmp_path / "out.bits.len").exists()
         dst.write_bytes(b"old")
         (tmp_path / "out.bits.len").write_text("23\n")
@@ -1086,6 +1089,57 @@ class TestWeightsFileFuzz:
         assert len(err) < 120
 
 
+# How a fuzzed stream file's .len sidecar is made: absent, valid, 8 bits
+# off either way, or not a bit length at all
+_SIDECAR_KINDS = ["none", "valid", "+8", "-8", "negative", "garbage", "over-long", "empty",
+                  "non-utf8"]
+
+
+class TestStreamFileFuzz:
+    """Stream files and their .len sidecars through extract, in process:
+    every run ends in exit 0, with the in-memory extraction of the input
+    in the output file, or in exit 2, with the old output and its sidecar
+    as they were."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chunks=st.integers(0, 3), ragged=st.integers(0, 7),
+           kind=st.sampled_from(_SIDECAR_KINDS), baseline=st.booleans(), data=st.data())
+    def test_exit_0_or_2(self, capsys, tmp_path, chunks, ragged, kind, baseline, data):
+        # chunks of 64 bits, 8 blocks of rm:1,3 or 32 pairs, so up to three
+        # chunks and the ragged bytes cross several chunk boundaries
+        size = 8 * chunks + ragged
+        src, dst = tmp_path / "in.bits", tmp_path / "out.bits"
+        sidecar, out_len = tmp_path / "in.bits.len", tmp_path / "out.bits.len"
+        src.write_bytes(data.draw(st.binary(min_size=size, max_size=size), label="bytes"))
+        nbits = data.draw(st.integers(max(0, 8 * size - 7), 8 * size), label="nbits")
+        text = {"valid": str(nbits), "+8": str(nbits + 8), "-8": str(nbits - 8),
+                "negative": "-3", "garbage": f"{nbits}x", "over-long": "1" * 5000,
+                "empty": ""}
+        sidecar.unlink(missing_ok=True)
+        if kind == "non-utf8":
+            sidecar.write_bytes(b"\xff\xfe\n")
+        elif kind != "none":
+            sidecar.write_text(text[kind] + "\n")
+        dst.write_bytes(b"old")
+        out_len.write_text("23\n")
+        argv = ["extract", *(["--baseline", "von-neumann"] if baseline else ["--code", "rm:1,3"]),
+                "--in", str(src), "--out", str(dst)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_chunk_blocks", lambda n: 64 // n)
+            status = _fuzzed_status(capsys, argv)
+        assert status == (0 if kind in ("none", "valid") else 2)
+        if status == 0:
+            stream = BitStream.read(src)
+            want = (von_neumann(stream) if baseline
+                    else linear_extract(rm_generator(1, 3).generator, stream))
+            assert dst.read_bytes() == want.to_bytes()
+            assert (out_len.read_text() if out_len.exists() else None) == (
+                f"{len(want)}\n" if len(want) % 8 else None)
+        else:
+            assert (dst.read_bytes(), out_len.read_text()) == (b"old", "23\n")
+
+
 class TestCliSurface:
     """verify takes its weights from its own oracle walk and extract needs
     none, so only the weight-resolving subcommands take --weights and --cap."""
@@ -1218,8 +1272,7 @@ class TestSizeGates:
 
 
 # Runs the CLI with its weight walk, verify's eps grid or simulate's source
-# split into parts,
-# one of which fails as argv[1] says: "killed", part 1 of 2 sends itself
+# split into parts, one of which fails as argv[1] says: "killed", part 1 of 2 sends itself
 # SIGKILL, as the OOM killer would end it; "fork", the second os.fork of
 # three parts fails, after the first child has started. The exit status is
 # the CLI's, or 99 when a child is still there to be reaped afterwards.
@@ -1249,7 +1302,7 @@ if sys.argv[1] == "killed":
     parts = 2
 else:
     os.fork, parts = fork, 3
-codes._part_count = pipeline._part_count = lambda *args: parts
+codes._part_count = lambda *args: parts
 status = cli.main(sys.argv[2:])
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -1269,70 +1322,45 @@ def _part_failure(tmp_path, how, *argv):
     )
 
 
-class TestWalkPartFailure:
-    """A weight walk part that cannot be forked or does not exit 0 ends the
-    command with exit 3 and an error line, never a traceback, and leaves no
-    child process behind."""
+class TestPartFailure:
+    """A part of the weight walk, of verify's eps grid or of simulate's
+    source that cannot be forked or does not exit 0 ends the command with
+    exit 3 and an error line, never a traceback, and leaves no child
+    process behind; the command prints nothing before every part has
+    finished, so stdout stays empty."""
 
-    @pytest.mark.parametrize("how, message", [("killed", "part 1/2 (pid "),
-                                              ("fork", "part 2/3 could not fork")],
-                             ids=["killed", "fork"])
-    def test_exit_3_and_no_child(self, tmp_path, how, message):
+    @pytest.mark.parametrize("what, argv", [
         # RM(2,6) is [64,22]: its walk has 64 steps to split
-        res = _part_failure(tmp_path, how, "code-info", "--code", "rm:2,6")
-        assert (res.returncode, res.stdout) == (3, "")
-        assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: weight walk ") and message in res.stderr
-        if how == "killed":
-            assert "exited with -9" in res.stderr
-
-
-class TestGridPartFailure:
-    """So does a part of verify's eps grid, and verify prints nothing
-    before every part has finished: stdout stays empty."""
-
+        ("weight walk", ["code-info", "--code", "rm:2,6"]),
+        ("eps grid", ["verify", "--code", "rm:2,4"]),
+        # the weights come from a file, so no weight walk runs before the source
+        ("source", ["simulate", "--code", "rm:2,4", "--weights", "w.txt", "--eps", "0.2",
+                    "--blocks", str(3 * 65536 + 5)]),
+    ], ids=["walk", "grid", "source"])
     @pytest.mark.parametrize("how, message", [("killed", "part 1/2 (pid "),
                                               ("fork", "part 2/3 could not fork")],
                              ids=["killed", "fork"])
-    def test_exit_3_and_no_child(self, tmp_path, how, message):
-        res = _part_failure(tmp_path, how, "verify", "--code", "rm:2,4")
-        assert (res.returncode, res.stdout) == (3, "")
-        assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: eps grid ") and message in res.stderr
-        if how == "killed":
-            assert "exited with -9" in res.stderr
-
-
-class TestSourcePartFailure:
-    """So does a part of simulate's source, and simulate prints nothing
-    before every part has finished. The weights come from a file, so no
-    weight walk runs before the source."""
-
-    @pytest.mark.parametrize("how, message", [("killed", "part 1/2 (pid "),
-                                              ("fork", "part 2/3 could not fork")],
-                             ids=["killed", "fork"])
-    def test_exit_3_and_no_child(self, tmp_path, how, message):
+    def test_exit_3_and_no_child(self, tmp_path, what, argv, how, message):
         (tmp_path / "w.txt").write_text(serialize_weights(enumerate_weights(rm_generator(2, 4))))
-        res = _part_failure(tmp_path, how, "simulate", "--code", "rm:2,4", "--weights", "w.txt",
-                            "--eps", "0.2", "--blocks", str(3 * 65536 + 5))
+        res = _part_failure(tmp_path, how, *argv)
         assert (res.returncode, res.stdout) == (3, "")
         assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: source ") and message in res.stderr
+        assert res.stderr.startswith(f"error: {what} ") and message in res.stderr
         if how == "killed":
             assert "exited with -9" in res.stderr
-
-    def test_source_over_the_cap_exits_before_any_fork(self, capsys, monkeypatch):
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the source cap"))
-        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 2)
-        code, out, err = run(capsys, "simulate", "--code", "rm:3,5", "--eps", "0.2",
-                             "--blocks", str(10**20))
-        assert (code, out) == (3, "")
-        assert "source bits, over the cap" in err
 
 
 class TestSimulateParts:
     """simulate's source runs in parts (pipeline.simulated_stats); its
     stdout is the same whatever the split, histogram or byte counts only."""
+
+    def test_source_over_the_cap_exits_before_any_fork(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the source cap"))
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 2)
+        code, out, err = run(capsys, "simulate", "--code", "rm:3,5", "--eps", "0.2",
+                             "--blocks", str(10**20))
+        assert (code, out) == (3, "")
+        assert "source bits, over the cap" in err
 
     @pytest.mark.parametrize("code, blocks", [("rm:2,4", 3 * 65536 + 5),
                                               ("rm:3,5", 3 * 32768 + 5)])
@@ -1340,7 +1368,7 @@ class TestSimulateParts:
     def test_stdout_same_as_one_part(self, capsys, monkeypatch, code, blocks, parts):
         outs = []
         for count in (1, parts):
-            monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: count)
+            monkeypatch.setattr(codes, "_part_count", lambda items, steps: count)
             outs.append(run(capsys, "simulate", "--code", code, "--eps", "0.2",
                             "--blocks", str(blocks), "--seed", "5"))
         assert outs[0][0] == 0 and outs[0][1].endswith("all bounds hold\n")
@@ -1365,7 +1393,7 @@ class TestVerifyParts:
         grid = ["--eps-min", "0.02", "--eps-max", "0.5", "--steps", "7"]
         outs = []
         for count in (1, parts):
-            monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: count)
+            monkeypatch.setattr(codes, "_part_count", lambda items, steps: count)
             outs.append(run(capsys, "verify", *source, *grid))
         assert outs[0][0] == 0 and outs[0][1].endswith("all bounds hold\n")
         assert outs[1] == outs[0]

@@ -343,7 +343,7 @@ def slow(rows, dt, start=0, stop=None):
         yield pair
 
 codes.codeword_weights = slow
-codes._part_count = lambda steps: 2
+codes._part_count = lambda *args: 2
 codes.enumerate_weights(codes.LinearCode(BitMatrix.from_dense(np.eye(22, 30, dtype=np.uint8))))
 """
 
@@ -358,10 +358,8 @@ def _exited(pid):
 
 
 class TestForkedWalk:
-    """enumerate_weights splits its 2^(k-lo) steps into contiguous ranges,
-    one per part, the first walked in this process and each other in a
-    forked child, each adding its counts into its own row of one shared
-    mapping."""
+    """enumerate_weights splits its 2^(k-lo) steps over codes.split_sum,
+    each part adding its counts into its own row."""
 
     @pytest.fixture(params=[(20, 36), (18, 300)], ids=["pair-keys", "n>255"])
     def code(self, request):
@@ -381,16 +379,16 @@ class TestForkedWalk:
                                              parts):
         monkeypatch.setattr(codes.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(codes, "MIN_PART_STEPS", min_steps)
-        assert codes._part_count(16) == parts
+        assert codes._part_count(16, 16) == parts
         one = enumerate_weights(code)
         assert len(forks) == parts - 1
         assert list(one.counts) == naive_weight_counts(code.generator.to_dense())
-        monkeypatch.setattr(codes, "_part_count", lambda steps: 1)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 1)
         assert enumerate_weights(code) == one
 
     def test_more_parts_than_steps(self, code, forks, monkeypatch):
         # 19 parts over 16 steps: three ranges are empty, their counts zero
-        monkeypatch.setattr(codes, "_part_count", lambda steps: steps + 3)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: steps + 3)
         got = enumerate_weights(code)
         assert len(forks) == 18
         assert list(got.counts) == naive_weight_counts(code.generator.to_dense())
@@ -398,7 +396,7 @@ class TestForkedWalk:
     @pytest.mark.parametrize("attr", ["fork", "sched_getaffinity"])
     def test_one_part_without_fork_or_affinity(self, monkeypatch, attr):
         monkeypatch.delattr(codes.os, attr, raising=False)
-        assert codes._part_count(1 << 20) == 1
+        assert codes._part_count(1 << 20, 1 << 20) == 1
 
     @pytest.mark.parametrize("where, error", [("child", RuntimeError),
                                               ("parent", KeyboardInterrupt)])
@@ -411,7 +409,7 @@ class TestForkedWalk:
             return real(rows, dt, start, stop)
 
         monkeypatch.setattr(codes, "codeword_weights", broken)
-        monkeypatch.setattr(codes, "_part_count", lambda steps: 3)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 3)
         # a child's error stays in the child, which exits 1: the parent
         # reports that as InfeasibleError, the CLI's exit 3
         expected = InfeasibleError if where == "child" else error
@@ -445,7 +443,7 @@ class TestForkedWalk:
 
 
 class TestPartPlacement:
-    """_forked_parts starts part i on CPU i (mod their count) of the
+    """split_sum starts part i on CPU i (mod their count) of the
     affinity set, then allows the whole set again; a refused move changes
     nothing else."""
 
@@ -453,15 +451,15 @@ class TestPartPlacement:
         calls = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {8, 3, 5})
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(sorted(cpus)))
-        seen = codes._shared_zeros((4, 4), np.int64)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 4)
 
-        def work(i, start, stop):
+        def work(row, start, stop):
             # each process's own calls, made before its part starts
             (first,), whole = calls
-            seen[i] = [first, *whole]
+            row[start] = [first, *whole]
             yield
 
-        codes._forked_parts(work, 4, 4, "test")
+        seen = codes.split_sum(work, 4, 4, (4, 4), np.int64, "test")
         assert seen.tolist() == [[3, 3, 5, 8], [5, 3, 5, 8], [8, 3, 5, 8], [3, 3, 5, 8]]
 
     def test_refused_move_is_ignored(self, monkeypatch):
@@ -469,10 +467,34 @@ class TestPartPlacement:
             raise OSError(errno.EINVAL, "Invalid argument")
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
-        monkeypatch.setattr(codes, "_part_count", lambda steps: 2)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 2)
         code = LinearCode(random_full_rank(np.random.default_rng(36), 20, 36))
         assert list(enumerate_weights(code).counts) == naive_weight_counts(
             code.generator.to_dense())
+
+
+class TestSplitSum:
+    """split_sum runs the work as one part when a row would hold
+    SPLIT_ROW_BYTES or more, whatever _part_count says."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        made, real = [], os.fork
+        monkeypatch.setattr(codes.os, "fork", lambda: made.append(1) or real())
+        return made
+
+    @pytest.mark.parametrize("row_bytes, parts", [(codes.SPLIT_ROW_BYTES - 8, 3),
+                                                  (codes.SPLIT_ROW_BYTES, 1)],
+                             ids=["under-the-row-cap", "at-the-row-cap"])
+    def test_row_cap(self, forks, monkeypatch, row_bytes, parts):
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 3)
+
+        def work(row, start, stop):
+            row[0] += stop - start
+            yield
+
+        assert codes.split_sum(work, 3, 3, (row_bytes // 8,), np.int64, "test")[0] == 3
+        assert len(forks) == parts - 1
 
 
 class TestMinDistance:

@@ -639,6 +639,15 @@ class TestExactStats:
             assert not stats.pmf.flags.writeable
 
 
+class _Stopped(Exception):
+    pass
+
+
+def _stop(*args):
+    """Stands in for the work of a split, to end it before any of it runs."""
+    raise _Stopped
+
+
 class TestGridStats:
     """grid_stats splits its eps into contiguous ranges, one per part, the
     first run in this process and each other in a forked child, and gives
@@ -663,7 +672,7 @@ class TestGridStats:
                              ids=["one", "two", "three", "more-than-eps"])
     def test_equals_stats_from_profile(self, profile, forks, monkeypatch, parts):
         # more parts than eps: three ranges are empty and their parts idle
-        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: parts)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: parts)
         got = grid_stats(profile, self.GRID)
         assert len(forks) == parts - 1
         assert len(got) == len(self.GRID)
@@ -683,21 +692,26 @@ class TestGridStats:
         (11, 50, 64, 1),
         (20, 3, 64, 3),  # 768 steps, but no more parts than eps
         (20, 1, 64, 1),
+        # a row of 80,000 · 29 doubles, past SPLIT_ROW_BYTES: one part,
+        # nothing counted
+        (24, 80_000, 64, None),
     ])
     def test_parts_from_eps_cost(self, monkeypatch, k, eps, cpus, parts):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        counted = []
-        monkeypatch.setattr(pipeline, "_part_count",
-                            lambda *args: counted.append(codes._part_count(*args)) or 1)
-        grid_stats(np.zeros(1 << k, np.uint8), [0.5] * eps)
-        assert counted == [parts]
+        counted, real = [], codes._part_count
+        monkeypatch.setattr(codes, "_part_count",
+                            lambda *args: counted.append(real(*args)) or 1)
+        monkeypatch.setattr(pipeline, "stats_from_profile", _stop)  # the part count is all
+        with pytest.raises(_Stopped):
+            grid_stats(np.zeros(1 << k, np.uint8), [0.5] * eps)
+        assert counted == ([] if parts is None else [parts])
 
     def test_peak_is_one_eps(self, monkeypatch):
         # an eps holds at most two 2^k arrays, as stats_from_profile does;
         # keeping the last eps's stats while the next is made would be three
         k = 20
         profile = output_weight_profile(random_full_rank(np.random.default_rng(24), k, k + 4))
-        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 1)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 1)
         tracemalloc.start()
         try:
             stats = grid_stats(profile, [0.1, 0.2, 0.3])
@@ -882,7 +896,7 @@ class TestSimulatedSplit:
         spec = BiasedSourceSpec(0.2, seed=n)
         got = []
         for parts in (1, 2, 3):
-            monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: parts)
+            monkeypatch.setattr(codes, "_part_count", lambda items, steps: parts)
             del forks[:]
             got.append(self.fields(simulated_stats(G, spec, blocks)))
             assert len(forks) == parts - 1
@@ -893,10 +907,10 @@ class TestSimulatedSplit:
         # six chunks over three parts, two chunks each: row i holds part i's
         # words alone, and row 0, once summed, every word; a word adds one
         # to each of its ceil(11/8) = 2 byte-count rows of 256
-        shared, real = [], pipeline._shared_zeros
-        monkeypatch.setattr(pipeline, "_shared_zeros",
+        shared, real = [], codes._shared_zeros
+        monkeypatch.setattr(codes, "_shared_zeros",
                             lambda *args: shared.append(real(*args)) or shared[-1])
-        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 3)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 3)
         G = random_full_rank(np.random.default_rng(16), 11, 16)
         simulated_stats(G, BiasedSourceSpec(0.2, seed=1), 5 * 65536 + 5)
         words = [int(row[:512].sum()) // 2 for row in shared[0]]
@@ -906,15 +920,15 @@ class TestSimulatedSplit:
         # two chunks and five parts: three ranges are empty and their parts idle
         G = random_full_rank(np.random.default_rng(16), 11, 16)
         spec = BiasedSourceSpec(0.3, seed=2)
-        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 1)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 1)
         want = self.fields(simulated_stats(G, spec, 65536 + 3))
-        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 5)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 5)
         assert self.fields(simulated_stats(G, spec, 65536 + 3)) == want
         assert len(forks) == 4
 
     def test_over_the_cap_raises_before_any_fork(self, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the source cap"))
-        monkeypatch.setattr(pipeline, "_part_count", lambda steps, most: 2)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 2)
         with pytest.raises(InfeasibleError, match="source bits, over the cap"):
             simulated_stats(rm_generator(1, 3).generator, BiasedSourceSpec(0.2), 10**20)
 
@@ -931,19 +945,25 @@ class TestSimulatedSplit:
     @pytest.mark.parametrize("k, n, blocks, cpus, parts", [
         (11, 16, 4_000_000, 2, 2),  # the stream benchmark: 3906 steps
         (11, 16, 100_000, 64, 1),  # simulate's default blocks: 97 steps
-        (20, 26, 400_000, 64, 2),  # at SPLIT_K_CAP: 634 steps
-        (22, 28, 400_000, 64, None),  # past SPLIT_K_CAP: one part, nothing counted
+        (20, 26, 400_000, 64, 2),  # a row of 8,394,752 bytes: 634 steps
+        # rows of 2^21 counts or more, up to EMPIRICAL_K_CAP, reach
+        # SPLIT_ROW_BYTES: one part, nothing counted
+        (21, 27, 400_000, 64, None),
+        (22, 28, 400_000, 64, None),
+        (24, 30, 400_000, 64, None),
         (26, 32, 1_000_000, 64, 7),  # byte counts only: 1953 steps
         (17, 1 << 16, 600, 64, 3),  # RM(1,16): 2400 steps, but only 3 chunks of 256 blocks
     ])
     def test_parts_from_source_bits(self, monkeypatch, k, n, blocks, cpus, parts):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        counted = []
-        monkeypatch.setattr(pipeline, "_part_count",
-                            lambda *args: counted.append(codes._part_count(*args)) or 1)
+        counted, real = [], codes._part_count
+        monkeypatch.setattr(codes, "_part_count",
+                            lambda *args: counted.append(real(*args)) or 1)
+        monkeypatch.setattr(pipeline, "_tally", _stop)  # the part count is all
         G = (rm_generator(1, 16).generator if n == 1 << 16
              else random_full_rank(np.random.default_rng(k), k, n))
-        simulated_stats(G, BiasedSourceSpec(0.2, seed=1), blocks)
+        with pytest.raises(_Stopped):
+            simulated_stats(G, BiasedSourceSpec(0.2, seed=1), blocks)
         assert counted == ([] if parts is None else [parts])
 
 
