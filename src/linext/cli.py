@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, codes, pipeline
 from .errors import InfeasibleError
-from .gf2 import parse_matrix
+from .gf2 import DECIMAL, parse_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -264,10 +264,13 @@ def _svg_chart(rows, title: str) -> str:
 
 
 def _at_least(lo, kind=int):
-    """argparse type: a finite `kind` value >= lo."""
+    """argparse type: a finite `kind` value >= lo; an int is written in
+    ASCII decimal (DECIMAL)."""
 
     def parse(text: str):
         try:
+            if kind is int and not DECIMAL.fullmatch(text):
+                raise ValueError
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None

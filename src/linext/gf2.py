@@ -19,6 +19,9 @@ BLOCK_LENGTH_CAP = 1 << 16
 MATRIX_BITS_CAP = 1 << 24
 # Characters of a refused input line that its error message quotes
 QUOTED_CHARS = 40
+# An integer field of a file or flag: ASCII decimal digits, where int()
+# also takes digit separators ("1_0") and other scripts' digits
+DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def pack_bits(bits) -> np.ndarray:
@@ -153,11 +156,10 @@ def parse_ints(text: str, count: int, where: str, what: str) -> tuple:
     digit limit) is reported as such, so the message stays short whatever
     the text."""
     fields = text.split()
-    try:
-        if len(fields) == count:
+    if len(fields) == count and all(map(DECIMAL.fullmatch, fields)):
+        try:
             return tuple(map(int, fields))
-    except ValueError:
-        if all(re.fullmatch(r"[+-]?\d+", f) for f in fields):
+        except ValueError:
             # int refuses decimal fields only past its digit limit
             raise ValueError(f"{where}: an integer of {max(map(len, fields))} digits "
                              f"is too long") from None

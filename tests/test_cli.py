@@ -410,9 +410,12 @@ class TestExtract:
     @pytest.mark.parametrize(
         "data, sidecar",
         [(b"\xff\x80", b"abc"), (b"", b"-5"), (b"\xff\x80", b"17"), (b"\xff\x80", b"8"),
-         (b"\xff\x80", b"1" * 5000), (b"\xff\x80", b""), (b"\xff\x80", b"1\xff")],
+         (b"\xff\x80", b"1" * 5000), (b"\xff\x80", b""), (b"\xff\x80", b"1\xff"),
+         # int() reads each of these as 13, which fits the 2 bytes
+         (b"\xff\x80", b"1_3"), (b"\xff\x80", "\u0661\u0663".encode()),
+         (b"\xff\x80", "\uff11\uff13".encode())],
         ids=["garbage", "negative", "too-long", "too-short", "huge-digits", "empty",
-             "non-utf8"],
+             "non-utf8", "separator", "arabic-indic", "full-width"],
     )
     def test_bad_sidecar_leaves_output_alone(self, capsys, tmp_path, data, sidecar):
         src, dst = tmp_path / "in.bits", tmp_path / "out.bits"
@@ -897,6 +900,16 @@ class TestSimulateFlagFuzz:
         assert captured.out == ""
         assert "argument --seed: must be finite and at least 0, got '-1'" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--blocks", "--seed", "--cap"])
+    @pytest.mark.parametrize("text", ["1_0", "\u0661\u0660", "\uff11\uff10", " 10"],
+                             ids=["separator", "arabic-indic", "full-width", "space"])
+    def test_int_flags_are_ascii_decimal(self, capsys, flag, text):
+        # int() reads each of these as 10
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--code", "rm:1,3", "--eps", "0.1", flag, text])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected int, got {text!r}" in capsys.readouterr().err
+
 
 class TestGridFlagFuzz:
     """The eps-grid flags of verify and bounds-sweep, each present or not.
@@ -1297,7 +1310,7 @@ def fork():
 
 if sys.argv[1] == "killed":
     codes.codeword_weights = killed(codes.codeword_weights)
-    pipeline.stats_from_profile = killed(pipeline.stats_from_profile)
+    pipeline._stats_into = killed(pipeline._stats_into)
     pipeline._tally = killed(pipeline._tally)
     parts = 2
 else:

@@ -659,3 +659,6 @@ class TestWeightFiles:
             parse_weights("3 1\n0 1\n0 1\n")
         with pytest.raises(ValueError, match="sum"):
             parse_weights("3 1\n0 1\n3 2\n")
+        # int() reads 1_0 as 10, which would make a valid [8,4] distribution
+        with pytest.raises(ValueError, match="line 4: expected 'weight count', got '8 1_0'"):
+            parse_weights("8 4\n0 1\n4 5\n8 1_0\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,12 @@ class TestMatrixText:
     def test_bad_header(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_matrix("width 3\n101\n")
+        # int() reads each of these as 13: a digit separator, Arabic-Indic
+        # and full-width digits; the format's integers are ASCII decimal
+        for dim in ("1_3", "\u0661\u0663", "\uff11\uff13"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"line 1: expected header 'rows cols', got '1 {dim}'")):
+                parse_matrix(f"1 {dim}\n{'1' * 13}\n")
 
     def test_wrong_row_count(self):
         with pytest.raises(ValueError, match="expected 3 rows.*got 2"):

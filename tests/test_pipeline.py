@@ -350,6 +350,43 @@ def test_stopped_extraction_leaves_no_stale_sidecar(tmp_path, stop):
     assert len(BitStream.read(dst)) == 8 * dst.stat().st_size
 
 
+@pytest.mark.parametrize("extractor", ["linear", "von-neumann"])
+@pytest.mark.parametrize("nbits", [0, 7, 16 * 37 + 9, 16 * 40])
+def test_file_extraction_appends_packed_bytes(tmp_path, extractor, nbits):
+    # one [16,11] block (11 bits out) or four bit pairs (0 to 4 bits out) a
+    # chunk, so the output bits carried between chunks take every count
+    # from 1 to 7; no stream is unpacked between read and write
+    if extractor == "linear":
+        n, chunk, extract = 16, 1, functools.partial(linear_extract, rm_generator(2, 4).generator)
+    else:
+        n, chunk, extract = 2, 4, von_neumann
+    s = generate(BiasedSourceSpec(0.3, nbits), nbits)
+    s.write(tmp_path / "in.bits")
+    want = extract(s)
+    want.write(tmp_path / "want.bits")
+    nout, carries = [0], set()
+
+    def counted(stream):
+        out = extract(stream)
+        nout[0] += len(out)
+        carries.add(nout[0] % 8)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_chunk_blocks", lambda n: chunk)
+        mp.setattr(BitStream, "bits", property(lambda self: pytest.fail("a stream was unpacked")))
+        got = extract_file(counted, n, tmp_path / "in.bits", tmp_path / "out.bits")
+    assert got == (nbits, len(want))
+    assert nbits < 16 * 37 or carries >= set(range(1, 8))
+
+    def contents(name):  # a file's bytes, or None when there is no such file
+        path = tmp_path / name
+        return path.read_bytes() if path.exists() else None
+
+    assert contents("out.bits") == contents("want.bits")
+    assert contents("out.bits.len") == contents("want.bits.len")
+
+
 class TestVonNeumann:
     def test_discard_blocks(self):
         assert len(von_neumann(BitStream([0, 0, 1, 1]))) == 0
@@ -701,10 +738,24 @@ class TestGridStats:
         counted, real = [], codes._part_count
         monkeypatch.setattr(codes, "_part_count",
                             lambda *args: counted.append(real(*args)) or 1)
-        monkeypatch.setattr(pipeline, "stats_from_profile", _stop)  # the part count is all
+        monkeypatch.setattr(pipeline, "_stats_into", _stop)  # the part count is all
         with pytest.raises(_Stopped):
             grid_stats(np.zeros(1 << k, np.uint8), [0.5] * eps)
         assert counted == ([] if parts is None else [parts])
+
+    def test_one_buffer_pair_per_part(self, profile, monkeypatch):
+        # a part runs all its eps in the pair it made before the first;
+        # stats_from_profile runs each call in a fresh pair of its own
+        bufs, real = [], pipeline._stats_into
+        monkeypatch.setattr(pipeline, "_stats_into",
+                            lambda *args: bufs.append(args[2]) or real(*args))
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 1)
+        grid_stats(profile, self.GRID)
+        assert len(bufs) == len(self.GRID)
+        assert all(buf is bufs[0] for buf in bufs)
+        a, b = stats_from_profile(profile, 0.2), stats_from_profile(profile, 0.3)
+        assert not np.shares_memory(a.pmf, b.pmf)
+        assert np.array_equal(a.pmf, stats_from_profile(profile, 0.2).pmf)
 
     def test_peak_is_one_eps(self, monkeypatch):
         # an eps holds at most two 2^k arrays, as stats_from_profile does;
