@@ -39,7 +39,6 @@ from .pipeline import (
     BitStream,
     ExactStats,
     empirical_stats,
-    exact_output_pmf,
     generate,
     linear_extract,
     output_weight_profile,

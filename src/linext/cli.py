@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, codes, pipeline
 from .errors import InfeasibleError
-from .gf2 import DECIMAL, parse_matrix
+from .gf2 import DECIMAL, DECIMAL_FLOAT, parse_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -264,19 +264,19 @@ def _svg_chart(rows, title: str) -> str:
 
 
 def _at_least(lo, kind=int):
-    """argparse type: a finite `kind` value >= lo; an int is written in
-    ASCII decimal (DECIMAL)."""
+    """argparse type: a finite `kind` value >= lo, written in ASCII decimal
+    (DECIMAL, or DECIMAL_FLOAT for a float)."""
 
     def parse(text: str):
         try:
-            if kind is int and not DECIMAL.fullmatch(text):
+            if not (DECIMAL if kind is int else DECIMAL_FLOAT).fullmatch(text):
                 raise ValueError
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
-        if not lo <= value < math.inf:  # also rejects nan and inf
+        if not lo <= value < math.inf:  # float() reads 1e400 as inf
             raise argparse.ArgumentTypeError(f"must be finite and at least {lo}, got {text!r}")
-        return value
+        return value + 0  # "-0" reads as 0.0, not -0.0
 
     return parse
 
@@ -307,10 +307,13 @@ def _add_code_flags(p, weights=True, required=False):
 
 
 def _add_eps_flags(p):
-    p.add_argument("--eps", type=float, help="single input bias")
-    p.add_argument("--eps-min", type=float, default=0.01, help="grid start (default %(default)s)")
-    p.add_argument("--eps-max", type=float, default=0.5, help="grid end (default %(default)s)")
-    p.add_argument("--steps", type=int, default=50, help="grid points (default %(default)s)")
+    """Add --eps and the grid flags; linear_grid and _eps_grid check their
+    ranges."""
+    eps = _at_least(0.0, float)
+    p.add_argument("--eps", type=eps, help="single input bias")
+    p.add_argument("--eps-min", type=eps, default=0.01, help="grid start (default %(default)s)")
+    p.add_argument("--eps-max", type=eps, default=0.5, help="grid end (default %(default)s)")
+    p.add_argument("--steps", type=_at_least(1), default=50, help="grid points (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo source + extraction vs bounds")
     _add_code_flags(p, required=True)
-    p.add_argument("--eps", type=float, required=True, help="input bias")
+    p.add_argument("--eps", type=_at_least(0.0, float), required=True, help="input bias")
     p.add_argument(
         "--blocks", type=_at_least(1), default=100000,
         help="number of n-bit blocks (default %(default)s)",

@@ -28,40 +28,25 @@ ENUMERATION_CAP = 28
 ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
 # Fewest steps a part of split_sum gets, counted in Gray-code steps of the
-# weight walk, the unit in which pipeline.grid_stats also measures its eps
-# and pipeline.simulated_stats its source. On the same VM, with linext
-# imported, a fork round trip (map the rows, fork, add to one row, exit,
-# reap, sum) costs 1.8-2.7 ms (medians of 50 in five runs) and a step of
-# 2^16 codewords 93-120 us on [40,28], more on wider P, so a part of 256
-# steps runs at least 25 ms and pays for its fork with about a tenth of
-# that at most. One eps of the exact oracle at dimension k >= 13 took
-# 0.11-0.22 ms per 2^(k-12) (medians of 25 eps: 1.8-2.5 ms at k = 16,
-# 8.9-9.8 ms at k = 18, 52-57 ms at k = 20), so it is counted as 2^(k-12)
-# steps: 64 at k = 18, where 25 eps make 1600 steps and two parts.
-# simulate's source, drawn, extracted and tallied in one process, took the
-# time of 1.6-2.3 steps (119 us each) per 2^15 bits on [16,11], [25,18],
-# [67,7], RM(3,5) and RM(1,16) (5.9 on a [30,24], whose tally is one part),
-# so 2^14 source bits count as a step (pipeline.SOURCE_BITS_PER_STEP): a
-# 2^20-bit chunk is 64 steps, and at least 4 Mbit make two parts.
+# weight walk, the unit in which pipeline.grid_stats also counts its eps
+# (2^(k-12) steps each at dimension k) and pipeline.simulated_stats its
+# source (a step per pipeline.SOURCE_BITS_PER_STEP bits), each unit set
+# from how long it takes against a step. A part of 256 steps pays for its
+# fork with about a tenth of its time at most: a fork round trip took
+# 1.8-2.7 ms on a 2-core VM. The step, eps and source timings are in
+# CHANGES.md, in "The weight walk's forked parts add their counts",
+# "`verify`'s eps grid runs in forked parts" and "`simulate`'s source and
+# tally run split over the CPUs".
 MIN_PART_STEPS = 256
 # Bytes of one part's row from which split_sum runs the work as one part:
 # each further part adds its row to the peak. Only simulate's tally gets
-# there, whose row holds ceil(k/8)·256 byte counts and, up to k = 24,
-# 2^k bucket counts, int64: 8,394,752 bytes at k = 20, 16,783,360 at
-# k = 21, so from k = 21 to 24 the tally is one part, and past k = 24 a
-# row holds 8 KB at most and splits again. The weight walk's row holds at
-# most 0.6 MB, and verify's grid row, 8·(5+k) bytes an eps, gets there
-# only past 72,000 eps at k = 24, a grid of about 36 hours. simulate on a
-# seeded [k+6,k] matrix at 2·10^6 blocks, one part against two (2-core VM,
-# Python 3.11, numpy 2.4, 3 runs each, wall / peak RSS of the process tree):
-#   k = 16: 0.21-0.31 s / 37 MB against 0.12-0.17 s / 38 MB
-#   k = 18: 0.30-0.34 s / 41 MB against 0.17-0.19 s / 43 MB
-#   k = 20: 0.27-0.29 s / 53 MB against 0.23 s / 61 MB
-#   k = 22: 0.39-0.50 s / 101 MB against 0.31-0.33 s / 133 MB
-#   k = 24: 0.80-0.90 s / 293 MB against 0.69-0.76 s / 421 MB
-# Up to k = 20 a row is at most 8 MB, and a second part adds 15% or less
-# to the peak; at k = 22 and 24 it adds a third or more for 13-30% of the
-# time.
+# there, whose int64 row holds ceil(k/8)·256 byte counts and, up to k = 24,
+# 2^k bucket counts, so from k = 21 to 24 the tally is one part (past 24
+# the row holds byte counts only and splits again); the weight walk's row
+# and verify's grid row stay far below. At k = 22 and 24 a
+# second part added a third or more to simulate's peak (2-core VM; the
+# table is in CHANGES.md, "`simulate`'s source and tally run split over
+# the CPUs", and "One public call per layer").
 SPLIT_ROW_BYTES = 1 << 24
 
 
@@ -164,8 +149,9 @@ def codeword_weights(rows: np.ndarray, dt, start: int = 0, stop=None):
     The table is byte-major, (ceil(m/8), 2^lo) uint8, so byte c of every
     partial codeword is one contiguous row: a step XORs each row with one
     scalar into a reused buffer, popcounts it in place and sums the rows.
-    np.bitwise_count is SIMD on uint8, scalar on uint64 (numpy 2.4: 38 us for
-    2^19 bytes, 48 for 2^16 words).
+    np.bitwise_count is SIMD on uint8 and scalar on uint64, so the uint8
+    table popcounts faster (numpy 2.4; CHANGES.md, "One public call per
+    layer").
     """
     k, lo = rows.shape[0], _table_bits(*rows.shape)
     rows = np.packbits(rows, axis=1, bitorder="little")
@@ -231,13 +217,12 @@ def split_sum(work, items: int, steps: int, shape, dtype, what: str) -> np.ndarr
     to EMPIRICAL_K_CAP its tally runs as one part.
 
     The count follows the CPUs the process may run on, not those free to
-    run it. On a 2-core VM the split cut the `weights` bench's wall time by
-    23% with the second CPU free, and with that CPU busy two parts cost
-    2-8% more than one. That trade is taken with no flag and no load probe:
-    the affinity set is the user's control (taskset -c 0 keeps the walk,
-    verify or simulate in one process), and os.getloadavg, the one load
-    figure to hand, averages other processes over minutes, not over the
-    work's fraction of a second.
+    run it, with no flag and no load probe: the affinity set is the user's
+    control (taskset -c 0 keeps the walk, verify or simulate in one
+    process), and os.getloadavg averages other processes over minutes, not
+    over the work's fraction of a second. With the second CPU of a 2-core
+    VM busy, two parts cost 2-8% more than one (CHANGES.md, "The 2^k weight
+    walk is split across the CPUs").
 
     Range 0 runs in this process. Each other range runs in a child made by
     os.fork, which stops with exit 1 at the first item it gets after
@@ -258,21 +243,18 @@ def split_sum(work, items: int, steps: int, shape, dtype, what: str) -> np.ndarr
     a pin that is lifted at once, so no two parts share a CPU at the start
     when there are enough, and the scheduler may move it from there. The
     kernel's own placement often left a forked child on its parent's CPU
-    with the other CPU idle: on a 2-core VM (Linux 6.18), run under
-    bench/run.py, both parts of verify's eps grid stayed on one CPU for the
-    whole grid in all 65 commands of four runs (read from /proc/self/stat),
-    so the grid took as long as in one process; started apart, they ran on
-    two CPUs in 31 of 31, and the `exact` workload's wall time fell from
-    0.38-0.41 s to 0.30-0.31 s.
+    with the other CPU idle; started apart, the parts of verify's eps grid
+    ran on two CPUs in 31 of 31 commands on a 2-core VM (CHANGES.md,
+    "`verify`'s eps grid runs in forked parts", and "One public call per
+    layer").
 
     The parts are processes, not threads: a weight-walk step, or an eps of
     the exact oracle, is a few numpy calls on buffers of up to 2^k
     entries, which hold the interpreter lock for much of their time, and a
     thread per part would hold its own buffers in the one process. On the
-    benchmark's [40,28] walk in process (2-core Xeon VM, Python 3.11,
-    numpy 2.4), one part took 0.37-0.51 s, two threads 0.37-0.57 s with
-    0.55-0.79 s of CPU, and two forked parts, once a first fork had warmed
-    the process, 0.20-0.27 s.
+    benchmark's [40,28] walk two threads took no less wall time than one
+    part, and more CPU (2-core VM; CHANGES.md, "One way into a
+    `BitMatrix`").
     """
     row_bytes = np.dtype(dtype).itemsize * math.prod(shape)
     parts = 1 if row_bytes >= SPLIT_ROW_BYTES else _part_count(items, steps)
@@ -343,10 +325,10 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     one bincount; the joint counts J[b, a] fold once into
     A = J.sum(axis=1) + J[:, :n+1].sum(axis=0), the sum of both marginals,
     so byte order does not matter. Otherwise (n > 255, or k = 0: one
-    codeword) the weights are counted one by one. On [40,28] (2-core Xeon
-    VM, numpy 2.4) a step of 2^16 codewords spends 31 us on XOR, popcount
-    and row sum over the 2 parity bytes, against 70 us over all 5 bytes of
-    uG, and about 70 us on the bincount, now the larger part.
+    codeword) the weights are counted one by one. Walking P, not all of
+    uG, leaves the bincount the larger part of a step (on [40,28], about
+    70 us of a 2^16-codeword step on a 2-core VM; CHANGES.md, "Weight
+    enumeration over the systematic form").
 
     The 2^(k-lo) steps run split over the CPUs (split_sum), each part
     adding its exact int64 counts into its own row, so the distribution is

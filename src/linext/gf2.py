@@ -22,6 +22,10 @@ QUOTED_CHARS = 40
 # An integer field of a file or flag: ASCII decimal digits, where int()
 # also takes digit separators ("1_0") and other scripts' digits
 DECIMAL = re.compile(r"[+-]?[0-9]+")
+# A float flag: ASCII decimal with an optional point and exponent, where
+# float() also takes what int() does (separators, other scripts' digits,
+# surrounding spaces), "inf" and "nan"
+DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def pack_bits(bits) -> np.ndarray:
@@ -88,10 +92,6 @@ class BitMatrix:
         self.rows = rows
         self.cols = cols
         return self
-
-    @classmethod
-    def identity(cls, k: int) -> "BitMatrix":
-        return cls.from_dense(np.eye(k, dtype=np.uint8))
 
     def to_dense(self) -> np.ndarray:
         """The rows x cols uint8 array of 0/1 entries itself: read-only,

@@ -30,10 +30,11 @@ SOURCE_BITS_CAP = 1 << 40
 # Source bits per draw, about: the source is drawn a multiple of 8 blocks
 # at a time, so every draw but the last holds whole bytes and whole blocks.
 DRAW_BITS = 1 << 20
-# Source bits per piece of a draw, held as 8-byte raw PCG64 words. simulate
-# on [16,11] at 4·10^6 blocks peaked at 37.1 MB RSS with 2^16 or 2^17, 38.2 MB
-# with 2^18 and 45.5 MB with 2^20 (2-core VM, glibc); at 2^16 it also took
-# 27,620 minor faults against 377, refaulting the tally's arrays each chunk.
+# Source bits per piece of a draw, held as 8-byte raw PCG64 words: the
+# largest piece that keeps simulate's peak, since larger pieces raised it,
+# and smaller ones made glibc refault the tally's arrays each chunk
+# (simulate on [16,11] at 4·10^6 blocks peaked at 37.1 MB on a 2-core VM;
+# CHANGES.md, "`simulate` draws its source as raw PCG64 words").
 PIECE_BITS = 1 << 17
 # Source bits that simulate draws, extracts and tallies in about the time
 # of one weight-walk step (codes.MIN_PART_STEPS has the measurements).
@@ -41,39 +42,14 @@ SOURCE_BITS_PER_STEP = 1 << 14
 
 
 class BitStream:
-    """An immutable ordered bit sequence: the packed bytes of its stream file
-    (MSB-first, padding bits zero) plus the exact bit length."""
+    """An immutable ordered bit sequence: data, the packed bytes of its
+    stream file (MSB-first, padding bits zero), plus nbits, the exact bit
+    length. from_bytes and read build one."""
 
     __slots__ = ("data", "nbits")
 
-    def __init__(self, bits):
-        """The stream of an array of bool or numeric dtype whose values are
-        all 0 or 1, tested before they are narrowed, so 256 and 0.5 raise
-        ValueError; so does any other dtype, such as strings."""
-        arr = np.asarray(bits).reshape(-1)
-        if arr.dtype.kind not in "biufc" or not ((arr == 0) | (arr == 1)).all():
-            raise ValueError("stream bits must be 0 or 1")
-        self.data = np.packbits(arr == 1)
-        self.data.setflags(write=False)
-        self.nbits = int(arr.size)
-
-    @property
-    def bits(self) -> np.ndarray:
-        """A fresh uint8 array holding one 0/1 value per bit."""
-        return np.unpackbits(self.data, count=self.nbits)
-
     def __len__(self) -> int:
         return self.nbits
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitStream)
-            and self.nbits == other.nbits
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-    def __hash__(self):
-        return hash((self.nbits, self.data.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitStream({len(self)} bits)"
@@ -97,9 +73,6 @@ class BitStream:
         raw.setflags(write=False)
         stream.data, stream.nbits = raw, nbits
         return stream
-
-    def to_bytes(self) -> bytes:
-        return self.data.tobytes()
 
     def write(self, path) -> None:
         """Write packed bytes; a sidecar <path>.len records ragged lengths."""
@@ -201,11 +174,9 @@ def _chunk_blocks(n: int) -> int:
     so from 256·p blocks on the gathers outnumber the table entries. Every
     n <= 512 keeps its DRAW_BITS chunk; the largest chunk is 2,048 blocks
     of at most 65,535 bits, about 16 MB. With a floor of 8 blocks instead,
-    the tables cost far more than the extraction on wide matrices: on a
-    2-core Xeon VM (Python 3.11, numpy 2.4), extract_file took 5.8-6.5 s
-    against 0.39-0.51 s now for a seeded [65535,64] matrix over 2^24 bits,
-    and 1.4-1.7 s against 0.14-0.15 s for a [65536,64] one over 2^25 bits,
-    with byte-identical output.
+    the tables cost far more than the extraction on wide matrices: over ten
+    times the time on a seeded [65535,64] matrix (2-core VM; CHANGES.md,
+    "One way into a `BitMatrix`").
     """
     return max(256 * (8 // math.gcd(n, 8)), DRAW_BITS // (8 * n) * 8)
 
@@ -274,13 +245,14 @@ def linear_extract(G: BitMatrix, stream: BitStream) -> BitStream:
 def von_neumann(stream: BitStream) -> BitStream:
     """Pairwise debiasing: 01 -> 0, 10 -> 1, 00/11 -> nothing.
 
-    The pairs are gathered byte by byte from _PAIR_CODES with np.take (on a
-    128 KB chunk, 2-core VM, numpy 2.4: 137 µs, against 369 µs for indexing
-    by the uint8 bytes), so the unequal pairs are the codes below 2 and each
-    code is its output bit; np.compress keeps them without a boolean-mask
-    index. A call holds temporaries of O(input) size, a code byte and a
-    mask byte per pair and take's 8-byte index per input byte; extract_file,
-    which the CLI runs, calls it one chunk at a time.
+    The pairs are gathered byte by byte from _PAIR_CODES with np.take,
+    which beat indexing by the uint8 bytes (by 2.7 times on a 128 KB chunk,
+    2-core VM; CHANGES.md, "Each data loop holds its own state"), so the
+    unequal pairs are the codes below 2 and each code is its output bit;
+    np.compress keeps them without a boolean-mask index. A call holds
+    temporaries of O(input) size, a code byte and a mask byte per pair and
+    take's 8-byte index per input byte; extract_file, which the CLI runs,
+    calls it one chunk at a time.
     """
     codes = np.take(_PAIR_CODES, stream.data).view(np.uint8)[: len(stream) // 2]
     firsts = np.compress(codes < 2, codes)
@@ -419,12 +391,13 @@ def _fwht(src: np.ndarray, dst: np.ndarray) -> tuple:
 
     A butterfly level on index bit p pairs entries 2^p apart, so numpy runs
     it as inner loops of 2^p elements; below about 2^12 the per-loop
-    overhead, not memory traffic, sets its cost (at k = 18 on a 2-core Xeon
-    VM: 4.6 ms a level at 2^p = 2 against 0.2 ms at 2^p >= 2^12). So no
-    level runs on a low bit. The transform is three passes over
-    c = k//3, (k+1)//3, (k+2)//3 bits: each pass runs the levels of the top
-    c index bits in place, then one transposing copy into the other buffer
-    rotates those bits to the bottom. The three rotations sum to k bits and
+    overhead, not memory traffic, sets its cost (at k = 18 on a 2-core VM,
+    a level at 2^p = 2 took 23 times one at 2^p >= 2^12; CHANGES.md,
+    "Rotated Walsh–Hadamard transform"). So no level runs on a low bit. The
+    transform is three passes over c = k//3, (k+1)//3, (k+2)//3 bits: each
+    pass runs the levels of the top c index bits in place, then one
+    transposing copy into the other buffer rotates those bits to the
+    bottom. The three rotations sum to k bits and
     restore the index order.
     """
     k = src.size.bit_length() - 1
@@ -441,7 +414,12 @@ def _fwht(src: np.ndarray, dst: np.ndarray) -> tuple:
     return src, dst
 
 
-def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
+# Profile entries per np.take in stats_from_profile: take copies its index
+# array to intp, 8 bytes an entry, which over a whole 2^24-entry profile is 134 MB
+GATHER_SLICE = 1 << 16
+
+
+def stats_from_profile(profile: np.ndarray, eps: float, buf=None) -> ExactStats:
     """Exact output statistics from the codeword-weight profile.
 
     Under the biased IID source the output character at u is exactly
@@ -466,25 +444,15 @@ def stats_from_profile(profile: np.ndarray, eps: float) -> ExactStats:
     bound is tight (S near 1) that is under 6e-15 for k <= 24. Cells are
     clipped at 0, which only moves them toward exact.
 
-    Each call runs in a fresh pair of 2^k float64 arrays (_stats_into), so
-    the pmf it returns is its own array; grid_stats runs a part's eps in
-    one held pair instead.
+    The work runs in buf, two 2^k float64 arrays: chi is gathered into
+    buf[0] and the transform leaves the pmf in buf[1]. buf None makes two
+    fresh arrays, so the pmf returned is the caller's own and keeps no
+    spare alive; grid_stats passes each part's held pair. The gather
+    writes in place, as np.take does under mode="clip" (every index is in
+    range), where mode="raise" would fill a temporary of its own first.
     """
-    return _stats_into(profile, eps, (np.empty(profile.size), np.empty(profile.size)))
-
-
-# Profile entries per np.take in _stats_into: take copies its index array
-# to intp, 8 bytes an entry, which over a whole 2^24-entry profile is 134 MB
-GATHER_SLICE = 1 << 16
-
-
-def _stats_into(profile: np.ndarray, eps: float, buf) -> ExactStats:
-    """stats_from_profile(profile, eps) in the caller's buffers: buf[0] and
-    buf[1] are 2^k float64 arrays, chi is gathered into buf[0] and the
-    transform leaves the pmf in buf[1]. The gather writes its output in
-    place, as np.take does under mode="clip" (every index is in range),
-    where mode="raise" would fill a temporary of its own first."""
     k = profile.size.bit_length() - 1
+    buf = (np.empty(profile.size), np.empty(profile.size)) if buf is None else buf
     powers, chi = eps ** np.arange(int(profile.max()) + 1), buf[0]
     for i in range(0, profile.size, GATHER_SLICE):
         np.take(powers, profile[i : i + GATHER_SLICE], out=chi[i : i + GATHER_SLICE], mode="clip")
@@ -507,10 +475,10 @@ def grid_stats(profile: np.ndarray, grid) -> list:
     The eps run split over the CPUs (codes.split_sum), an eps at dimension
     k counted as 2^(k-12) weight-walk steps (MIN_PART_STEPS has the
     measurements). A part owns one (2, 2^k) float64 buffer pair, made
-    before its first eps, and each of its eps runs in that pair
-    (_stats_into), so no eps maps 2^k memory of its own; each eps's pmf is
-    a view of the pair, which the next eps overwrites (the views are made
-    afresh at each eps, so freezing one leaves the pair writable). A part
+    before its first eps, and passes it to stats_from_profile for each of
+    its eps, so no eps maps 2^k memory of its own; each eps's pmf is a view
+    of the pair, which the next eps overwrites (the views are made afresh
+    at each eps, so freezing one leaves the pair writable). A part
     writes an eps's floats and its k coordinate biases into that eps's row
     of its own (len(grid), 5 + k) float64 array. No field is -0.0 (the
     entropies add +0.0, the rest are absolute values or probabilities), so
@@ -523,7 +491,7 @@ def grid_stats(profile: np.ndarray, grid) -> list:
     def run(rows, start, stop):
         buf = np.empty((2, 1 << k))
         for j in range(start, stop):
-            stats = _stats_into(profile, grid[j], buf)
+            stats = stats_from_profile(profile, grid[j], buf)
             rows[j, : len(_REAL_FIELDS)] = [getattr(stats, f) for f in _REAL_FIELDS]
             rows[j, len(_REAL_FIELDS) :] = stats.coord_biases
             yield
@@ -532,15 +500,6 @@ def grid_stats(profile: np.ndarray, grid) -> list:
                      (len(grid), len(_REAL_FIELDS) + k), np.float64, "eps grid")
     return [ExactStats(coord_biases=row[len(_REAL_FIELDS) :],
                        **{f: float(x) for f, x in zip(_REAL_FIELDS, row)}) for row in rows]
-
-
-def exact_output_pmf(G: BitMatrix, eps: float) -> ExactStats:
-    """Exact output distribution of y = G·x under the biased IID source.
-
-    Costs O(k·2^k) whatever n is; feasible for k <= EMPIRICAL_K_CAP only.
-    G may have any rank: the XOR lemma holds for dependent rows too.
-    """
-    return stats_from_profile(output_weight_profile(G), eps)
 
 
 def empirical_stats(stream: BitStream, k: int) -> ExactStats:
@@ -556,7 +515,7 @@ def empirical_stats(stream: BitStream, k: int) -> ExactStats:
         raise ValueError(f"stream length {len(stream)} is not a positive multiple of k={k}")
     check_buckets(k)  # before the k x k identity
     row = np.zeros(_tally_width(k), np.int64)
-    _tally(BitMatrix.identity(k), stream, row)
+    _tally(BitMatrix.from_dense(np.eye(k, dtype=np.uint8)), stream, row)
     return _tally_stats(row, k, len(stream) // k)
 
 

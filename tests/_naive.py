@@ -2,7 +2,9 @@
 
 Everything here recomputes from first principles (dense arithmetic,
 exhaustive enumeration, exact rationals) so the bit-packed production code
-is never checked against itself.
+is never checked against itself. The three stream helpers convert between
+a BitStream and one 0/1 value per bit with numpy's own packbits and
+unpackbits.
 """
 
 import math
@@ -11,6 +13,23 @@ from fractions import Fraction
 import numpy as np
 
 from linext.gf2 import BitMatrix, rank
+from linext.pipeline import BitStream
+
+
+def to_stream(bits) -> BitStream:
+    """The stream of a sequence of 0/1 values."""
+    bits = np.asarray(bits, np.uint8)
+    return BitStream.from_bytes(np.packbits(bits), bits.size)
+
+
+def stream_bits(s: BitStream) -> np.ndarray:
+    """The bits of a stream, one 0/1 uint8 value each."""
+    return np.unpackbits(s.data, count=s.nbits)
+
+
+def stream_key(s: BitStream) -> tuple:
+    """(nbits, packed bytes): equal exactly for streams of equal bits."""
+    return s.nbits, s.data.tobytes()
 
 
 def naive_matvec(dense: np.ndarray, xbits: np.ndarray) -> np.ndarray:

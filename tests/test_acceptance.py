@@ -38,9 +38,7 @@ from linext.codes import (
 from linext.gf2 import BitMatrix
 from linext.pipeline import (
     BiasedSourceSpec,
-    BitStream,
     empirical_stats,
-    exact_output_pmf,
     generate,
     linear_extract,
     output_weight_profile,
@@ -48,7 +46,7 @@ from linext.pipeline import (
     von_neumann,
 )
 
-from _naive import random_full_rank
+from _naive import random_full_rank, stream_bits, to_stream
 
 EPS_GRID_9 = [i * 0.05 for i in range(1, 10)]  # 0.05 .. 0.45
 SLACK = 1e-12
@@ -186,9 +184,9 @@ def test_criterion_6_von_neumann_exactness_and_rate():
         mass = {0: Fraction(0), 1: Fraction(0)}
         for a in (0, 1):
             for b in (0, 1):
-                out = von_neumann(BitStream([a, b]))
+                out = von_neumann(to_stream([a, b]))
                 if len(out):
-                    mass[int(out.bits[0])] += prob[a] * prob[b]
+                    mass[int(stream_bits(out)[0])] += prob[a] * prob[b]
         assert mass[0] == mass[1] == p * (1 - p)
     # simulated rate at p = 1/2: a quarter of the input, within 4 sigma
     nbits = 1_000_000
@@ -208,7 +206,7 @@ def test_criterion_7_monte_carlo_matches_oracle():
     stream = generate(BiasedSourceSpec(0.2, seed=777), code.n * blocks)
     extracted = linear_extract(code.generator, stream)
     empirical = empirical_stats(extracted, code.k)
-    exact = exact_output_pmf(code.generator, 0.2)
+    exact = stats_from_profile(output_weight_profile(code.generator), 0.2)
     floor = math.sqrt((1 << code.k) / blocks)
     assert abs(empirical.tvd - exact.tvd) <= 3 * floor
     elapsed = time.perf_counter() - t0

@@ -29,7 +29,7 @@ from linext.bounds import (
 )
 from linext.codes import LinearCode, WeightDistribution, enumerate_weights, rm_generator
 from linext.gf2 import BitMatrix, rank
-from linext.pipeline import ExactStats, exact_output_pmf
+from linext.pipeline import ExactStats, output_weight_profile, stats_from_profile
 
 from _naive import random_full_rank
 
@@ -159,7 +159,7 @@ class TestSweepAgainstOracle:
 
     @given(G=small_codes(), eps=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     def test_standard_columns_hold(self, G, eps):
-        stats = exact_output_pmf(G, eps)
+        stats = stats_from_profile(output_weight_profile(G), eps)
         row = sweep(enumerate_weights(LinearCode(G)), [eps])[0]
         tol = 1e-12
         assert row.bias_bound >= float(stats.coord_biases.max()) - tol
@@ -177,7 +177,7 @@ class TestSweepAgainstOracle:
         # the exact rate
         code = rm_generator(2, 4) if rows == "rm:2,4" else LinearCode(
             BitMatrix.from_dense([[int(c) for c in r] for r in rows]))
-        stats = exact_output_pmf(code.generator, eps)
+        stats = stats_from_profile(output_weight_profile(code.generator), eps)
         assert stats.shannon == pytest.approx(shannon, abs=1e-4)
         row = sweep(enumerate_weights(code), [eps])[0]
         assert (row.entropy_weight_raw, row.entropy_worst_raw) == (0.0, 0.0)
@@ -186,7 +186,7 @@ class TestSweepAgainstOracle:
     def test_as_printed_is_not_a_lower_bound(self):
         # the [2,1] repetition code at eps 0.91: exact delta 0.8281, where the
         # as-printed form exceeds the exact rate and the standard one does not
-        stats = exact_output_pmf(BitMatrix.from_dense([[1, 1]]), 0.91)
+        stats = stats_from_profile(output_weight_profile(BitMatrix.from_dense([[1, 1]])), 0.91)
         assert stats.delta == pytest.approx(0.8281)
         assert stats.shannon == pytest.approx(0.4228, abs=1e-4)
         assert entropy_lower_bound(stats.delta, 1, "as-printed") == pytest.approx(0.4355,
@@ -219,7 +219,7 @@ class TestOrderingInvariants:
 
 class TestChecks:
     def test_names_kinds_order(self, rm24):
-        stats = exact_output_pmf(rm_generator(2, 4).generator, 0.2)
+        stats = stats_from_profile(output_weight_profile(rm_generator(2, 4).generator), 0.2)
         rows = checks(rm24, 0.2, stats, 0.0)
         assert [(c.name, c.kind) for c in rows] == [
             ("tvd-weight", "upper"),
@@ -247,7 +247,7 @@ class TestChecks:
         assert Check("x", "lower", 0.2, 0.25, 0.05).ok
 
     def test_unmeasured_or_untoleranced_checks_are_not_built(self, rm24):
-        exact = exact_output_pmf(rm_generator(2, 4).generator, 0.2)
+        exact = stats_from_profile(output_weight_profile(rm_generator(2, 4).generator), 0.2)
         every = {c.name: c for c in checks(rm24, 0.2, exact, 1e-12)}
         assert all(c.tol == 1e-12 for c in every.values())
         # sampled stats: entropy and min-entropy have no sampling tolerance

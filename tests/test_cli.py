@@ -22,7 +22,7 @@ from linext.codes import (ENUMERATION_CEILING, enumerate_weights, rm_generator, 
 from linext.gf2 import BitMatrix, serialize_matrix
 from linext.pipeline import BiasedSourceSpec, BitStream, generate, linear_extract, von_neumann
 
-from _naive import random_full_rank
+from _naive import random_full_rank, to_stream
 
 
 def run(capsys, *argv):
@@ -285,7 +285,7 @@ class TestBoundsSweep:
 class TestExtract:
     def test_identity_roundtrip(self, capsys, tmp_path):
         mfile = tmp_path / "id.txt"
-        mfile.write_text(serialize_matrix(BitMatrix.identity(8)))
+        mfile.write_text(serialize_matrix(BitMatrix.from_dense(np.eye(8))))
         src = tmp_path / "in.bits"
         dst = tmp_path / "out.bits"
         stream = generate(BiasedSourceSpec(0.0, seed=1), 4096)
@@ -295,7 +295,7 @@ class TestExtract:
             "--in", str(src), "--out", str(dst),
         )
         assert code == 0
-        assert BitStream.read(dst) == stream
+        assert BitStream.read(dst).data.tobytes() == stream.data.tobytes()
         assert "blocks: 512" in out
         assert "bits_out: 4096" in out
 
@@ -463,7 +463,7 @@ class TestExtract:
         assert code == 0
         assert f"bits_in: {nbits}" in out.splitlines()
         assert f"bits_out: {len(want)}" in out.splitlines()
-        assert dst.read_bytes() == want.to_bytes()
+        assert dst.read_bytes() == want.data.tobytes()
         out_len = tmp_path / "out.bits.len"
         assert (out_len.read_text() if out_len.exists() else None) == (
             f"{len(want)}\n" if len(want) % 8 else None)
@@ -696,12 +696,13 @@ class TestSimulate:
         assert "tol_tvd-weight=0.0910716730938" in out.splitlines()
 
     def test_stats_lines_format(self):
-        stats = pipeline.empirical_stats(BitStream([1, 0, 1] * 50), 3)
+        stats = pipeline.empirical_stats(to_stream([1, 0, 1] * 50), 3)
         lines = cli._stats_lines(stats)
         assert "max_prob=1" in lines
         assert "samples=50" in lines
         assert any(l.startswith("tvd=0.875") for l in lines)
-        exact = pipeline.exact_output_pmf(rm_generator(1, 3).generator, 0.2)
+        profile = pipeline.output_weight_profile(rm_generator(1, 3).generator)
+        exact = pipeline.stats_from_profile(profile, 0.2)
         assert not any(l.startswith("samples=") for l in cli._stats_lines(exact))
 
     def test_dimension_past_double_range(self, tmp_path):
@@ -879,6 +880,29 @@ def _fuzzed_status(capsys, argv):
     return status
 
 
+# Every numeric flag of every command, and the kind its error names
+NUMERIC_FLAGS = {
+    "simulate": {"--blocks": "int", "--seed": "int", "--cap": "int", "--eps": "float"},
+    "code-info": {"--cap": "int"},
+    "bounds-sweep": {"--cap": "int", "--eps": "float", "--eps-min": "float",
+                     "--eps-max": "float", "--steps": "int"},
+    "verify": {"--eps": "float", "--eps-min": "float", "--eps-max": "float", "--steps": "int",
+               "--tol": "float"},
+}
+# Text that int() and float() read as 10, and two more that float() reads;
+# ids are "<text>-<flag>", the flag led by its command but for simulate's
+NUMERIC_FLAG_CASES = [
+    pytest.param(command, flag, kind, text,
+                 id=f"{name}-{flag if command == 'simulate' else f'{command} {flag}'}")
+    for command, flags in NUMERIC_FLAGS.items()
+    for flag, kind in flags.items()
+    for name, text in [("separator", "1_0"), ("arabic-indic", "\u0661\u0660"),
+                       ("full-width", "\uff11\uff10"), ("space", " 10")]
+    + ([("exponent-separator", "1_0e-1"), ("arabic-indic-point", "\u0660.\u0665")]
+       if kind == "float" else [])
+]
+
+
 class TestSimulateFlagFuzz:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -900,15 +924,28 @@ class TestSimulateFlagFuzz:
         assert captured.out == ""
         assert "argument --seed: must be finite and at least 0, got '-1'" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--blocks", "--seed", "--cap"])
-    @pytest.mark.parametrize("text", ["1_0", "\u0661\u0660", "\uff11\uff10", " 10"],
-                             ids=["separator", "arabic-indic", "full-width", "space"])
-    def test_int_flags_are_ascii_decimal(self, capsys, flag, text):
-        # int() reads each of these as 10
+    @pytest.mark.parametrize("command, flag, kind, text", NUMERIC_FLAG_CASES)
+    def test_int_flags_are_ascii_decimal(self, capsys, command, flag, kind, text):
+        # every numeric flag, float ones too, refuses what is not ASCII decimal
+        argv = [command, "--code", "rm:1,3", *(["--eps", "0.1"] if command == "simulate" else [])]
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--code", "rm:1,3", "--eps", "0.1", flag, text])
+            main([*argv, flag, text])
         assert exc.value.code == 2
-        assert f"argument {flag}: expected int, got {text!r}" in capsys.readouterr().err
+        assert f"argument {flag}: expected {kind}, got {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bounds-sweep", "verify"])
+    def test_negative_zero_reads_as_zero(self, capsys, command):
+        # float("-0") is -0.0, which the table and the CSV would print as -0
+        assert main([command, "--code", "rm:1,3", "--eps", "-0"]) == 0
+        # the CSV's one row, or verify's last row before its verdict line
+        row = capsys.readouterr().out.splitlines()[-1 if command == "bounds-sweep" else -2]
+        assert row.split(",")[0].split()[0] == "0"
+
+    def test_numeric_flags_are_all_listed(self):
+        subparsers = next(a for a in build_parser()._actions if a.choices)
+        typed = {command: {a.option_strings[0] for a in p._actions if a.type is not None}
+                 for command, p in subparsers.choices.items()}
+        assert typed == {**{c: set(f) for c, f in NUMERIC_FLAGS.items()}, "extract": set()}
 
 
 class TestGridFlagFuzz:
@@ -1146,7 +1183,7 @@ class TestStreamFileFuzz:
             stream = BitStream.read(src)
             want = (von_neumann(stream) if baseline
                     else linear_extract(rm_generator(1, 3).generator, stream))
-            assert dst.read_bytes() == want.to_bytes()
+            assert dst.read_bytes() == want.data.tobytes()
             assert (out_len.read_text() if out_len.exists() else None) == (
                 f"{len(want)}\n" if len(want) % 8 else None)
         else:
@@ -1310,7 +1347,7 @@ def fork():
 
 if sys.argv[1] == "killed":
     codes.codeword_weights = killed(codes.codeword_weights)
-    pipeline._stats_into = killed(pipeline._stats_into)
+    pipeline.stats_from_profile = killed(pipeline.stats_from_profile)
     pipeline._tally = killed(pipeline._tally)
     parts = 2
 else:
