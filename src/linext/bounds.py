@@ -35,10 +35,10 @@ def pointwise_bound(eps: float, d: int, k: int) -> float:
 def tvd_weight_bound(w: WeightDistribution, eps: float) -> float:
     """Weight-distribution bound on delta: sum of A_l eps^l over l >= 1.
 
-    Summed exactly (fsum) from the smallest terms up; counts below the
-    minimum distance are zero so starting at l = 1 changes nothing.
+    Summed over the nonzero counts only, correctly rounded (fsum), so the
+    zero counts, each an exact 0.0 term, change nothing.
     """
-    return math.fsum(w.counts[l] * eps**l for l in range(w.n, 0, -1))
+    return math.fsum(c * eps**l for l, c in w.nonzero()[1:])
 
 
 def tvd_worst_bound(k: int, d: int, eps: float) -> float:

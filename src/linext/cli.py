@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage error (argparse also uses 2), 3 infeasible computation.
+2 usage error (argparse also uses 2), 3 infeasible computation. A run whose
+reader closes stdout early keeps the code it would have had.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import os
 import sys
@@ -77,18 +79,27 @@ def _load_weights(args, blocks=None):
     return code, w, "external"
 
 
+def _emit(lines, code: int) -> int:
+    """Print lines on stdout and return code, the run's exit code, also when
+    the reader has closed stdout: stdout then points at os.devnull, which
+    takes what is left unread, so neither this print nor the interpreter's
+    flush at exit fails. Each command prints once, after its last check."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 def cmd_code_info(args) -> int:
     code, w, route = _load_weights(args)
     d = codes.min_distance(w)
-    print(f"label: {code.label if code else args.weights}")
-    print(f"n: {w.n}")
-    print(f"k: {w.k}")
-    print(f"d: {d}")
-    print(f"weights-via: {route}")
-    print("weight distribution (weight count):")
-    for l, c in w.nonzero():
-        print(f"  {l} {c}")
-    return EXIT_OK
+    return _emit([f"label: {code.label if code else args.weights}", f"n: {w.n}",
+                  f"k: {w.k}", f"d: {d}", f"weights-via: {route}",
+                  "weight distribution (weight count):",
+                  *(f"  {l} {c}" for l, c in w.nonzero())], EXIT_OK)
 
 
 def cmd_bounds_sweep(args) -> int:
@@ -122,12 +133,14 @@ def cmd_bounds_sweep(args) -> int:
             os.remove(p)
         raise
     if args.out is not None:
-        print(f"wrote {len(rows)} rows to {args.out}")
+        lines = [f"wrote {len(rows)} rows to {args.out}"]
     else:
-        bounds.write_csv(rows, sys.stdout, comments)
+        csv = io.StringIO()
+        bounds.write_csv(rows, csv, comments)
+        lines = [csv.getvalue().rstrip("\n")]
     if args.svg is not None:
-        print(f"wrote chart to {args.svg}")
-    return EXIT_OK
+        lines.append(f"wrote chart to {args.svg}")
+    return _emit(lines, EXIT_OK)
 
 
 def cmd_extract(args) -> int:
@@ -140,13 +153,10 @@ def cmd_extract(args) -> int:
     t0 = time.perf_counter()
     bits_in, bits_out = pipeline.extract_file(extract, block, args.infile, args.out)
     elapsed = time.perf_counter() - t0  # read, extract and write together
-    print(f"extractor: {label}")
-    print(f"blocks: {bits_in // block}")
-    print(f"bits_in: {bits_in}")
-    print(f"bits_out: {bits_out}")
     rate = bits_in / elapsed if elapsed > 0 else float("inf")
     print(f"throughput_mbit_s: {rate / 1e6:.1f}", file=sys.stderr)
-    return EXIT_OK
+    return _emit([f"extractor: {label}", f"blocks: {bits_in // block}",
+                  f"bits_in: {bits_in}", f"bits_out: {bits_out}"], EXIT_OK)
 
 
 def _stats_lines(stats) -> list:
@@ -159,19 +169,20 @@ def _stats_lines(stats) -> list:
     return lines
 
 
-def _check_table(stat: str, rows) -> int:
-    """Print a column header, one row per (eps, Check) of rows and the
-    verdict line; exit 1 when any check fails. The real columns are 19
+def _check_table(head, stat: str, rows) -> int:
+    """Print the lines of head, a column header, one row per (eps, Check)
+    of rows and the verdict line; exit 1 when any check fails, which is
+    decided before the first line is printed. The real columns are 19
     wide, the longest _fmt string: sign, 12 digits, point, "e-" and 3
     exponent digits."""
-    print(f"{'eps':<19}  {'check':<11}  {stat:<19}  {'bound':<19}  status")
-    failures = 0
-    for eps, c in rows:
-        failures += not c.ok
-        print(f"{_fmt(eps):<19}  {c.name:<11}  {_fmt(c.stat):<19}  "
-              f"{_fmt(c.bound):<19}  {'PASS' if c.ok else 'FAIL'}")
-    print(f"{failures} bound violation(s)" if failures else "all bounds hold")
-    return EXIT_VERIFY_FAIL if failures else EXIT_OK
+    rows = list(rows)
+    failures = sum(not c.ok for _, c in rows)
+    return _emit([
+        *head, f"{'eps':<19}  {'check':<11}  {stat:<19}  {'bound':<19}  status",
+        *(f"{_fmt(eps):<19}  {c.name:<11}  {_fmt(c.stat):<19}  "
+          f"{_fmt(c.bound):<19}  {'PASS' if c.ok else 'FAIL'}" for eps, c in rows),
+        f"{failures} bound violation(s)" if failures else "all bounds hold",
+    ], EXIT_VERIFY_FAIL if failures else EXIT_OK)
 
 
 def cmd_verify(args) -> int:
@@ -188,8 +199,8 @@ def cmd_verify(args) -> int:
     # every eps's stats before any output: a grid part that fails exits 3
     # with stdout empty
     stats = pipeline.grid_stats(profile, grid)
-    print(f"verify {code.label} [{code.n},{code.k},{d}] tol={_fmt(args.tol)}")
-    return _check_table("exact", ((eps, c) for eps, s in zip(grid, stats)
+    return _check_table([f"verify {code.label} [{code.n},{code.k},{d}] tol={_fmt(args.tol)}"],
+                        "exact", ((eps, c) for eps, s in zip(grid, stats)
                                   for c in bounds.checks(w, eps, s, args.tol)))
 
 
@@ -199,11 +210,11 @@ def cmd_simulate(args) -> int:
     codes.min_distance(w)  # the trivial code has none: exit 2 before any draw
     stats = pipeline.simulated_stats(code.generator, spec, args.blocks)
     results = bounds.checks(w, args.eps, stats)
-    print("\n".join([
+    return _check_table([
         f"simulate {code.label} [{code.n},{code.k}] eps={_fmt(args.eps)} "
         f"seed={args.seed}", f"blocks={args.blocks}", *_stats_lines(stats),
-        *(f"tol_{c.name}={_fmt(c.tol)}" for c in results), f"alpha={_fmt(bounds.ALPHA)}"]))
-    return _check_table("sampled", ((args.eps, c) for c in results))
+        *(f"tol_{c.name}={_fmt(c.tol)}" for c in results), f"alpha={_fmt(bounds.ALPHA)}"],
+        "sampled", ((args.eps, c) for c in results))
 
 
 def _svg_chart(rows, title: str) -> str:

@@ -68,10 +68,12 @@ class WeightDistribution:
             raise ValueError(f"A_0 must be 1, got {self.counts[0]}")
         if sum(self.counts) != 1 << self.k:
             raise ValueError(f"counts sum to {sum(self.counts)}, expected 2^{self.k}")
+        # found once: every bound at every eps sums over these pairs only
+        object.__setattr__(self, "_nonzero", tuple((l, c) for l, c in enumerate(self.counts) if c))
 
     def nonzero(self):
         """(weight, count) pairs with count > 0, ascending weight."""
-        return [(l, c) for l, c in enumerate(self.counts) if c]
+        return list(self._nonzero)
 
 
 @dataclass(frozen=True)
@@ -366,7 +368,7 @@ def min_distance(w: WeightDistribution) -> int:
     """Smallest nonzero weight with a codeword; needs k >= 1."""
     if w.k < 1:
         raise ValueError("minimum distance is undefined for the trivial code")
-    return next(l for l in range(1, w.n + 1) if w.counts[l])  # counts sum to 2^k > 1
+    return w.nonzero()[1][0]  # after (0, 1), as the counts sum to 2^k > 1
 
 
 def dual_generator(code: LinearCode) -> LinearCode:

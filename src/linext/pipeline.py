@@ -30,11 +30,11 @@ SOURCE_BITS_CAP = 1 << 40
 # Source bits per draw, about: the source is drawn a multiple of 8 blocks
 # at a time, so every draw but the last holds whole bytes and whole blocks.
 DRAW_BITS = 1 << 20
-# Source bits per piece of a draw, held as 8-byte raw PCG64 words: the
-# largest piece that keeps simulate's peak, since larger pieces raised it,
-# and smaller ones made glibc refault the tally's arrays each chunk
-# (simulate on [16,11] at 4·10^6 blocks peaked at 37.1 MB on a 2-core VM;
-# CHANGES.md, "`simulate` draws its source as raw PCG64 words").
+# Source bits per piece of a draw, held as 8-byte doubles: the largest
+# piece that keeps simulate's peak, since larger pieces raised it, and
+# smaller ones made glibc refault the tally's arrays each chunk (simulate
+# on [16,11] at 4·10^6 blocks peaked at 37.1 MB on a 2-core VM; CHANGES.md,
+# the entry that brought in 2^17-bit pieces).
 PIECE_BITS = 1 << 17
 # Source bits that simulate draws, extracts and tallies in about the time
 # of one weight-walk step (codes.MIN_PART_STEPS has the measurements).
@@ -144,24 +144,19 @@ def generate(spec: BiasedSourceSpec, nbits: int) -> BitStream:
 
     The seed-to-stream mapping is part of the interface, stable within a
     release: bit i is 1 iff the i-th double of default_rng(spec.seed).random()
-    is below rho1 = P(1). default_rng(seed) is Generator(PCG64(seed)), whose
-    random() is m·2^-53, m = w >> 11, for the next raw 64-bit word w; so the
-    bits are raw words thresholded as integers: m·2^-53 < rho1 iff m < T =
-    ceil(rho1·2^53), as m is an integer, iff w < T·2^11, as m = floor(w/2^11).
-    Scaling by 2^53 is exact, and rho1 <= 1/2, so T·2^11 <= 2^63 fits a uint64.
+    is below rho1 = P(1).
     """
     if nbits < 0:
         raise ValueError(f"nbits must be nonnegative, got {nbits}")
-    return _draw(np.random.PCG64(spec.seed), spec, nbits)
+    return _draw(np.random.default_rng(spec.seed), spec, nbits)
 
 
-def _draw(bitgen: np.random.PCG64, spec: BiasedSourceSpec, nbits: int) -> BitStream:
-    """The next nbits source bits from bitgen, as generate thresholds them,
-    packed PIECE_BITS at a time straight into the stream's own byte array."""
-    threshold = np.uint64(math.ceil(spec.rho1 * 2.0**53) << 11)
+def _draw(rng: np.random.Generator, spec: BiasedSourceSpec, nbits: int) -> BitStream:
+    """The next nbits source bits from rng, as generate sets them, packed
+    PIECE_BITS at a time straight into the stream's own byte array."""
     data = np.empty((nbits + 7) // 8, np.uint8)
     for start in range(0, nbits, PIECE_BITS):
-        bits = bitgen.random_raw(min(PIECE_BITS, nbits - start)) < threshold
+        bits = rng.random(min(PIECE_BITS, nbits - start)) < spec.rho1
         data[start // 8 : (start + bits.size + 7) // 8] = np.packbits(bits)
     return BitStream._own(data, nbits)
 
@@ -192,14 +187,14 @@ def _source_chunks(spec: BiasedSourceSpec, blocks: int, n: int = 1, start: int =
     """generate(spec, blocks·n) as consecutive streams of _chunk_blocks(n)
     whole n-bit blocks, and the rest; only chunks start <= c < stop of them
     (stop None: to the end). A range draws on from one PCG64(spec.seed),
-    advanced past the start·_chunk_blocks(n)·n raw words, one a bit, that
-    the chunks before it take (PCG64.advance jumps in O(log) steps), so
-    contiguous ranges join to the stream of one draw, and memory holds one
-    chunk's bytes and one piece of raw words at a time."""
+    advanced past the start·_chunk_blocks(n)·n 64-bit outputs, one a double
+    and so one a bit, that the chunks before it take (PCG64.advance jumps in
+    O(log) steps), so contiguous ranges join to the stream of one draw, and
+    memory holds one chunk's bytes and one piece of doubles at a time."""
     step = _chunk_blocks(n)
-    bitgen = np.random.PCG64(spec.seed).advance(start * step * n)
+    rng = np.random.Generator(np.random.PCG64(spec.seed).advance(start * step * n))
     for c in range(start, -(-blocks // step) if stop is None else stop):
-        yield _draw(bitgen, spec, min(step, blocks - c * step) * n)
+        yield _draw(rng, spec, min(step, blocks - c * step) * n)
 
 
 def _words(G: BitMatrix, stream: BitStream) -> np.ndarray:

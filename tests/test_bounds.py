@@ -76,6 +76,21 @@ class TestPointBounds:
                 float(exact), rel=1e-14
             )
 
+    @given(st.data(), st.floats(0.0, 1.0))
+    def test_tvd_weight_sums_only_the_nonzero_counts(self, data, eps):
+        # a zero count adds an exact 0.0 and fsum is correctly rounded, so the
+        # sparse sum is the dense one over all n + 1 counts, bit for bit
+        n, k = data.draw(st.integers(1, 4096)), data.draw(st.integers(1, 64))
+        weights = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=8, unique=True))
+        counts, rest = [1] + [0] * n, (1 << k) - 1
+        for l in weights[:-1]:
+            counts[l] = data.draw(st.integers(0, rest))
+            rest -= counts[l]
+        counts[weights[-1]] = rest
+        w = WeightDistribution(n, k, tuple(counts))
+        dense = math.fsum(w.counts[l] * eps**l for l in range(w.n, 0, -1))
+        assert tvd_weight_bound(w, eps).hex() == dense.hex()
+
     def test_tvd_worst(self):
         assert tvd_worst_bound(11, 4, 0.0) == 0.0
         assert tvd_worst_bound(11, 4, 0.25) == 8.0

@@ -763,6 +763,51 @@ class TestCodeSource:
         assert not (tmp_path / "out.bits").exists()
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run quietly, with the exit
+    code the run would have had with stdout open."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds-sweep", "--code", "rm:2,4", "--steps", "2000"],
+        ["verify", "--code", "rm:1,3", "--steps", "2000"],
+    ], ids=["bounds-sweep", "verify"])
+    def test_reader_closes_after_one_line(self, argv):
+        # the output runs past a pipe's 64 KiB, so the run is still writing
+        # when the pipe closes
+        src = str(pathlib.Path(linext.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen([sys.executable, "-m", "linext.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=120) == 0
+        assert err == b""
+
+    @pytest.mark.parametrize("argv, fail, code", [
+        (["code-info", "--code", "rm:2,4"], False, 0),
+        (["bounds-sweep", "--code", "rm:2,4", "--steps", "3"], False, 0),
+        (["extract", "--code", "rm:2,4", "--in", "in.bits", "--out", "out.bits"], False, 0),
+        (["verify", "--code", "rm:1,3", "--steps", "3"], False, 0),
+        (["verify", "--code", "rm:1,3", "--steps", "3"], True, 1),
+        (["simulate", "--code", "rm:1,3", "--eps", "0.2", "--blocks", "1000"], True, 1),
+    ], ids=["code-info", "bounds-sweep", "extract", "verify", "verify-fail", "simulate-fail"])
+    def test_verdict_survives_a_closed_pipe(self, capsys, monkeypatch, tmp_path, argv, fail,
+                                            code):
+        monkeypatch.chdir(tmp_path)
+        generate(BiasedSourceSpec(0.2), 1000).write("in.bits")
+        if fail:  # a bound below every statistic: the tvd-weight check fails
+            monkeypatch.setattr(cli.bounds, "tvd_weight_bound", lambda w, eps: -1.0)
+        read, write = os.pipe()
+        os.close(read)
+        monkeypatch.setattr(sys, "stdout", open(write, "w"))
+        try:
+            assert main(argv) == code
+        finally:
+            sys.stdout.close()
+        assert "error" not in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

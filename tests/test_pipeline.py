@@ -178,25 +178,22 @@ class TestGenerate:
         expect = np.packbits(np.random.default_rng(nbits).random(nbits) < spec.rho1)
         assert generate(spec, nbits).data.tobytes() == expect.tobytes()
 
-    @pytest.mark.parametrize("eps", CONTRACT_EPS + [0.2, 0.999, 1e-300, 1 - 2.0**-52])
-    def test_threshold_at_the_boundary_words(self, eps):
-        # the integer and the double rule could part only at the word values
-        # around the threshold, which random words hit with probability
-        # about 2^-53, so _draw is fed those words: m = w >> 11 on both sides
-        # of rho1·2^53, each with the lowest and the highest 11 low bits
+    @pytest.mark.parametrize("eps", CONTRACT_EPS)
+    def test_draw_sets_a_bit_below_rho1(self, eps):
+        # random doubles hit rho1 and its neighbours with probability about
+        # 2^-53, so _draw is fed them, and the ends of [0, 1): a double equal
+        # to rho1 gives 0
         rho1 = BiasedSourceSpec(eps).rho1
-        f = math.floor(rho1 * 2.0**53)
-        m = np.array([x for x in range(f - 2, f + 3) if 0 <= x < 1 << 53], np.uint64)
-        words = ((m[:, None] << np.uint64(11)) | np.array([0, 2047], np.uint64)).ravel()
+        u = np.array([x for x in (0.0, math.nextafter(rho1, 0.0), rho1,
+                                  math.nextafter(rho1, 1.0), 1 - 2.0**-53) if 0.0 <= x < 1.0])
 
-        class Words:
-            def random_raw(self, size):
-                return words[:size]
+        class Doubles:
+            def random(self, size):
+                return u[:size]
 
-        got = stream_bits(pipeline._draw(Words(), BiasedSourceSpec(eps), words.size))
-        want = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 < rho1
-        assert got.tolist() == want.astype(np.uint8).tolist()
-        assert 0 < want.sum() < want.size or rho1 == 0.0
+        got = stream_bits(pipeline._draw(Doubles(), BiasedSourceSpec(eps), u.size))
+        assert got.tolist() == [int(x < rho1) for x in u.tolist()]
+        assert got[u.tolist().index(rho1)] == 0
 
     @pytest.mark.parametrize("eps", CONTRACT_EPS)
     @pytest.mark.parametrize("n", [1, 25, 100])
@@ -211,8 +208,9 @@ class TestGenerate:
         assert b"".join(c.data.tobytes() for c in chunks) == expect.tobytes()
 
     def test_generate_peak_is_the_stream(self):
-        # the 8 MB stream plus one piece of raw words and its bits; a draw of
-        # doubles held 8 bytes per bit of each 2^20-bit draw and a joined copy
+        # the 8 MB stream plus one piece of doubles and its bits; doubles
+        # drawn a whole 2^20-bit draw at a time held 8 bytes per bit of it
+        # and a joined copy
         nbits = 64 << 20
         tracemalloc.start()
         try:
@@ -888,7 +886,7 @@ class TestSimulatedTally:
 
     def test_peak_is_one_chunk(self):
         # a chunk of 65536 [16,11] blocks: 128 KB of source bytes, 512 KB of
-        # words, and one 1 MB piece of raw PCG64 words while it is drawn
+        # words, and one 1 MB piece of doubles while it is drawn
         G = random_full_rank(np.random.default_rng(16), 11, 16)
         tracemalloc.start()
         try:
