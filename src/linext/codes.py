@@ -22,11 +22,17 @@ from .gf2 import (BLOCK_LENGTH_CAP, BitMatrix, check_size, parse_header, parse_i
 
 ENUMERATION_CAP = 28
 # Hard ceiling on k for any enumeration, whatever cap a caller passes. One
-# core walks about 4.5·10^8 codewords/s (2-core VM, numpy 2.4: 0.49 s for a
-# [40,28] code, 0.16 s for a [66,26] one), so 2^40 codewords take about 40
-# minutes, and each further dimension doubles that.
+# core walks about 4.5·10^8 codewords/s (2-core VM, numpy 2.4: 0.16 s for
+# a [66,26] code), so 2^40 codewords take about 40 minutes, and each
+# further dimension doubles that. A high-rate code of n - k <= 12 is
+# counted by class instead (enumerate_weights): a [48,36] code in 0.49 s
+# and a [52,40] one in 2.5 s, which the walk would take minutes and about
+# 40 minutes for.
 ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
+# Bytes of the weight walk's table of partial codewords, and of the class
+# fold's table of counts, at most
+_TABLE_BYTES = 1 << 20
 # Fewest steps a part of split_sum gets, counted in Gray-code steps of the
 # weight walk, the unit in which pipeline.grid_stats also counts its eps
 # (2^(k-12) steps each at dimension k) and pipeline.simulated_stats its
@@ -158,14 +164,27 @@ def codeword_weights(rows: np.ndarray, dt, start: int = 0, stop=None):
     k, lo = rows.shape[0], _table_bits(*rows.shape)
     rows = np.packbits(rows, axis=1, bitorder="little")
     table = subset_xor_table(rows[:lo].T[:, :, None])[:, :, 0]
-    g = start ^ (start >> 1)
     buf = np.empty_like(table)
-    cur = np.bitwise_xor.reduce(rows[[lo + i for i in range(k - lo) if g >> i & 1]], axis=0)
-    for t in range(start, 1 << (k - lo) if stop is None else stop):
-        if t > start:
-            cur ^= rows[lo + (t & -t).bit_length() - 1]  # t's lowest set bit
+    stop = 1 << (k - lo) if stop is None else stop
+    for h, cur in _gray(rows[lo:], start, stop, np.zeros(rows.shape[1], np.uint8)):
         np.bitwise_xor(table, cur[:, None], out=buf)
-        yield t ^ (t >> 1), np.bitwise_count(buf, out=buf).sum(axis=0, dtype=dt)
+        yield h, np.bitwise_count(buf, out=buf).sum(axis=0, dtype=dt)
+
+
+def _gray(rows, start: int, stop: int, zero):
+    """Yield (h, the XOR of rows[i] over the set bits i of h) for the steps
+    start <= t < stop of the Gray-code walk over rows, h = t ^ (t >> 1).
+    zero is the empty XOR (0, or a zero array of a row's shape); the first
+    step is seeded with the rows its h selects and each later one XORs in
+    the row of t's lowest set bit, the one bit in which h changes."""
+    g, cur = start ^ (start >> 1), zero
+    for i, row in enumerate(rows):
+        if g >> i & 1:
+            cur = cur ^ row
+    for t in range(start, stop):
+        if t > start:
+            cur = cur ^ rows[(t & -t).bit_length() - 1]
+        yield t ^ (t >> 1), cur
 
 
 def _part_count(items: int, steps: int) -> int:
@@ -208,7 +227,10 @@ def split_sum(work, items: int, steps: int, shape, dtype, what: str) -> np.ndarr
     row would hold SPLIT_ROW_BYTES or more, since every further part adds
     its row to the peak. The weight walk passes its Gray-code steps as
     both items and steps, so it splits from k = 25 while P fits two words
-    ([40,28] walks 4096 steps and the [66,26] dual 1024). grid_stats
+    (the [66,26] dual of the benchmark's [66,40] walks 1024 steps). The
+    class fold of a high-rate code passes its steps as items, each worth
+    2^m·(lo+1) / 2^16 walk steps: [40,28] makes 64 steps worth 92, so one
+    part, and [48,36] 1024 worth 1728, so two. grid_stats
     passes its eps, each worth 2^(k-12) steps: 25 eps at k = 18 make 1600
     steps, so two parts on two CPUs, and up to 50 eps at k <= 13 make at
     most 100, so one. simulated_stats passes its source chunks, worth a
@@ -310,19 +332,95 @@ def split_sum(work, items: int, steps: int, shape, dtype, what: str) -> np.ndarr
     return rows[0]
 
 
+def _fold_bits(k: int, m: int):
+    """lo, the low rows enumerate_weights counts into its class table for
+    a k x m parity block P, or None where it walks P instead.
+
+    The fold costs 2^lo messages, counted once, and 2^m·(lo+1) class cells
+    for each of its 2^(k-lo) steps, against 2^lo codewords for a step of
+    the walk; lo balances the two (the least total). It folds only when a
+    step then costs less than the codewords it stands for, and the int64
+    table of 2^m·(lo+1) cells fits _TABLE_BYTES, as the walk's table does:
+    at m <= 12 and k from about 1.5·m on. [40,28] takes lo = 22.
+    """
+    lo = min(range(k + 1), key=lambda lo: (1 << lo) + ((lo + 1) << (k - lo + m)))
+    if (lo + 1) << m < 1 << lo and (lo + 1) << (m + 3) <= _TABLE_BYTES:
+        return lo
+    return None
+
+
+def _fold_steps(table: np.ndarray, rows, start: int, stop: int):
+    """Yield (h, C) for the steps start <= t < stop of the Gray-code walk
+    over rows, the parities of P's high rows as ints: with b = hP_hi,
+    C[d, s] = the sum of table[a ^ b, s] over the parities a of weight d,
+    the low messages' counts regrouped by the weight their codewords'
+    parity takes. table is (2^m, lo+1) and C is (m+1, lo+1), both int64."""
+    weight = np.bitwise_count(np.arange(len(table)))
+    order = np.argsort(weight, kind="stable")  # the parities, by weight
+    starts = np.searchsorted(weight[order], np.arange(int(weight[-1]) + 1))
+    buf = np.empty_like(table)
+    for h, b in _gray(rows, start, stop, 0):
+        np.take(table, order ^ b, axis=0, out=buf)
+        yield h, np.add.reduceat(buf, starts, axis=0)
+
+
+def _fold(P: np.ndarray, lo: int) -> np.ndarray:
+    """The weight counts of the code [I | P] by (parity, popcount) class,
+    for lo = _fold_bits(*P.shape): wt(uG) = popcount(u) + wt(uP).
+
+    The 2^lo low messages j are counted once into table[a, s], a = jP_lo
+    the m-bit parity and s = popcount(j), 2^16 at a time, their parities
+    the subset-XOR table of the first 16 rows XOR those of the rows above.
+    Each of the 2^(k-lo) high messages h, walked in Gray-code order with
+    b = hP_hi, adds _fold_steps' C into acc[popcount(h)], so acc[t, d, s]
+    counts the messages whose codeword has weight t + s from u and d from
+    its parity, and A_w sums acc over t + d + s = w. The steps run split
+    over the CPUs (split_sum), a step worth 2^m·(lo+1) / 2^16 walk steps.
+    """
+    k, m = P.shape
+    par = P.astype(np.int64) @ (1 << np.arange(m, dtype=np.int64))  # row i's parity
+    c, size = min(lo, _TABLE_BITS), (lo + 1) << m
+    low = subset_xor_table(par[:c, None])[:, 0]
+    ones = np.bitwise_count(np.arange(1 << c))
+    table = np.zeros(size, np.int64)
+    for h, b in _gray(par[c:lo], 0, 1 << (lo - c), 0):
+        table += np.bincount((low ^ b) * (lo + 1) + ones + h.bit_count(), minlength=size)
+    table = table.reshape(1 << m, lo + 1)
+    steps = 1 << (k - lo)
+
+    def fold(row, start, stop):
+        for h, C in _fold_steps(table, par[lo:], start, stop):
+            row[h.bit_count()] += C
+            yield
+
+    acc = split_sum(fold, steps, steps * size >> _TABLE_BITS, (k - lo + 1, m + 1, lo + 1),
+                    np.int64, "weight fold")
+    counts = np.zeros(k + m + 1, np.int64)
+    np.add.at(counts, np.indices(acc.shape).sum(axis=0), acc)
+    return counts
+
+
 def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
-    """Exact weight distribution by visiting all 2^k codewords.
+    """Exact weight distribution by counting all 2^k codewords.
 
     k above cap, or above ENUMERATION_CEILING whatever cap says, raises
     InfeasibleError. Row operations keep the code and column order keeps
     weights, so G is row-reduced once. In that basis the k pivot columns of
     uG are u itself, so wt(uG) = popcount(u) + wt(uP), where P is the
-    k x (n-k) block of the other columns, and codeword_weights walks P
-    alone. A chunk u = h·2^lo + j adds popcount(j), a vector made once, and
-    the scalar popcount(h), in min_scalar_type(n), which may be wider than
-    P needs.
+    k x m block of the other columns, m = n - k, and only P is walked.
 
-    For n <= 255 and k >= 1 a chunk holds an even number of one-byte
+    A high-rate code, whose m is small against k (_fold_bits: m <= 12 and
+    k from about 1.5·m on), is counted by (parity, popcount) class
+    (_fold): a step of its walk adds 2^m·(lo+1) class cells where the
+    codeword walk below adds 2^16 codewords. On [40,28] that is 64 steps
+    of 94,208 cells after 2^22 low messages are counted once, against 4096
+    steps of 2^16 codewords: 0.033 s in one process against 0.32 s in one
+    part and 0.17 s in two (2-core VM), with equal counts.
+
+    Any other code is walked codeword by codeword (codeword_weights). A
+    chunk u = h·2^lo + j adds popcount(j), a vector made once, and the
+    scalar popcount(h), in min_scalar_type(n), which may be wider than P
+    needs. For n <= 255 and k >= 1 a chunk holds an even number of one-byte
     weights, so its uint16 view keys two adjacent codewords, a + 256·b, in
     one bincount; the joint counts J[b, a] fold once into
     A = J.sum(axis=1) + J[:, :n+1].sum(axis=0), the sum of both marginals,
@@ -332,7 +430,7 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     70 us of a 2^16-codeword step on a 2-core VM; CHANGES.md, "Weight
     enumeration over the systematic form").
 
-    The 2^(k-lo) steps run split over the CPUs (split_sum), each part
+    Either walk's steps run split over the CPUs (split_sum), each part
     adding its exact int64 counts into its own row, so the distribution is
     the one a single process counts.
     """
@@ -344,7 +442,10 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
                               f"MacWilliams route via the dual or supply an external "
                               f"weight distribution")
     rref, pivots = row_reduce(G.to_dense())  # full rank, as LinearCode checks
-    P, lo = np.delete(rref, pivots, axis=1), _table_bits(k, n - k)
+    P = np.delete(rref, pivots, axis=1)
+    if (lo := _fold_bits(k, n - k)) is not None:
+        return WeightDistribution(n, k, tuple(int(c) for c in _fold(P, lo)))
+    lo = _table_bits(k, n - k)
     dt, pair = np.min_scalar_type(n), k > 0 and n < 256
     size = 256 * (n + 1) if pair else n + 1
     low = np.bitwise_count(np.arange(1 << lo)).astype(dt)  # popcount(j)

@@ -195,11 +195,13 @@ class TestSystematicWalk:
         assert list(got.counts) == naive_weight_counts(dense)
         assert got.counts[n] == (k > 0)
 
-    @pytest.mark.parametrize("n", [1, 9, 18])
+    @pytest.mark.parametrize("n", [1, 9, 18, 36])
     def test_full_space_is_binomial(self, n):
-        # k = n: P has no columns and every weight is popcount(u)
+        # k = n: P has no columns and every weight is popcount(u); from
+        # n = 4 on it is counted by class, n = 36 in 16 chunks of 2^16 low
+        # messages and 2^16 high steps
         G = random_full_rank(np.random.default_rng(n), n, n)
-        got = enumerate_weights(LinearCode(G))
+        got = enumerate_weights(LinearCode(G), cap=ENUMERATION_CEILING)
         assert list(got.counts) == [math.comb(n, l) for l in range(n + 1)]
 
     @settings(max_examples=40, deadline=None)
@@ -327,25 +329,32 @@ class TestRangeWalk:
         assert list(codeword_weights(rows, dt, steps, steps)) == []
 
 
-SLOW_WALK = """
+# Runs enumerate_weights on the identity code eye(k, n) in two parts, with
+# the generator named by `slow` (the codeword walk's or the class fold's)
+# taking 0.2 s a step; a forked part first writes its pid to stdout.
+SLOW = """
 import os, sys, time
 import numpy as np
 from linext import codes
 from linext.gf2 import BitMatrix
 
-real = codes.codeword_weights
+real = codes.{slow}
 
-def slow(rows, dt, start=0, stop=None):
-    if start:  # a forked part: report its pid, then walk 0.2 s a step
+def slow(*args):  # (rows or table, dt or rows, start, stop)
+    if args[2]:  # a forked part: report its pid, then walk 0.2 s a step
         os.write(1, b"%d\\n" % os.getpid())
-    for pair in real(rows, dt, start, stop):
+    for pair in real(*args):
         time.sleep(0.2)
         yield pair
 
-codes.codeword_weights = slow
+codes.{slow} = slow
 codes._part_count = lambda *args: 2
-codes.enumerate_weights(codes.LinearCode(BitMatrix.from_dense(np.eye(22, 30, dtype=np.uint8))))
+codes.enumerate_weights(codes.LinearCode(BitMatrix.from_dense(np.eye({k}, {n}, dtype=np.uint8))))
 """
+# m = 38, so the codeword walk: 64 steps of 2^16 codewords
+SLOW_WALK = SLOW.format(slow="codeword_weights", k=22, n=60)
+# m = 4, so the class fold: lo = 17, 512 steps
+SLOW_FOLD = SLOW.format(slow="_fold_steps", k=26, n=30)
 
 
 def _exited(pid):
@@ -355,6 +364,34 @@ def _exited(pid):
             return fp.read().rsplit(")", 1)[1].split()[0] == "Z"
     except FileNotFoundError:
         return True
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    made, real = [], os.fork
+    monkeypatch.setattr(codes.os, "fork", lambda: made.append(1) or real())
+    return made
+
+
+def _signal_leaves_no_child(script, sig):
+    """Run script, which forks a part that writes its pid and then steps
+    slowly, send sig to the script's process once the part has started,
+    and check that both are gone within 3 s."""
+    src = os.path.dirname(os.path.dirname(codes.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=src))
+    try:
+        child = int(proc.stdout.readline())
+        proc.send_signal(sig)
+        deadline = time.monotonic() + 3
+        assert proc.wait(timeout=3) != 0
+        while not _exited(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _exited(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 class TestForkedWalk:
@@ -367,12 +404,6 @@ class TestForkedWalk:
         # the [18,300] code's five-word P
         k, n = request.param
         return LinearCode(random_full_rank(np.random.default_rng(n), k, n))
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        made, real = [], os.fork
-        monkeypatch.setattr(codes.os, "fork", lambda: made.append(1) or real())
-        return made
 
     @pytest.mark.parametrize("cpus, min_steps, parts", [(2, 8, 2), (3, 5, 3), (4, 9, 1)])
     def test_parts_follow_cpus_and_min_steps(self, code, forks, monkeypatch, cpus, min_steps,
@@ -425,21 +456,134 @@ class TestForkedWalk:
         # ends the parent at once; each child sees os.getppid() change at its
         # next 0.2 s step and exits. Either way both are gone within 3 s,
         # long before the child's 32 steps are walked
-        src = os.path.dirname(os.path.dirname(codes.__file__))
-        proc = subprocess.Popen([sys.executable, "-c", SLOW_WALK], stdout=subprocess.PIPE,
-                                stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=src))
+        _signal_leaves_no_child(SLOW_WALK, sig)
+
+
+def _walked(code):
+    """The weights of code as the codeword walk counts them in one part."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_fold_bits", lambda k, m: None)
+        mp.setattr(codes, "_part_count", lambda items, steps: 1)
+        return enumerate_weights(code)
+
+
+def _with_all_ones_row(rng, k, n):
+    """A random full-rank k x n generator whose first row is all ones."""
+    while True:
+        dense = rng.integers(0, 2, (k, n), dtype=np.uint8)
+        dense[0] = 1
+        if rank(BitMatrix.from_dense(dense)) == k:
+            return BitMatrix.from_dense(dense)
+
+
+class TestClassFold:
+    """A code of small redundancy m = n - k is counted by (parity,
+    popcount) class (codes._fold): the 2^lo low messages are counted once
+    into a (2^m, lo+1) table and the high ones walked over it. The counts
+    must be those of brute force and of the one-part codeword walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_naive_and_the_walk(self, m, over, ones, seed):
+        # k from the rule's edge for this m (1.5·m or so) to 3 past it
+        k = min(k for k in range(41) if codes._fold_bits(k, m) is not None) + over
+        rng = np.random.default_rng(seed)
+        G = (_with_all_ones_row if ones else random_full_rank)(rng, k, k + m)
+        code = LinearCode(G)
+        got = enumerate_weights(code)
+        assert list(got.counts) == naive_weight_counts(G.to_dense())
+        assert got == _walked(code)
+        if ones:
+            assert got.counts[k + m] == 1
+
+    @pytest.mark.parametrize("m, walked, folded", [(0, 3, 4), (4, 8, 9), (8, 11, 12),
+                                                   (10, 13, 14), (12, 17, 18)])
+    def test_both_sides_of_the_edge(self, m, walked, folded):
+        # the largest k the rule leaves on the walk and the smallest it folds
+        assert codes._fold_bits(walked, m) is None
+        assert codes._fold_bits(folded, m) is not None
+        rng = np.random.default_rng(100 * m + walked)
+        for k in (walked, folded):
+            G = _with_all_ones_row(rng, k, k + m)
+            assert list(enumerate_weights(LinearCode(G)).counts) == naive_weight_counts(
+                G.to_dense())
+
+    def test_the_rule_keeps_to_the_table_budget(self):
+        # (lo + 1)·2^m int64 cells fit 2^20 bytes up to m = 12 at every k
+        # under the ceiling; from m = 13 on nothing folds
+        assert codes._fold_bits(28, 12) == 22
+        assert all(codes._fold_bits(k, 13) is None for k in range(ENUMERATION_CEILING + 1))
+        assert codes._fold_bits(26, 40) is None  # the benchmark's [66,26] dual is walked
+
+    @pytest.mark.parametrize("k, n, parts", [(28, 40, 1), (36, 48, 2)])
+    def test_high_rate_codes_match_the_dual(self, forks, monkeypatch, k, n, parts):
+        # the weights through the brute-forced [n, n-k] dual and MacWilliams
+        # in exact rationals; on two CPUs [40,28]'s 64 steps are worth 92
+        # walk steps, so one part, and [48,36]'s 1024 are worth 1728, so two
+        monkeypatch.setattr(codes.os, "sched_getaffinity", lambda pid: {0, 1})
+        code = LinearCode(random_full_rank(np.random.default_rng(n), k, n))
+        got = enumerate_weights(code, cap=k)
+        assert len(forks) == parts - 1
+        dual = WeightDistribution(n, n - k, tuple(naive_weight_counts(
+            dual_generator(code).generator.to_dense())))
+        assert list(got.counts) == naive_macwilliams(dual)
+
+    def test_table_memory_is_bounded(self):
+        # [40,28]: the (4096, 23) int64 table is 754 KB, and a chunk of 2^16
+        # low messages' keys 512 KB; all 2^22 low parities at once would
+        # take 32 MB
+        code = LinearCode(random_full_rank(np.random.default_rng(4028), 28, 40))
+        tracemalloc.start()
         try:
-            child = int(proc.stdout.readline())
-            proc.send_signal(sig)
-            deadline = time.monotonic() + 3
-            assert proc.wait(timeout=3) != 0
-            while not _exited(child) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert _exited(child)
+            w = enumerate_weights(code)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
+            tracemalloc.stop()
+        assert sum(w.counts) == 1 << 28
+        assert peak < 4 << 20
+
+
+class TestForkedFold:
+    """The class fold splits its 2^(k-lo) high steps over codes.split_sum
+    as the codeword walk does, so it fails and stops as the walk does."""
+
+    @pytest.fixture
+    def code(self):
+        # [24,20], m = 4: lo = 14, so 64 high steps
+        return LinearCode(random_full_rank(np.random.default_rng(24), 20, 24))
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_parts_add_up_to_one(self, code, forks, monkeypatch, parts):
+        assert codes._fold_bits(20, 4) == 14
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: parts)
+        got = enumerate_weights(code)
+        assert len(forks) == parts - 1
+        assert list(got.counts) == naive_weight_counts(code.generator.to_dense())
+
+    @pytest.mark.parametrize("where, error", [("child", RuntimeError),
+                                              ("parent", KeyboardInterrupt)])
+    def test_failure_raises_and_leaves_no_child(self, code, monkeypatch, where, error):
+        real = codes._fold_steps
+
+        def broken(table, rows, start, stop):
+            if (start > 0) == (where == "child"):  # range 0 is the parent's
+                raise error("injected")
+            return real(table, rows, start, stop)
+
+        monkeypatch.setattr(codes, "_fold_steps", broken)
+        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 3)
+        expected = InfeasibleError if where == "child" else error
+        with pytest.raises(expected, match="weight fold part 1/3 .* exited with 1"
+                           if where == "child" else "injected"):
+            enumerate_weights(code)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_signal_to_the_command_leaves_no_child(self, sig):
+        # as the walk's: gone within 3 s, long before the child's 256 steps
+        _signal_leaves_no_child(SLOW_FOLD, sig)
 
 
 class TestPartPlacement:
@@ -476,12 +620,6 @@ class TestPartPlacement:
 class TestSplitSum:
     """split_sum runs the work as one part when a row would hold
     SPLIT_ROW_BYTES or more, whatever _part_count says."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        made, real = [], os.fork
-        monkeypatch.setattr(codes.os, "fork", lambda: made.append(1) or real())
-        return made
 
     @pytest.mark.parametrize("row_bytes, parts", [(codes.SPLIT_ROW_BYTES - 8, 3),
                                                   (codes.SPLIT_ROW_BYTES, 1)],
