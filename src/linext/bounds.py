@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import List, Sequence
 
 from .codes import WeightDistribution, min_distance
@@ -184,7 +184,8 @@ class BoundRow:
 
 
 # the CSV columns are BoundRow's fields, in declaration order
-CSV_HEADER = ",".join(f.name for f in fields(BoundRow))
+_COLUMNS = [f.name for f in fields(BoundRow)]
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def sweep(
@@ -238,8 +239,9 @@ def write_csv(rows: Sequence[BoundRow], fp, comments: Sequence[str] = ()) -> Non
         fp.write(f"# {c}\n")
     fp.write(CSV_HEADER + "\n")
     for r in rows:
-        cells = (v if isinstance(v, str) else format_real(v) for v in astuple(r))
-        fp.write(",".join(cells) + "\n")
+        # read field by field: dataclasses.astuple deep-copies every value
+        values = (getattr(r, c) for c in _COLUMNS)
+        fp.write(",".join(v if isinstance(v, str) else format_real(v) for v in values) + "\n")
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> List[float]:

@@ -25,14 +25,20 @@ ENUMERATION_CAP = 28
 # core walks about 4.5·10^8 codewords/s (2-core VM, numpy 2.4: 0.16 s for
 # a [66,26] code), so 2^40 codewords take about 40 minutes, and each
 # further dimension doubles that. A high-rate code of n - k <= 12 is
-# counted by class instead (enumerate_weights): a [48,36] code in 0.49 s
-# and a [52,40] one in 2.5 s, which the walk would take minutes and about
-# 40 minutes for.
+# counted by doubling a class table instead (enumerate_weights): a [48,36]
+# or a [52,40] code in about 15 ms, which the walk would take minutes and
+# about 40 minutes for.
 ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
-# Bytes of the weight walk's table of partial codewords, and of the class
-# fold's table of counts, at most
-_TABLE_BYTES = 1 << 20
+# Bytes of the doubling's int64 class table, (k+1)·2^m cells, and of the
+# copy a row gathers from it, at most: 4 MB holds every m = n - k <= 12 up
+# to the ceiling ([52,40]: twice 1.3 MB), and m = 13 up to k = 31
+_TABLE_BYTES = 1 << 22
+# Walked codewords that a cell of the doubling costs: about 3-4 ns a cell
+# against 1.1-1.4 ns a codeword (2-core VM, numpy 2.4), rounded up; the
+# k x m table is in CHANGES.md, "High-rate codes' weights are counted by
+# doubling"
+_CELL_COST = 4
 # Fewest steps a part of split_sum gets, counted in Gray-code steps of the
 # weight walk, the unit in which pipeline.grid_stats also counts its eps
 # (2^(k-12) steps each at dimension k) and pipeline.simulated_stats its
@@ -164,27 +170,14 @@ def codeword_weights(rows: np.ndarray, dt, start: int = 0, stop=None):
     k, lo = rows.shape[0], _table_bits(*rows.shape)
     rows = np.packbits(rows, axis=1, bitorder="little")
     table = subset_xor_table(rows[:lo].T[:, :, None])[:, :, 0]
+    g = start ^ (start >> 1)
     buf = np.empty_like(table)
-    stop = 1 << (k - lo) if stop is None else stop
-    for h, cur in _gray(rows[lo:], start, stop, np.zeros(rows.shape[1], np.uint8)):
-        np.bitwise_xor(table, cur[:, None], out=buf)
-        yield h, np.bitwise_count(buf, out=buf).sum(axis=0, dtype=dt)
-
-
-def _gray(rows, start: int, stop: int, zero):
-    """Yield (h, the XOR of rows[i] over the set bits i of h) for the steps
-    start <= t < stop of the Gray-code walk over rows, h = t ^ (t >> 1).
-    zero is the empty XOR (0, or a zero array of a row's shape); the first
-    step is seeded with the rows its h selects and each later one XORs in
-    the row of t's lowest set bit, the one bit in which h changes."""
-    g, cur = start ^ (start >> 1), zero
-    for i, row in enumerate(rows):
-        if g >> i & 1:
-            cur = cur ^ row
-    for t in range(start, stop):
+    cur = np.bitwise_xor.reduce(rows[[lo + i for i in range(k - lo) if g >> i & 1]], axis=0)
+    for t in range(start, 1 << (k - lo) if stop is None else stop):
         if t > start:
-            cur = cur ^ rows[(t & -t).bit_length() - 1]
-        yield t ^ (t >> 1), cur
+            cur ^= rows[lo + (t & -t).bit_length() - 1]  # t's lowest set bit
+        np.bitwise_xor(table, cur[:, None], out=buf)
+        yield t ^ (t >> 1), np.bitwise_count(buf, out=buf).sum(axis=0, dtype=dt)
 
 
 def _part_count(items: int, steps: int) -> int:
@@ -227,18 +220,16 @@ def split_sum(work, items: int, steps: int, shape, dtype, what: str) -> np.ndarr
     row would hold SPLIT_ROW_BYTES or more, since every further part adds
     its row to the peak. The weight walk passes its Gray-code steps as
     both items and steps, so it splits from k = 25 while P fits two words
-    (the [66,26] dual of the benchmark's [66,40] walks 1024 steps). The
-    class fold of a high-rate code passes its steps as items, each worth
-    2^m·(lo+1) / 2^16 walk steps: [40,28] makes 64 steps worth 92, so one
-    part, and [48,36] 1024 worth 1728, so two. grid_stats
-    passes its eps, each worth 2^(k-12) steps: 25 eps at k = 18 make 1600
-    steps, so two parts on two CPUs, and up to 50 eps at k <= 13 make at
-    most 100, so one. simulated_stats passes its source chunks, worth a
-    step per SOURCE_BITS_PER_STEP = 2^14 source bits: the benchmark's
-    4·10^6 [16,11] blocks make 3906 steps, so two parts on two CPUs, and
-    the default 10^5 blocks at n <= 40 make at most 244, so one; its row
-    of 2^k bucket counts reaches SPLIT_ROW_BYTES at k = 21, so from there
-    to EMPIRICAL_K_CAP its tally runs as one part.
+    (the [66,26] dual of the benchmark's [66,40] walks 1024 steps); a
+    high-rate code's class table is doubled in one process, with no steps
+    (enumerate_weights). grid_stats passes its eps, each worth 2^(k-12)
+    steps: 25 eps at k = 18 make 1600 steps, so two parts on two CPUs, and
+    up to 50 eps at k <= 13 make at most 100, so one. simulated_stats
+    passes its source chunks, worth a step per SOURCE_BITS_PER_STEP = 2^14
+    source bits: the benchmark's 4·10^6 [16,11] blocks make 3906 steps, so
+    two parts on two CPUs, and the default 10^5 blocks at n <= 40 make at
+    most 244, so one; its row of 2^k bucket counts reaches SPLIT_ROW_BYTES
+    at k = 21, so from there to EMPIRICAL_K_CAP its tally runs as one part.
 
     The count follows the CPUs the process may run on, not those free to
     run it, with no flag and no load probe: the affinity set is the user's
@@ -332,71 +323,37 @@ def split_sum(work, items: int, steps: int, shape, dtype, what: str) -> np.ndarr
     return rows[0]
 
 
-def _fold_bits(k: int, m: int):
-    """lo, the low rows enumerate_weights counts into its class table for
-    a k x m parity block P, or None where it walks P instead.
+def _doubles(k: int, m: int) -> bool:
+    """True where enumerate_weights counts a k x m parity block P by
+    doubling its class table (_doubled), False where it walks P.
 
-    The fold costs 2^lo messages, counted once, and 2^m·(lo+1) class cells
-    for each of its 2^(k-lo) steps, against 2^lo codewords for a step of
-    the walk; lo balances the two (the least total). It folds only when a
-    step then costs less than the codewords it stands for, and the int64
-    table of 2^m·(lo+1) cells fits _TABLE_BYTES, as the walk's table does:
-    at m <= 12 and k from about 1.5·m on. [40,28] takes lo = 22.
+    The doubling holds (k+1)·2^m int64 cells and gathers a copy of up to
+    as many for a row, which must fit _TABLE_BYTES; its k rows touch about
+    2^m·k²/2 cells, each worth _CELL_COST codewords of the 2^k walk.
     """
-    lo = min(range(k + 1), key=lambda lo: (1 << lo) + ((lo + 1) << (k - lo + m)))
-    if (lo + 1) << m < 1 << lo and (lo + 1) << (m + 3) <= _TABLE_BYTES:
-        return lo
-    return None
+    return (k + 1) << (m + 4) <= _TABLE_BYTES and _CELL_COST * k * k << m < 2 << k
 
 
-def _fold_steps(table: np.ndarray, rows, start: int, stop: int):
-    """Yield (h, C) for the steps start <= t < stop of the Gray-code walk
-    over rows, the parities of P's high rows as ints: with b = hP_hi,
-    C[d, s] = the sum of table[a ^ b, s] over the parities a of weight d,
-    the low messages' counts regrouped by the weight their codewords'
-    parity takes. table is (2^m, lo+1) and C is (m+1, lo+1), both int64."""
-    weight = np.bitwise_count(np.arange(len(table)))
-    order = np.argsort(weight, kind="stable")  # the parities, by weight
-    starts = np.searchsorted(weight[order], np.arange(int(weight[-1]) + 1))
-    buf = np.empty_like(table)
-    for h, b in _gray(rows, start, stop, 0):
-        np.take(table, order ^ b, axis=0, out=buf)
-        yield h, np.add.reduceat(buf, starts, axis=0)
+def _doubled(P: np.ndarray) -> np.ndarray:
+    """The weight counts of the code [I | P], k x m P, by doubling a
+    (parity, popcount) class table over P's rows: wt(uG) = popcount(u) +
+    wt(uP).
 
-
-def _fold(P: np.ndarray, lo: int) -> np.ndarray:
-    """The weight counts of the code [I | P] by (parity, popcount) class,
-    for lo = _fold_bits(*P.shape): wt(uG) = popcount(u) + wt(uP).
-
-    The 2^lo low messages j are counted once into table[a, s], a = jP_lo
-    the m-bit parity and s = popcount(j), 2^16 at a time, their parities
-    the subset-XOR table of the first 16 rows XOR those of the rows above.
-    Each of the 2^(k-lo) high messages h, walked in Gray-code order with
-    b = hP_hi, adds _fold_steps' C into acc[popcount(h)], so acc[t, d, s]
-    counts the messages whose codeword has weight t + s from u and d from
-    its parity, and A_w sums acc over t + d + s = w. The steps run split
-    over the CPUs (split_sum), a step worth 2^m·(lo+1) / 2^16 walk steps.
+    table[a, s] counts the messages u over the rows seen so far with
+    uP = a and popcount(u) = s, from the empty message alone. Row j, of
+    m-bit parity p_j, adds to each class the messages that take it, u with
+    bit j set: table'[a, s] = table[a, s] + table[a ^ p_j, s - 1], where
+    only s <= j is yet nonzero. A_w sums table[a, s] over wt(a) + s = w.
     """
     k, m = P.shape
-    par = P.astype(np.int64) @ (1 << np.arange(m, dtype=np.int64))  # row i's parity
-    c, size = min(lo, _TABLE_BITS), (lo + 1) << m
-    low = subset_xor_table(par[:c, None])[:, 0]
-    ones = np.bitwise_count(np.arange(1 << c))
-    table = np.zeros(size, np.int64)
-    for h, b in _gray(par[c:lo], 0, 1 << (lo - c), 0):
-        table += np.bincount((low ^ b) * (lo + 1) + ones + h.bit_count(), minlength=size)
-    table = table.reshape(1 << m, lo + 1)
-    steps = 1 << (k - lo)
-
-    def fold(row, start, stop):
-        for h, C in _fold_steps(table, par[lo:], start, stop):
-            row[h.bit_count()] += C
-            yield
-
-    acc = split_sum(fold, steps, steps * size >> _TABLE_BITS, (k - lo + 1, m + 1, lo + 1),
-                    np.int64, "weight fold")
+    par = P.astype(np.int64) @ (1 << np.arange(m, dtype=np.int64))  # row j's p_j
+    table = np.zeros((1 << m, k + 1), np.int64)
+    table[0, 0] = 1
+    a = np.arange(1 << m)
+    for j, p in enumerate(par.tolist()):
+        table[:, 1 : j + 2] += table[a ^ p, : j + 1]
     counts = np.zeros(k + m + 1, np.int64)
-    np.add.at(counts, np.indices(acc.shape).sum(axis=0), acc)
+    np.add.at(counts, np.bitwise_count(a)[:, None] + np.arange(k + 1), table)
     return counts
 
 
@@ -407,15 +364,13 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     InfeasibleError. Row operations keep the code and column order keeps
     weights, so G is row-reduced once. In that basis the k pivot columns of
     uG are u itself, so wt(uG) = popcount(u) + wt(uP), where P is the
-    k x m block of the other columns, m = n - k, and only P is walked.
+    k x m block of the other columns, m = n - k, and only P is counted.
 
-    A high-rate code, whose m is small against k (_fold_bits: m <= 12 and
-    k from about 1.5·m on), is counted by (parity, popcount) class
-    (_fold): a step of its walk adds 2^m·(lo+1) class cells where the
-    codeword walk below adds 2^16 codewords. On [40,28] that is 64 steps
-    of 94,208 cells after 2^22 low messages are counted once, against 4096
-    steps of 2^16 codewords: 0.033 s in one process against 0.32 s in one
-    part and 0.17 s in two (2-core VM), with equal counts.
+    A high-rate code, whose (parity, popcount) class table fits and costs
+    less than the walk (_doubles: at m = 12 from k = 22 on, at m = 0 from
+    k = 7), is counted by doubling that table over P's rows (_doubled), in
+    one process: [40,28] takes about 6 ms, against 0.32 s for the walk in
+    one part and 0.17 s in two (2-core VM), with equal counts.
 
     Any other code is walked codeword by codeword (codeword_weights). A
     chunk u = h·2^lo + j adds popcount(j), a vector made once, and the
@@ -430,7 +385,7 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     70 us of a 2^16-codeword step on a 2-core VM; CHANGES.md, "Weight
     enumeration over the systematic form").
 
-    Either walk's steps run split over the CPUs (split_sum), each part
+    The walk's steps run split over the CPUs (split_sum), each part
     adding its exact int64 counts into its own row, so the distribution is
     the one a single process counts.
     """
@@ -443,8 +398,8 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
                               f"weight distribution")
     rref, pivots = row_reduce(G.to_dense())  # full rank, as LinearCode checks
     P = np.delete(rref, pivots, axis=1)
-    if (lo := _fold_bits(k, n - k)) is not None:
-        return WeightDistribution(n, k, tuple(int(c) for c in _fold(P, lo)))
+    if _doubles(k, n - k):
+        return WeightDistribution(n, k, tuple(int(c) for c in _doubled(P)))
     lo = _table_bits(k, n - k)
     dt, pair = np.min_scalar_type(n), k > 0 and n < 256
     size = 256 * (n + 1) if pair else n + 1

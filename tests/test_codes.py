@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -197,9 +197,8 @@ class TestSystematicWalk:
 
     @pytest.mark.parametrize("n", [1, 9, 18, 36])
     def test_full_space_is_binomial(self, n):
-        # k = n: P has no columns and every weight is popcount(u); from
-        # n = 4 on it is counted by class, n = 36 in 16 chunks of 2^16 low
-        # messages and 2^16 high steps
+        # k = n: P has no columns and every weight is popcount(u); n = 1 is
+        # walked, and from n = 7 on its class table, of one parity, is doubled
         G = random_full_rank(np.random.default_rng(n), n, n)
         got = enumerate_weights(LinearCode(G), cap=ENUMERATION_CEILING)
         assert list(got.counts) == [math.comb(n, l) for l in range(n + 1)]
@@ -329,32 +328,28 @@ class TestRangeWalk:
         assert list(codeword_weights(rows, dt, steps, steps)) == []
 
 
-# Runs enumerate_weights on the identity code eye(k, n) in two parts, with
-# the generator named by `slow` (the codeword walk's or the class fold's)
-# taking 0.2 s a step; a forked part first writes its pid to stdout.
-SLOW = """
+# Runs enumerate_weights on the identity code eye(22, 60), m = 38, so the
+# codeword walk: 64 steps of 2^16 codewords in two parts, each step taking
+# 0.2 s; a forked part first writes its pid to stdout.
+SLOW_WALK = """
 import os, sys, time
 import numpy as np
 from linext import codes
 from linext.gf2 import BitMatrix
 
-real = codes.{slow}
+real = codes.codeword_weights
 
-def slow(*args):  # (rows or table, dt or rows, start, stop)
-    if args[2]:  # a forked part: report its pid, then walk 0.2 s a step
+def slow(rows, dt, start=0, stop=None):
+    if start:  # a forked part: report its pid, then walk 0.2 s a step
         os.write(1, b"%d\\n" % os.getpid())
-    for pair in real(*args):
+    for pair in real(rows, dt, start, stop):
         time.sleep(0.2)
         yield pair
 
-codes.{slow} = slow
+codes.codeword_weights = slow
 codes._part_count = lambda *args: 2
-codes.enumerate_weights(codes.LinearCode(BitMatrix.from_dense(np.eye({k}, {n}, dtype=np.uint8))))
+codes.enumerate_weights(codes.LinearCode(BitMatrix.from_dense(np.eye(22, 60, dtype=np.uint8))))
 """
-# m = 38, so the codeword walk: 64 steps of 2^16 codewords
-SLOW_WALK = SLOW.format(slow="codeword_weights", k=22, n=60)
-# m = 4, so the class fold: lo = 17, 512 steps
-SLOW_FOLD = SLOW.format(slow="_fold_steps", k=26, n=30)
 
 
 def _exited(pid):
@@ -371,27 +366,6 @@ def forks(monkeypatch):
     made, real = [], os.fork
     monkeypatch.setattr(codes.os, "fork", lambda: made.append(1) or real())
     return made
-
-
-def _signal_leaves_no_child(script, sig):
-    """Run script, which forks a part that writes its pid and then steps
-    slowly, send sig to the script's process once the part has started,
-    and check that both are gone within 3 s."""
-    src = os.path.dirname(os.path.dirname(codes.__file__))
-    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=src))
-    try:
-        child = int(proc.stdout.readline())
-        proc.send_signal(sig)
-        deadline = time.monotonic() + 3
-        assert proc.wait(timeout=3) != 0
-        while not _exited(child) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _exited(child)
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
 
 
 class TestForkedWalk:
@@ -456,15 +430,36 @@ class TestForkedWalk:
         # ends the parent at once; each child sees os.getppid() change at its
         # next 0.2 s step and exits. Either way both are gone within 3 s,
         # long before the child's 32 steps are walked
-        _signal_leaves_no_child(SLOW_WALK, sig)
+        src = os.path.dirname(os.path.dirname(codes.__file__))
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_WALK], stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=src))
+        try:
+            child = int(proc.stdout.readline())
+            proc.send_signal(sig)
+            deadline = time.monotonic() + 3
+            assert proc.wait(timeout=3) != 0
+            while not _exited(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _exited(child)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
 
 def _walked(code):
     """The weights of code as the codeword walk counts them in one part."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "_fold_bits", lambda k, m: None)
+        mp.setattr(codes, "_doubles", lambda k, m: False)
         mp.setattr(codes, "_part_count", lambda items, steps: 1)
-        return enumerate_weights(code)
+        return enumerate_weights(code, cap=ENUMERATION_CEILING)
+
+
+def _doubled(code):
+    """The weights of code as the class table's doubling counts them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_doubles", lambda k, m: True)
+        return enumerate_weights(code, cap=ENUMERATION_CEILING)
 
 
 def _with_all_ones_row(rng, k, n):
@@ -477,113 +472,109 @@ def _with_all_ones_row(rng, k, n):
 
 
 class TestClassFold:
-    """A code of small redundancy m = n - k is counted by (parity,
-    popcount) class (codes._fold): the 2^lo low messages are counted once
-    into a (2^m, lo+1) table and the high ones walked over it. The counts
-    must be those of brute force and of the one-part codeword walk."""
+    """A code of small redundancy m = n - k is counted by doubling a
+    (2^m, k+1) table of (parity, popcount) classes over the rows of its
+    parity block P (codes._doubled), where the rule codes._doubles(k, m)
+    says so. The counts must be those of brute force and of the one-part
+    codeword walk."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_matches_naive_and_the_walk(self, m, over, ones, seed):
-        # k from the rule's edge for this m (1.5·m or so) to 3 past it
-        k = min(k for k in range(41) if codes._fold_bits(k, m) is not None) + over
+    @given(st.integers(0, 14), st.integers(0, 10), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_naive_and_the_walk(self, k, m, ones, seed):
+        assume(k + m > 0)  # no code has block length 0
         rng = np.random.default_rng(seed)
-        G = (_with_all_ones_row if ones else random_full_rank)(rng, k, k + m)
+        G = (_with_all_ones_row if ones and k else random_full_rank)(rng, k, k + m)
         code = LinearCode(G)
-        got = enumerate_weights(code)
+        got = _doubled(code)
         assert list(got.counts) == naive_weight_counts(G.to_dense())
         assert got == _walked(code)
-        if ones:
+        if ones and k:
             assert got.counts[k + m] == 1
 
-    @pytest.mark.parametrize("m, walked, folded", [(0, 3, 4), (4, 8, 9), (8, 11, 12),
-                                                   (10, 13, 14), (12, 17, 18)])
-    def test_both_sides_of_the_edge(self, m, walked, folded):
-        # the largest k the rule leaves on the walk and the smallest it folds
-        assert codes._fold_bits(walked, m) is None
-        assert codes._fold_bits(folded, m) is not None
+    @pytest.mark.parametrize("m, walked, doubled", [(0, 6, 7), (4, 12, 13), (8, 17, 18),
+                                                    (10, 19, 20), (12, 21, 22), (13, 23, 24)])
+    def test_both_sides_of_the_edge(self, m, walked, doubled):
+        # the largest k the rule leaves on the walk and the smallest it
+        # doubles, each counted by its own route and checked against the other
+        assert not codes._doubles(walked, m)
+        assert codes._doubles(doubled, m)
         rng = np.random.default_rng(100 * m + walked)
-        for k in (walked, folded):
-            G = _with_all_ones_row(rng, k, k + m)
-            assert list(enumerate_weights(LinearCode(G)).counts) == naive_weight_counts(
-                G.to_dense())
+        for k in (walked, doubled):
+            code = LinearCode(_with_all_ones_row(rng, k, k + m))
+            got = enumerate_weights(code)
+            assert got == (_doubled if k == walked else _walked)(code)
+            assert got.counts[k + m] == 1
+
+    def test_a_32_20_code_walks(self, monkeypatch):
+        # m = 12 at k = 20: about 1.6·10^6 cells for the doubling against
+        # 2^20 codewords for the walk, which is the faster (about 4 ms
+        # against 2 ms on a 2-core VM)
+        assert not codes._doubles(20, 12)
+        code = LinearCode(random_full_rank(np.random.default_rng(3220), 20, 32))
+        doubled = _doubled(code)
+
+        def refuse(P):
+            raise AssertionError("doubled a code the rule walks")
+
+        monkeypatch.setattr(codes, "_doubled", refuse)
+        assert enumerate_weights(code) == doubled
 
     def test_the_rule_keeps_to_the_table_budget(self):
-        # (lo + 1)·2^m int64 cells fit 2^20 bytes up to m = 12 at every k
-        # under the ceiling; from m = 13 on nothing folds
-        assert codes._fold_bits(28, 12) == 22
-        assert all(codes._fold_bits(k, 13) is None for k in range(ENUMERATION_CEILING + 1))
-        assert codes._fold_bits(26, 40) is None  # the benchmark's [66,26] dual is walked
+        # the (k+1)·2^m int64 cells and the copy a row gathers fit 4 MB: every
+        # m <= 12 past its cost edge doubles up to the ceiling ([52,40] takes
+        # twice 1.3 MB), m = 13 up to k = 31, and from m = 14 on no k >= 1
+        assert (ENUMERATION_CEILING + 1) << (12 + 4) <= codes._TABLE_BYTES
+        assert all(codes._doubles(k, m) for m in range(13)
+                   for k in range(22, ENUMERATION_CEILING + 1))
+        assert codes._doubles(31, 13) and not codes._doubles(32, 13)
+        assert not any(codes._doubles(k, 14) for k in range(1, ENUMERATION_CEILING + 1))
+        assert not codes._doubles(26, 40)  # the benchmark's [66,26] dual is walked
 
-    @pytest.mark.parametrize("k, n, parts", [(28, 40, 1), (36, 48, 2)])
-    def test_high_rate_codes_match_the_dual(self, forks, monkeypatch, k, n, parts):
+    @pytest.mark.parametrize("k, n", [(28, 40), (36, 48)])
+    def test_high_rate_codes_match_the_dual(self, forks, monkeypatch, k, n):
         # the weights through the brute-forced [n, n-k] dual and MacWilliams
-        # in exact rationals; on two CPUs [40,28]'s 64 steps are worth 92
-        # walk steps, so one part, and [48,36]'s 1024 are worth 1728, so two
+        # in exact rationals; the doubling forks nothing, even on two CPUs
         monkeypatch.setattr(codes.os, "sched_getaffinity", lambda pid: {0, 1})
         code = LinearCode(random_full_rank(np.random.default_rng(n), k, n))
         got = enumerate_weights(code, cap=k)
-        assert len(forks) == parts - 1
+        assert forks == []
         dual = WeightDistribution(n, n - k, tuple(naive_weight_counts(
             dual_generator(code).generator.to_dense())))
         assert list(got.counts) == naive_macwilliams(dual)
 
     def test_table_memory_is_bounded(self):
-        # [40,28]: the (4096, 23) int64 table is 754 KB, and a chunk of 2^16
-        # low messages' keys 512 KB; all 2^22 low parities at once would
-        # take 32 MB
-        code = LinearCode(random_full_rank(np.random.default_rng(4028), 28, 40))
-        tracemalloc.start()
-        try:
-            w = enumerate_weights(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sum(w.counts) == 1 << 28
-        assert peak < 4 << 20
+        # [40,28]'s (4096, 29) int64 table is 0.95 MB and [52,40]'s (4096, 41)
+        # 1.3 MB, each with a gathered copy of up to as much
+        for k, n in ((28, 40), (40, 52)):
+            code = LinearCode(random_full_rank(np.random.default_rng(100 * k + n), k, n))
+            tracemalloc.start()
+            try:
+                w = enumerate_weights(code, cap=k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(w.counts) == 1 << k
+            assert peak < codes._TABLE_BYTES
 
+    @pytest.mark.parametrize("k, n", [(36, 48), (40, 52)])
+    def test_cap_is_checked_before_the_count(self, monkeypatch, k, n):
+        code = LinearCode(random_full_rank(np.random.default_rng(n), k, n))
 
-class TestForkedFold:
-    """The class fold splits its 2^(k-lo) high steps over codes.split_sum
-    as the codeword walk does, so it fails and stops as the walk does."""
+        def refuse(P):
+            raise AssertionError("counted past the cap")
 
-    @pytest.fixture
-    def code(self):
-        # [24,20], m = 4: lo = 14, so 64 high steps
-        return LinearCode(random_full_rank(np.random.default_rng(24), 20, 24))
+        monkeypatch.setattr(codes, "_doubled", refuse)
+        for cap in (k - 1, 28):
+            with pytest.raises(InfeasibleError, match=f"dimension {k} too large"):
+                enumerate_weights(code, cap=cap)
 
-    @pytest.mark.parametrize("parts", [2, 3])
-    def test_parts_add_up_to_one(self, code, forks, monkeypatch, parts):
-        assert codes._fold_bits(20, 4) == 14
-        monkeypatch.setattr(codes, "_part_count", lambda items, steps: parts)
-        got = enumerate_weights(code)
-        assert len(forks) == parts - 1
-        assert list(got.counts) == naive_weight_counts(code.generator.to_dense())
-
-    @pytest.mark.parametrize("where, error", [("child", RuntimeError),
-                                              ("parent", KeyboardInterrupt)])
-    def test_failure_raises_and_leaves_no_child(self, code, monkeypatch, where, error):
-        real = codes._fold_steps
-
-        def broken(table, rows, start, stop):
-            if (start > 0) == (where == "child"):  # range 0 is the parent's
-                raise error("injected")
-            return real(table, rows, start, stop)
-
-        monkeypatch.setattr(codes, "_fold_steps", broken)
-        monkeypatch.setattr(codes, "_part_count", lambda items, steps: 3)
-        expected = InfeasibleError if where == "child" else error
-        with pytest.raises(expected, match="weight fold part 1/3 .* exited with 1"
-                           if where == "child" else "injected"):
-            enumerate_weights(code)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
-    def test_signal_to_the_command_leaves_no_child(self, sig):
-        # as the walk's: gone within 3 s, long before the child's 256 steps
-        _signal_leaves_no_child(SLOW_FOLD, sig)
+    @pytest.mark.parametrize("k, m", [(k, m) for k in (0, 1, 28, 40) for m in (0, 1, 2, 4)
+                                      if k + m])  # no code has block length 0
+    def test_identity_codes_are_binomial(self, k, m):
+        # eye(k, k + m): the codeword of u has weight popcount(u)
+        code = LinearCode(BitMatrix.from_dense(np.eye(k, k + m, dtype=np.uint8)))
+        got = enumerate_weights(code, cap=40)
+        assert list(got.counts) == [math.comb(k, w) for w in range(k + m + 1)]
 
 
 class TestPartPlacement:
