@@ -245,11 +245,12 @@ def write_csv(rows: Sequence[BoundRow], fp, comments: Sequence[str] = ()) -> Non
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> List[float]:
-    """Inclusive, evenly spaced eps grid with the sweep preconditions."""
+    """Inclusive, evenly spaced eps grid with the sweep preconditions; the
+    last point is hi itself, which lo + (hi - lo)·1 can overshoot."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     if steps > GRID_CAP:
         raise InfeasibleError(f"{steps} grid points are over the cap {GRID_CAP}")
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"need 0 <= min < max <= 1, got [{lo}, {hi}]")
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]

@@ -21,13 +21,13 @@ from .gf2 import (BLOCK_LENGTH_CAP, BitMatrix, check_size, parse_header, parse_i
                   row_reduce, subset_xor_table)
 
 ENUMERATION_CAP = 28
-# Hard ceiling on k for any enumeration, whatever cap a caller passes. One
-# core walks about 4.5·10^8 codewords/s (2-core VM, numpy 2.4: 0.16 s for
-# a [66,26] code), so 2^40 codewords take about 40 minutes, and each
-# further dimension doubles that. A high-rate code of n - k <= 12 is
-# counted by doubling a class table instead (enumerate_weights): a [48,36]
-# or a [52,40] code in about 15 ms, which the walk would take minutes and
-# about 40 minutes for.
+# Hard ceiling on the dimension of any enumeration, whatever cap a caller
+# passes. One core walks about 4.5·10^8 codewords/s (2-core VM, numpy 2.4:
+# 0.16 s for a [66,26] code), so 2^40 codewords take about 40 minutes, and
+# each further dimension doubles that. Only a code with k <= n - k is
+# walked that far: weight_distribution counts a high-rate code by its
+# class table (a [52,40] code in about 15 ms) or through its dual (a
+# [54,40] code in a few ms).
 ENUMERATION_CEILING = 40
 _TABLE_BITS = 16
 # Bytes of the doubling's int64 class table, (k+1)·2^m cells, and of the
@@ -51,14 +51,15 @@ _CELL_COST = 4
 # tally run split over the CPUs".
 MIN_PART_STEPS = 256
 # Bytes of one part's row from which split_sum runs the work as one part:
-# each further part adds its row to the peak. Only simulate's tally gets
-# there, whose int64 row holds ceil(k/8)·256 byte counts and, up to k = 24,
-# 2^k bucket counts, so from k = 21 to 24 the tally is one part (past 24
-# the row holds byte counts only and splits again); the weight walk's row
-# and verify's grid row stay far below. At k = 22 and 24 a
-# second part added a third or more to simulate's peak (2-core VM; the
-# table is in CHANGES.md, "`simulate`'s source and tally run split over
-# the CPUs", and "One public call per layer").
+# each further part adds its row to the peak. simulate's tally row, int64
+# ceil(k/8)·256 byte counts and, up to k = 24, 2^k bucket counts, gets
+# there from k = 21 to 24 (past 24 it holds byte counts only and splits
+# again); verify's grid row, 8·len(grid)·(5 + k) bytes, at k = 24 from
+# 72,316 eps (bounds.GRID_CAP is 100,000). The weight walk's row stays far
+# below. At k = 22 and 24 a second part added a third or more to
+# simulate's peak (2-core VM; the table is in CHANGES.md, "`simulate`'s
+# source and tally run split over the CPUs", and "One public call per
+# layer").
 SPLIT_ROW_BYTES = 1 << 24
 
 
@@ -224,7 +225,9 @@ def split_sum(work, items: int, steps: int, shape, dtype, what: str) -> np.ndarr
     high-rate code's class table is doubled in one process, with no steps
     (enumerate_weights). grid_stats passes its eps, each worth 2^(k-12)
     steps: 25 eps at k = 18 make 1600 steps, so two parts on two CPUs, and
-    up to 50 eps at k <= 13 make at most 100, so one. simulated_stats
+    up to 50 eps at k <= 13 make at most 100, so one; its row of 5 + k
+    floats per eps reaches SPLIT_ROW_BYTES at k = 24 from 72,316 eps, so
+    such a grid runs as one part. simulated_stats
     passes its source chunks, worth a step per SOURCE_BITS_PER_STEP = 2^14
     source bits: the benchmark's 4·10^6 [16,11] blocks make 3906 steps, so
     two parts on two CPUs, and the default 10^5 blocks at n <= 40 make at
@@ -361,10 +364,12 @@ def enumerate_weights(code: LinearCode, cap: int = ENUMERATION_CAP) -> WeightDis
     """Exact weight distribution by counting all 2^k codewords.
 
     k above cap, or above ENUMERATION_CEILING whatever cap says, raises
-    InfeasibleError. Row operations keep the code and column order keeps
-    weights, so G is row-reduced once. In that basis the k pivot columns of
-    uG are u itself, so wt(uG) = popcount(u) + wt(uP), where P is the
-    k x m block of the other columns, m = n - k, and only P is counted.
+    InfeasibleError. weight_distribution counts through the dual any
+    high-rate code that takes neither one table nor the class table. Row
+    operations keep the code and column order keeps weights, so G is
+    row-reduced once. In that basis the k pivot columns of uG are u
+    itself, so wt(uG) = popcount(u) + wt(uP), where P is the k x m block
+    of the other columns, m = n - k, and only P is counted.
 
     A high-rate code, whose (parity, popcount) class table fits and costs
     less than the walk (_doubles: at m = 12 from k = 22 on, at m = 0 from
@@ -470,12 +475,16 @@ def weight_distribution(
 ) -> Tuple[WeightDistribution, str]:
     """Weight distribution plus the route taken: enumerate | macwilliams.
 
-    Enumerates directly when k fits the cap, goes through the dual when
-    only n-k does, and otherwise demands an externally supplied file. A
-    cap over ENUMERATION_CEILING counts as the ceiling.
+    G's own codewords are counted when k fits the cap and that side is
+    cheap: k <= n - k, a walk of one table, or the class table (_doubles).
+    Any other code goes through its dual when n - k fits the cap, so the
+    cap only bounds the work: a [42,28] code takes 1-2 ms so, against
+    0.43 s walked (2-core VM). With neither side within the cap an externally
+    supplied file is needed. A cap over ENUMERATION_CEILING counts as the
+    ceiling.
     """
     k, n, cap = code.k, code.n, min(cap, ENUMERATION_CEILING)
-    if k <= cap:
+    if k <= cap and (k <= n - k or k <= _table_bits(k, n - k) or _doubles(k, n - k)):
         return enumerate_weights(code, cap), "enumerate"
     if n - k <= cap:
         dual = dual_generator(code)

@@ -380,6 +380,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             linear_grid(0.1, 0.5, 1)
 
+    def test_linear_grid_ends_at_hi(self):
+        # lo + (hi - lo)·6/6 is 1.0000000000000002 here, outside [0, 1]
+        assert linear_grid(0.059, 1.0, 7)[-1] == 1.0
+        assert linear_grid(0.01, 0.5, 50)[-1] == 0.5
+
+    @given(st.floats(0, 1), st.floats(0, 1), st.integers(2, 1000))
+    def test_linear_grid_stays_in_its_range(self, a, b, steps):
+        assume(a != b)
+        lo, hi = min(a, b), max(a, b)
+        grid = linear_grid(lo, hi, steps)
+        assert len(grid) == steps
+        assert grid[0] == lo and grid[-1] == hi
+        assert grid == sorted(grid)
+        assert all(0.0 <= x <= 1.0 for x in grid)
+
 
 class TestCsv:
     def test_header_and_shape(self, rm24):

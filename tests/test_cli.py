@@ -22,7 +22,7 @@ from linext.codes import (ENUMERATION_CEILING, enumerate_weights, rm_generator, 
 from linext.gf2 import BitMatrix, serialize_matrix
 from linext.pipeline import BiasedSourceSpec, BitStream, generate, linear_extract, von_neumann
 
-from _naive import random_full_rank, to_stream
+from _naive import naive_macwilliams, naive_weight_counts, random_full_rank, to_stream
 
 
 def run(capsys, *argv):
@@ -83,6 +83,25 @@ class TestCodeInfo:
         assert code == 0
         assert "weights-via: macwilliams" in out
         assert "  4 140" in out
+
+    def test_cap_40_counts_a_54_40_code_through_its_dual(self, tmp_path):
+        # walked, its 2^40 codewords would take about 40 minutes; the dual's
+        # 2^14 take about 0.2 s with the start-up, so a child gets 30 s
+        G = random_full_rank(np.random.default_rng(54), 40, 54)
+        (tmp_path / "g.txt").write_text(serialize_matrix(G))
+        src = str(pathlib.Path(linext.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "linext.cli", "code-info", "--matrix", "g.txt", "--cap", "40"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert "weights-via: macwilliams" in lines
+        dual = naive_weight_counts(codes.dual_generator(codes.LinearCode(G)).generator.to_dense())
+        want = naive_macwilliams(codes.WeightDistribution(54, 14, tuple(dual)))
+        got = [tuple(map(int, l.split())) for l in lines[lines.index(
+            "weight distribution (weight count):") + 1 :]]
+        assert got == [(l, c) for l, c in enumerate(want) if c]
 
     def test_no_source_is_usage_error(self, capsys):
         code, _, err = run(capsys, "code-info")
@@ -167,6 +186,13 @@ class TestBoundsSweep:
         )
         assert code == 0
         assert out.splitlines()[-1].endswith(",as-printed")
+
+    def test_grid_ends_at_eps_max(self, capsys):
+        # lo + (hi - lo)·6/6 would be 1.0000000000000002, outside [0, 1]
+        code, out, _ = run(capsys, "bounds-sweep", "--code", "rm:2,4",
+                           "--eps-min", "0.059", "--eps-max", "1", "--steps", "7")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("1,")
 
     def test_bad_grid(self, capsys):
         code, _, err = run(

@@ -508,7 +508,8 @@ class TestClassFold:
     def test_a_32_20_code_walks(self, monkeypatch):
         # m = 12 at k = 20: about 1.6·10^6 cells for the doubling against
         # 2^20 codewords for the walk, which is the faster (about 4 ms
-        # against 2 ms on a 2-core VM)
+        # against 2 ms on a 2-core VM); weight_distribution counts its
+        # 2^12-codeword dual instead
         assert not codes._doubles(20, 12)
         code = LinearCode(random_full_rank(np.random.default_rng(3220), 20, 32))
         doubled = _doubled(code)
@@ -518,6 +519,7 @@ class TestClassFold:
 
         monkeypatch.setattr(codes, "_doubled", refuse)
         assert enumerate_weights(code) == doubled
+        assert weight_distribution(code) == (doubled, "macwilliams")
 
     def test_the_rule_keeps_to_the_table_budget(self):
         # the (k+1)·2^m int64 cells and the copy a row gathers fit 4 MB: every
@@ -749,6 +751,69 @@ class TestWeightDistributionRoute:
         code = LinearCode(random_full_rank(rng, 6, 12))
         with pytest.raises(InfeasibleError, match="external"):
             weight_distribution(code, cap=5)
+
+    @pytest.mark.parametrize("k, m, cap, route", [
+        (12, 12, 28, "enumerate"),  # a tie counts G, which needs no transform
+        (12, 12, 12, "enumerate"),
+        (12, 12, 11, None),
+        (16, 15, 28, "enumerate"),  # n - k < k = 16: G's walk is one table
+        (17, 14, 28, "macwilliams"),  # [31,17]: a 2^17 walk, no class table
+        (21, 12, 28, "macwilliams"),  # n - k = 12: the class table's edge
+        (22, 12, 28, "enumerate"),
+        (40, 0, 40, "enumerate"),  # eye(40, 40), doubled
+        (40, 12, 40, "enumerate"),  # [52,40], doubled
+        (40, 14, 40, "macwilliams"),  # [54,40]: no 2^40 walk at cap 40
+        (20, 6, 20, "enumerate"),
+        (20, 6, 19, "macwilliams"),  # k > cap >= n - k, as before
+        (20, 6, 6, "macwilliams"),
+        (20, 6, 5, None),  # both sides over the cap
+        (6, 20, 5, None),
+    ])
+    def test_one_route_per_shape(self, monkeypatch, k, m, cap, route):
+        n = k + m
+        rng = np.random.default_rng(100 * n + k)
+        G = (BitMatrix.from_dense(np.eye(k, dtype=np.uint8)) if m == 0
+             else random_full_rank(rng, k, n))
+        code = LinearCode(G)
+        if route is None:
+            with pytest.raises(InfeasibleError, match="external"):
+                weight_distribution(code, cap=cap)
+            return
+        # only the chosen side is counted, so a wrong route fails here and
+        # never starts a 2^40 walk
+        counted, real = [], codes.enumerate_weights
+
+        def count(c, cap):
+            assert c.k == (k if route == "enumerate" else m), "counted the other side"
+            counted.append(codes._doubles(c.k, n - c.k))
+            return real(c, cap)
+
+        monkeypatch.setattr(codes, "enumerate_weights", count)
+        w, got = weight_distribution(code, cap=cap)
+        assert got == route
+        assert counted == [route == "enumerate" and k > m and k > codes._table_bits(k, m)]
+        if m == 0:
+            assert list(w.counts) == [math.comb(k, l) for l in range(n + 1)]
+        else:  # the brute-forced dual, at most 2^15 codewords, in exact rationals
+            dual = naive_weight_counts(dual_generator(code).generator.to_dense())
+            assert list(w.counts) == naive_macwilliams(WeightDistribution(n, m, tuple(dual)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, ENUMERATION_CEILING),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_every_cap_counts_brute_force(self, n, k, cap, table_bits, seed):
+        # a small _TABLE_BITS makes G's walk more than one table, so the
+        # dual route fires at n <= 16
+        assume(k <= n)
+        G = random_full_rank(np.random.default_rng(seed), k, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "_TABLE_BITS", table_bits)
+            if min(k, n - k) > cap:
+                with pytest.raises(InfeasibleError):
+                    weight_distribution(LinearCode(G), cap=cap)
+                return
+            w, _ = weight_distribution(LinearCode(G), cap=cap)
+        assert list(w.counts) == naive_weight_counts(G.to_dense())
 
 
 class TestWeightFiles:
